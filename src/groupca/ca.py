@@ -394,31 +394,75 @@ def rule_to_json(ca: CellularAutomaton) -> dict:
     return {"group": group.spec_string(), "variant": rule.variant, "payload": payload}
 
 
+_SYMBOL = (str, int)  # table alphabets hold JSON strings or integers
+
+_RULE_SHAPE = {"group": str, "variant": str, "payload": dict}
+_PAYLOAD_SHAPES = {
+    "polynomial": {"field": str, "expr": str},
+    "linear": {"n": int, "field": str, "symbol": [(str, [[str]])]},
+    "table": {"alphabet": [_SYMBOL], "memory": [str], "map": [([_SYMBOL], _SYMBOL)]},
+}
+_PATTERN_VALUES = {"linear": [[str]], "polynomial": [str], "table": [_SYMBOL]}
+
+
+def _check_json(value, shape, where):
+    """Raise CAError unless a decoded JSON value has the given shape.
+
+    A shape is a type or a tuple of types, ``{key: shape}`` for an object
+    with at least those keys, ``[shape]`` for an array of items of one
+    shape, or a tuple of shapes that are not all types for an array of
+    exactly those items.  Loaders read files, so a wrong shape must be an
+    input error, not a KeyError or a TypeError deep inside the parse.
+    """
+    if isinstance(shape, type) or (isinstance(shape, tuple) and all(isinstance(t, type) for t in shape)):
+        if not isinstance(value, shape) or isinstance(value, bool):
+            types = shape if isinstance(shape, tuple) else (shape,)
+            raise CAError("%s must be of JSON type %s" % (where, " or ".join(t.__name__ for t in types)))
+    elif isinstance(shape, dict):
+        if not isinstance(value, dict):
+            raise CAError("%s must be a JSON object" % where)
+        for key, sub in shape.items():
+            if key not in value:
+                raise CAError("%s lacks the key %r" % (where, key))
+            _check_json(value[key], sub, "%s.%s" % (where, key))
+    elif isinstance(shape, list):
+        if not isinstance(value, list):
+            raise CAError("%s must be a JSON array" % where)
+        for i, item in enumerate(value):
+            _check_json(item, shape[0], "%s[%d]" % (where, i))
+    else:
+        if not isinstance(value, list) or len(value) != len(shape):
+            raise CAError("%s must be a JSON array of %d items" % (where, len(shape)))
+        for i, (item, sub) in enumerate(zip(value, shape)):
+            _check_json(item, sub, "%s[%d]" % (where, i))
+
+
 def rule_from_json(doc: dict) -> CellularAutomaton:
     from .expressions import parse_element
     from .groups import parse_group_spec
     from .rings import field_from_spec
 
-    group = parse_group_spec(doc["group"])
+    _check_json(doc, _RULE_SHAPE, "rule")
     variant = doc["variant"]
+    if variant not in _PAYLOAD_SHAPES:
+        raise CAError("unknown rule variant %r" % variant)
     payload = doc["payload"]
+    _check_json(payload, _PAYLOAD_SHAPES[variant], "rule.payload")
+    group = parse_group_spec(doc["group"])
     if variant == "polynomial":
         field = field_from_spec(payload["field"])
         poly = parse_element(payload["expr"], group, field, kind="near_ring")
         return ca_from_polynomial(poly)
     if variant == "linear":
         field = field_from_spec(payload["field"])
-        n = int(payload["n"])
         symbol = {}
         for elem_text, rows in payload["symbol"]:
             g = group.parse_element(elem_text)
             symbol[g] = ExactMatrix(field, [[field.parse(v) for v in row] for row in rows])
-        return CellularAutomaton(group, LinearRule(n, field, symbol))
-    if variant == "table":
-        memory = FiniteSubset(group, [group.parse_element(t) for t in payload["memory"]])
-        mapping = {tuple(k): v for k, v in payload["map"]}
-        return CellularAutomaton(group, TableRule(payload["alphabet"], memory, mapping))
-    raise CAError("unknown rule variant %r" % variant)
+        return CellularAutomaton(group, LinearRule(payload["n"], field, symbol))
+    memory = FiniteSubset(group, [group.parse_element(t) for t in payload["memory"]])
+    mapping = {tuple(k): v for k, v in payload["map"]}
+    return CellularAutomaton(group, TableRule(payload["alphabet"], memory, mapping))
 
 
 def pattern_to_json(pattern: Pattern, ca: CellularAutomaton) -> dict:
@@ -436,6 +480,9 @@ def pattern_to_json(pattern: Pattern, ca: CellularAutomaton) -> dict:
 
 
 def pattern_from_json(doc: dict, ca: CellularAutomaton) -> Pattern:
+    _check_json(doc, {"domain": [str], "values": _PATTERN_VALUES[ca.rule.variant]}, "pattern")
+    if len(doc["domain"]) != len(doc["values"]):
+        raise CAError("pattern domain and values differ in length")
     group = ca.group
     field = getattr(ca.rule, "field", None)
     values = {}

@@ -442,12 +442,32 @@ def _apply_job_file(parser, argv):
     else:
         with open(path, "r", encoding="utf-8") as fh:
             job = json.load(fh)
+    given = {arg.split("=", 1)[0] for arg in argv}
     extra = []
     for key, value in job.items():
         flag = "--" + key.replace("_", "-")
-        if flag not in argv:
+        if flag not in given:
             extra.extend([flag, str(value)])
     return argv + extra
+
+
+# flags whose value is an element text, which may start with "-"
+_TEXT_FLAGS = ("--alpha", "--beta", "--element")
+
+
+def _attach_texts(argv):
+    """Rewrite ``--alpha TEXT`` as ``--alpha=TEXT`` (also --beta, --element),
+    so that argparse does not read a text such as "-X[(1)]" as an option."""
+    out = []
+    i = 0
+    while i < len(argv):
+        if argv[i] in _TEXT_FLAGS and i + 1 < len(argv):
+            out.append("%s=%s" % (argv[i], argv[i + 1]))
+            i += 2
+        else:
+            out.append(argv[i])
+            i += 1
+    return out
 
 
 def _validate_bounds(args):
@@ -462,7 +482,7 @@ def _validate_bounds(args):
 def run_job(argv) -> int:
     parser = build_parser()
     try:
-        argv = _apply_job_file(parser, list(argv))
+        argv = _attach_texts(_apply_job_file(parser, list(argv)))
         args = parser.parse_args(argv)
         _validate_bounds(args)
         return args.handler(args)

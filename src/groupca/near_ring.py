@@ -19,6 +19,7 @@ calculus for bi-invariantly ordered groups is built on it.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import os
 from dataclasses import dataclass, field as dc_field
@@ -469,11 +470,27 @@ def _invert_scalar(c):
 #
 # The star product is K-linear in its left argument, so for a fixed right
 # operand beta the map alpha |-> alpha star beta is a linear map on the
-# coefficient space.  Unit and zero-divisor searches therefore enumerate
-# beta and solve one exact linear system per beta, which makes the search
-# exhaustive over the whole space on both sides.  Idempotents are found by
-# direct enumeration.  All internals run on plain integers mod p; every
-# finding is re-certified through the generic star product.
+# coefficient space.  A beta is a unit partner when alpha star beta = X_e
+# is solvable, and a zero-divisor partner when alpha star beta = 0 has a
+# nonzero solution; either way the search is exhaustive on both sides.
+#
+# Most betas need no system of their own.  For phi = a X_e + c with a != 0,
+# phi star beta = a beta + c, and by associativity
+#     alpha star (a beta + c) = (alpha star phi) star beta,
+# where alpha |-> alpha star phi is a linear bijection of the coefficient
+# space (substituting an affine form keeps supports and degrees).  So all
+# betas of one affine orbit are live or dead together.  Phase 1 solves one
+# representative per orbit: constant digit 0 and first nonzero digit 1, plus
+# beta = 0 for the constants, which form one orbit of their own.  Phase 2
+# solves every member of the live orbits directly, in enumeration order, so
+# the findings are exactly those of a full scan.  Only associativity and
+# left linearity are used, never the theorem under test.  Idempotents are
+# found by direct enumeration.
+#
+# Internals run on plain integers mod p.  A monomial is one int holding the
+# exponent of variable i in bits [i*w, (i+1)*w), so the monomial product is
+# integer addition, and shifting the search's own monomials is a table
+# lookup.  Every finding is re-certified through the generic star product.
 
 
 @dataclass
@@ -529,7 +546,13 @@ def _universe(support: FiniteSubset, max_total_degree: int):
 
 
 class _FastPoly:
-    """Shared data for the integer-mod-p polynomial fast path."""
+    """Shared data for the integer-mod-p polynomial fast path.
+
+    Polynomials are dicts packed monomial -> coefficient in [1, p).  No
+    exponent of X^u star beta or alpha star alpha exceeds d^2 for the degree
+    bound d, so fields of w = bit_length(d^2) + 1 bits never carry into each
+    other when monomials are added.
+    """
 
     def __init__(self, group, p, support, max_total_degree):
         self.group = group
@@ -538,109 +561,107 @@ class _FastPoly:
         # support elements, whatever the degree bound
         self.universe = _universe(support, 2)
         self.var_index = {g: i for i, g in enumerate(self.universe)}
-        self.shift_map = {}
-        for g in support:
-            mapping = {}
-            for h in support:
-                mapping[self.var_index[h]] = self.var_index[g * h]
-            self.shift_map[self.var_index[g]] = mapping
+        self.width = (max_total_degree**2).bit_length() + 1
         self.monomials = search_monomials(support, max_total_degree)
-        # monomial as tuple of (var_index, exponent), sorted by var index
-        self.mono_keys = []
-        for u in self.monomials:
-            key = tuple(sorted((self.var_index[g], e) for g, e in u.items))
-            self.mono_keys.append(key)
-        self.ident_key = ((self.var_index[group.identity()], 1),)
+        self.mono_keys = [self._pack(u.items) for u in self.monomials]
+        self.ident_key = self._pack([(group.identity(), 1)])
+        # shift_tables[k][i] is the packed shift by the k-th support element
+        # of the i-th canonical monomial
+        elems = list(support)
+        self.shift_tables = [
+            [self._pack([(g * h, e) for h, e in u.items]) for u in self.monomials] for g in elems
+        ]
+        # X^u star beta = (X^v star beta) * shift(g, beta) for u = v + X_g;
+        # v comes before u, since the canonical order starts with the degree
+        position = {u: i for i, u in enumerate(self.monomials)}
+        self.factors = []
+        for u in self.monomials[1:]:
+            g, e = u.items[-1]
+            rest = dict(u.items)
+            rest[g] = e - 1
+            self.factors.append((position[ExponentVector(group, rest)], elems.index(g)))
 
-    def shift_poly(self, poly, g_idx):
-        mapping = self.shift_map[g_idx]
-        out = {}
-        for mono, c in poly.items():
-            new = tuple(sorted((mapping[v], e) for v, e in mono))
-            out[new] = (out.get(new, 0) + c) % self.p
-        return {m: c for m, c in out.items() if c}
+    def _pack(self, items):
+        return sum(e << (self.var_index[g] * self.width) for g, e in items)
 
     def mul(self, a, b):
         p = self.p
         out = {}
+        get = out.get
         for m1, c1 in a.items():
             for m2, c2 in b.items():
-                acc = dict(m1)
-                for v, e in m2:
-                    acc[v] = acc.get(v, 0) + e
-                key = tuple(sorted(acc.items()))
-                out[key] = (out.get(key, 0) + c1 * c2) % p
-        return {m: c for m, c in out.items() if c}
+                key = m1 + m2
+                out[key] = get(key, 0) + c1 * c2
+        return {m: c % p for m, c in out.items() if c % p}
 
-    def star_monomial(self, key, shifted_powers):
-        """X^u star beta for u given as a fast key, from precomputed (g, e) powers."""
-        prod = {(): 1}
-        for v, e in key:
-            prod = self.mul(prod, shifted_powers[(v, e)])
-        return prod
+    def columns(self, digits):
+        """X^u star beta for every canonical monomial u, with beta given by its digits."""
+        nonzero = [(i, d) for i, d in enumerate(digits) if d]
+        shifted = [{table[i]: d for i, d in nonzero} for table in self.shift_tables]
+        cols = [{0: 1}]
+        for v, k in self.factors:
+            cols.append(shifted[k] if v == 0 else self.mul(cols[v], shifted[k]))
+        return cols
 
     def digits_to_poly(self, digits):
         return {self.mono_keys[i]: d for i, d in enumerate(digits) if d}
 
     def poly_to_element(self, poly, field):
+        mask = (1 << self.width) - 1
         terms = {}
         for mono, c in poly.items():
-            ev = ExponentVector(self.group, {self.universe[v]: e for v, e in mono})
-            terms[ev] = field.from_int(c)
+            exponents = {}
+            for g in self.universe:
+                if mono & mask:
+                    exponents[g] = mono & mask
+                mono >>= self.width
+            terms[ExponentVector(self.group, exponents)] = field.from_int(c)
         return NearRingElement(self.group, field, terms)
 
 
 def _solve_mod_p(columns, target, p):
     """Solve sum_i x_i col_i = target over F_p; return (particular, kernel basis) or None.
 
-    ``columns`` is a list of dict polynomials; the row space is the union of
-    their monomial keys plus the target's.
+    ``columns`` and ``target`` are dict polynomials.  Each column is reduced
+    against the independent columns before it, keeping its coordinates in
+    them: a column in their span gives the kernel vector e_j - coordinates,
+    and the target's coordinates give the particular solution.  These are
+    the answers of the reduced echelon form (free variables zero, one kernel
+    vector per non-pivot column), whatever pivots the reduction picks.
     """
-    keys = sorted(set().union(*[set(c) for c in columns], set(target)))
-    key_pos = {k: i for i, k in enumerate(keys)}
-    nrows, ncols = len(keys), len(columns)
-    rows = [[0] * (ncols + 1) for _ in range(nrows)]
-    for j, col in enumerate(columns):
-        for m, c in col.items():
-            rows[key_pos[m]][j] = c
-    for m, c in target.items():
-        rows[key_pos[m]][ncols] = c
-    # Gauss-Jordan over F_p on the augmented system
-    pivots = {}
-    r = 0
-    for col in range(ncols):
-        pr = None
-        for i in range(r, nrows):
-            if rows[i][col] % p:
-                pr = i
-                break
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = pow(rows[r][col], p - 2, p)
-        rows[r] = [(v * inv) % p for v in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][col] % p:
-                f = rows[i][col]
-                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[r])]
-        pivots[col] = r
-        r += 1
-    for i in range(r, nrows):
-        if rows[i][ncols] % p:
-            return None  # inconsistent
-    particular = [0] * ncols
-    for col, ri in pivots.items():
-        particular[col] = rows[ri][ncols]
+    basis = []  # (pivot monomial, vector with pivot coefficient 1, its coordinates)
+
+    def reduce(vec, coords):
+        for key, b, b_coords in basis:
+            c = vec.get(key)
+            if c:
+                for m, x in b.items():
+                    y = (vec.get(m, 0) - c * x) % p
+                    if y:
+                        vec[m] = y
+                    else:
+                        del vec[m]
+                for i, x in b_coords.items():
+                    coords[i] = (coords.get(i, 0) - c * x) % p
+
+    ncols = len(columns)
     kernel = []
-    for col in range(ncols):
-        if col in pivots:
-            continue
-        vec = [0] * ncols
-        vec[col] = 1
-        for pcol, ri in pivots.items():
-            vec[pcol] = (-rows[ri][col]) % p
-        kernel.append(vec)
-    return particular, kernel
+    for j, col in enumerate(columns):
+        vec, coords = dict(col), {j: 1}
+        reduce(vec, coords)
+        if vec:
+            key = next(iter(vec))
+            inv = pow(vec[key], p - 2, p)
+            basis.append(
+                (key, {m: x * inv % p for m, x in vec.items()}, {i: x * inv % p for i, x in coords.items()})
+            )
+        else:
+            kernel.append([coords.get(i, 0) for i in range(ncols)])
+    vec, coords = dict(target), {}
+    reduce(vec, coords)
+    if vec:
+        return None  # inconsistent
+    return [(-coords.get(i, 0)) % p for i in range(ncols)], kernel
 
 
 def _enumerate_solutions(particular, kernel, p, cap=100000):
@@ -658,35 +679,100 @@ def _enumerate_solutions(particular, kernel, p, cap=100000):
         yield tuple(vec)
 
 
-def _search_chunk(kind, group, field, support, max_total_degree, start, stop):
-    """Scan enumeration indices [start, stop) of the coefficient odometer."""
+def _target(kind, fast):
+    return {fast.ident_key: 1} if kind == "unit" else {}
+
+
+def _orbit_segments(kind, p, m):
+    """Enumeration-index ranges holding the orbit representatives, in order.
+
+    The representative with its first nonzero digit at position m-1-j
+    (digit 1, any digits after it) has an index in [p^j, 2 p^j).  Zero
+    divisors need a nonconstant beta, so only units scan beta = 0.
+    """
+    constants = [(0, 1)] if kind == "unit" else []
+    return constants + [(p**j, 2 * p**j) for j in range(m - 1)]
+
+
+def _slice_segments(segments, start, stop):
+    """The index ranges of representatives number start..stop-1."""
+    for a, b in segments:
+        n = b - a
+        if start < n and stop > 0:
+            yield a + max(start, 0), a + min(stop, n)
+        start -= n
+        stop -= n
+
+
+def _live_representatives(kind, group, field, support, max_total_degree, start, stop):
+    """Solve representatives number start..stop-1; return the live ones' digits.
+
+    A unit representative is live when its system is solvable, a
+    zero-divisor one when its kernel is nonzero (alpha = 0 always solves
+    the homogeneous system).
+    """
     p = field.p
     fast = _FastPoly(group, p, support, max_total_degree)
     m = len(fast.mono_keys)
-    target_unit = {fast.ident_key: 1}
+    target = _target(kind, fast)
+    live = []
+    for a, b in _slice_segments(_orbit_segments(kind, p, m), start, stop):
+        digits = _index_to_digits(a, p, m)
+        for _ in range(a, b):
+            solved = _solve_mod_p(fast.columns(digits), target, p)
+            if solved is not None and (kind == "unit" or solved[1]):
+                live.append(tuple(digits))
+            _advance(digits, p)
+    return live
+
+
+def _orbit(digits, p):
+    """Enumeration indices of the betas a*beta + c, a != 0, for beta's digits."""
+    out = set()
+    for a in range(1, p):
+        scaled = [(a * x) % p for x in digits]
+        for c in range(p):
+            scaled[0] = c
+            out.add(_digits_to_index(scaled, p))
+    return out
+
+
+def _solve_betas(kind, group, field, support, max_total_degree, indices):
+    """Solve the systems of the betas at the given indices; raw findings in order."""
+    p = field.p
+    fast = _FastPoly(group, p, support, max_total_degree)
+    m = len(fast.mono_keys)
+    target = _target(kind, fast)
     findings = []
-    digits = _index_to_digits(start, p, m)
+    for index in indices:
+        digits = _index_to_digits(index, p, m)
+        solved = _solve_mod_p(fast.columns(digits), target, p)
+        if solved is None:
+            continue
+        particular, kernel = solved
+        beta_digits = tuple(digits)
+        for sol in _enumerate_solutions(particular, kernel, p):
+            if kind == "zero_divisor" and not any(sol):
+                continue  # alpha must be nonzero
+            findings.append((index, beta_digits, sol))
+    return findings
+
+
+def _idempotent_chunk(group, field, support, max_total_degree, start, stop):
+    """Scan enumeration indices [start, stop) for alpha star alpha = alpha."""
+    p = field.p
+    fast = _FastPoly(group, p, support, max_total_degree)
+    digits = _index_to_digits(start, p, len(fast.mono_keys))
+    findings = []
     for index in range(start, stop):
-        poly = fast.digits_to_poly(digits)
-        if kind == "idempotent":
-            if _fast_is_idempotent(fast, poly):
-                findings.append((index, tuple(digits), None))
-        else:
-            beta_digits = tuple(digits)
-            nonconstant = any(c and key for key, c in poly.items())
-            if kind == "zero_divisor" and not nonconstant:
-                _advance(digits, p)
-                continue
-            shifted_powers = _powers_for(fast, poly, max_total_degree)
-            columns = [fast.star_monomial(k, shifted_powers) for k in fast.mono_keys]
-            target = target_unit if kind == "unit" else {}
-            solved = _solve_mod_p(columns, target, p)
-            if solved is not None:
-                particular, kernel = solved
-                for sol in _enumerate_solutions(particular, kernel, p):
-                    if kind == "zero_divisor" and not any(sol):
-                        continue  # alpha must be nonzero
-                    findings.append((index, beta_digits, sol))
+        acc = {}
+        for d, col in zip(digits, fast.columns(digits)):
+            if d:
+                for mono, c in col.items():
+                    acc[mono] = acc.get(mono, 0) + d * c
+        square = {mono: c % p for mono, c in acc.items() if c % p}
+        if square == fast.digits_to_poly(digits):
+            findings.append((index, tuple(digits), None))
         _advance(digits, p)
     return findings
 
@@ -699,6 +785,13 @@ def _index_to_digits(index, p, m):
     return digits
 
 
+def _digits_to_index(digits, p):
+    index = 0
+    for d in digits:
+        index = index * p + d
+    return index
+
+
 def _advance(digits, p):
     i = len(digits) - 1
     while i >= 0:
@@ -707,41 +800,6 @@ def _advance(digits, p):
             return
         digits[i] = 0
         i -= 1
-
-
-def _powers_for(fast, poly, max_degree):
-    powers = {}
-    shifted = {}
-    for key in fast.mono_keys:
-        for v, e in key:
-            if (v, e) in powers:
-                continue
-            if v not in shifted:
-                shifted[v] = fast.shift_poly(poly, v)
-            acc = shifted[v]
-            for _ in range(e - 1):
-                acc = fast.mul(acc, shifted[v])
-            powers[(v, e)] = acc
-    powers[((), 0)] = {(): 1}
-    return powers
-
-
-def _fast_is_idempotent(fast, poly):
-    p = fast.p
-    shifted = {}
-    acc = {}
-    for key, c in poly.items():
-        prod = {(): 1}
-        for v, e in key:
-            if v not in shifted:
-                shifted[v] = fast.shift_poly(poly, v)
-            f = shifted[v]
-            for _ in range(e):
-                prod = fast.mul(prod, f)
-        for m, pc in prod.items():
-            acc[m] = (acc.get(m, 0) + c * pc) % p
-    acc = {m: c for m, c in acc.items() if c}
-    return acc == poly
 
 
 def worker_count(explicit=None) -> int:
@@ -776,30 +834,47 @@ def exhaustive_search(
     group = support.group
     monomials = search_monomials(support, max_total_degree)
     m = len(monomials)
-    size = field.p**m
+    p = field.p
+    size = p**m
     if size > space_cap:
         raise NearRingError(
             "search space has %d elements, above the cap of %d" % (size, space_cap)
         )
     nworkers = worker_count(workers)
-    chunks = _chunk_ranges(size, nworkers)
-    args = [(kind, group, field, support, max_total_degree, a, b) for a, b in chunks]
-    if nworkers == 1 or len(chunks) == 1:
-        raw = [_search_chunk(*a) for a in args]
-    else:
+    space = (group, field, support, max_total_degree)
+    pool = None
+    if nworkers > 1:
         import multiprocessing
 
-        with multiprocessing.Pool(processes=nworkers) as pool:
-            raw = pool.starmap(_search_chunk, args)
-    merged = [f for chunk in raw for f in chunk]
-    fast = _FastPoly(group, field.p, support, max_total_degree)
+        pool = multiprocessing.Pool(processes=nworkers)
+    with pool or contextlib.nullcontext():
+        if kind == "idempotent":
+            chunks = [space + r for r in _chunk_ranges(size, nworkers)]
+            merged = _run_chunks(pool, _idempotent_chunk, chunks)
+        else:
+            reps = sum(b - a for a, b in _orbit_segments(kind, p, m))
+            chunks = [(kind,) + space + r for r in _chunk_ranges(reps, nworkers)]
+            live = _run_chunks(pool, _live_representatives, chunks)
+            betas = sorted(set().union(*(_orbit(digits, p) for digits in live)))
+            chunks = [(kind,) + space + (betas[a:b],) for a, b in _chunk_ranges(len(betas), nworkers)]
+            merged = _run_chunks(pool, _solve_betas, chunks)
+    fast = _FastPoly(group, p, support, max_total_degree)
     findings = [_certify(kind, fast, field, rec) for rec in merged]
     return SearchResult(kind=kind, findings=findings, monomials=monomials, space_size=size, workers=nworkers)
 
 
+def _run_chunks(pool, fn, chunks):
+    """fn over the chunks, on the pool when there is more than one; results concatenated in order."""
+    if pool is not None and len(chunks) > 1:
+        raw = pool.starmap(fn, chunks)
+    else:
+        raw = [fn(*c) for c in chunks]
+    return [item for part in raw for item in part]
+
+
 def _chunk_ranges(size, nworkers):
     n = min(nworkers, size) or 1
-    step = (size + n - 1) // n
+    step = max(1, (size + n - 1) // n)
     return [(i, min(i + step, size)) for i in range(0, size, step)]
 
 

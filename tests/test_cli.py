@@ -231,6 +231,44 @@ def test_input_errors_exit_2(tmp_path):
     assert run_job(["mdim", "--rule", str(tmp_path / "x.json"), "--imax", "-3"]) == 2
 
 
+def test_malformed_rule_files_exit_2(tmp_path):
+    no_payload = tmp_path / "no_payload.json"
+    no_payload.write_text(json.dumps({"group": "zd:1", "variant": "linear"}))
+    array = tmp_path / "array.json"
+    array.write_text(json.dumps([{"group": "zd:1"}]))
+    bad_symbol = tmp_path / "bad_symbol.json"
+    bad_symbol.write_text(
+        json.dumps({"group": "zd:1", "variant": "linear", "payload": {"n": 1, "field": "q", "symbol": [["(0)"]]}})
+    )
+    for path in (no_payload, array, bad_symbol):
+        assert run_job(["goe", "--rule", str(path)]) == 2
+    rule = write_rule(tmp_path, "tau.json", z_fixtures()["invertible_pair_tau"])
+    for pattern in ([], {"domain": ["(0)"]}, {"domain": ["(0)"], "values": [1]}):
+        path = tmp_path / "pattern.json"
+        path.write_text(json.dumps(pattern))
+        assert run_job(["ca-step", "--rule", str(rule), "--pattern", str(path)]) == 2
+
+
+def test_element_texts_starting_with_minus(tmp_path):
+    code, out = run_to_file(
+        tmp_path, "neg.json", ["star", "--group", "zd:1", "--field", "q", "--alpha", "X[(0)]", "--beta", "-X[(1)] + 2"]
+    )
+    assert code == 0
+    doc = json.loads(out.read_text())
+    assert doc["product"] == doc["beta"] == "-X[(1)] + 2"
+    code, out = run_to_file(
+        tmp_path, "embed.json", ["embed", "--group", "zd:1", "--field", "q", "--kind", "iota", "--element", "-[1]"]
+    )
+    assert code == 0
+    assert json.loads(out.read_text())["image"] == "-X[(1)]"
+    # the command line still wins over a job file
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps({"group": "zd:1", "field": "q", "alpha": "X[(5)]", "beta": "X[(0)]"}))
+    code, out = run_to_file(tmp_path, "job.json.out", ["star", "--job", str(job), "--alpha", "-X[(2)]"])
+    assert code == 0
+    assert json.loads(out.read_text())["alpha"] == "-X[(2)]"
+
+
 def test_graph_file_input(tmp_path):
     from groupca.groups import ZdGroup
     from groupca.sofic import cycle_graph, graph_to_text

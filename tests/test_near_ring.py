@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from support import rand_exponent_vector, rand_group_ring, rand_near_ring
+from support import cyclic_group, rand_exponent_vector, rand_group_ring, rand_near_ring
 
 import groupca.near_ring as nr_mod
 from groupca.group_ring import GroupRingElement, TwistedGroupRingElement
@@ -33,7 +33,7 @@ from groupca.rings import QQ, ExtensionField, PrimeField, TwistedPoly
 Z = ZdGroup(1)
 Z2 = ZdGroup(2)
 FREE2 = FreeGroup(2)
-F2, F5 = PrimeField(2), PrimeField(5)
+F2, F3, F5 = PrimeField(2), PrimeField(3), PrimeField(5)
 GF4 = ExtensionField(2, 2)
 
 
@@ -469,24 +469,93 @@ def brute_force_search(kind, field, support, degree):
     return out
 
 
+def assert_search_matches_brute_force(kind, field, support, degree):
+    fast = exhaustive_search(kind, field, support, degree)
+    slow = brute_force_search(kind, field, support, degree)
+    if kind == "idempotent":
+        fast_found = [repr(f.alpha) for f in fast.findings]
+        slow_found = [repr(a) for a in slow]
+    else:
+        fast_found = [(repr(f.alpha), repr(f.beta)) for f in fast.findings]
+        slow_found = [(repr(a), repr(b)) for a, b in slow]
+    if kind == "idempotent":
+        assert fast_found == slow_found
+    else:
+        assert sorted(fast_found) == sorted(slow_found)
+        # both list the findings in the enumeration order of beta
+        assert [b for _, b in fast_found] == [b for _, b in slow_found]
+    return fast_found
+
+
 def test_search_matches_brute_force_small_space():
     support = FiniteSubset(Z, [zel(0), zel(1)])
     for kind in ("unit", "idempotent", "zero_divisor"):
-        fast = exhaustive_search(kind, F2, support, 1)
-        slow = brute_force_search(kind, F2, support, 1)
-        if kind == "idempotent":
-            assert {repr(f.alpha) for f in fast.findings} == {repr(a) for a in slow}
-        else:
-            fast_pairs = {(repr(f.alpha), repr(f.beta)) for f in fast.findings}
-            slow_pairs = {(repr(a), repr(b)) for a, b in slow}
-            assert fast_pairs == slow_pairs
+        assert_search_matches_brute_force(kind, F2, support, 1)
+
+
+@pytest.mark.parametrize("n, field, degree", [(2, F2, 1), (2, F2, 2), (3, F3, 1)])
+def test_search_matches_brute_force_on_cyclic_groups(n, field, degree):
+    # finite groups have nontrivial units and zero divisors, so the orbit
+    # pruning is checked on spaces where it keeps live orbits
+    support = ball(cyclic_group(n), 1)
+    found = {
+        kind: assert_search_matches_brute_force(kind, field, support, degree)
+        for kind in ("unit", "idempotent", "zero_divisor")
+    }
+    assert found["unit"] and found["zero_divisor"]
+
+
+def search_key(result):
+    return [(repr(f.alpha), repr(f.beta), f.classification) for f in result.findings]
 
 
 def test_search_deterministic_across_workers():
     res1 = exhaustive_search("unit", F2, support_pm1(), 2, workers=1)
     res4 = exhaustive_search("unit", F2, support_pm1(), 2, workers=4)
-    key = lambda r: [(repr(f.alpha), repr(f.beta), f.classification) for f in r.findings]
-    assert key(res1) == key(res4)
+    assert search_key(res1) == search_key(res4)
+    support = ball(cyclic_group(2), 1)
+    res1 = exhaustive_search("zero_divisor", F2, support, 2, workers=1)
+    res3 = exhaustive_search("zero_divisor", F2, support, 2, workers=3)
+    assert res1.findings and search_key(res1) == search_key(res3)
+
+
+def test_affine_substitution_laws():
+    # the facts behind the orbit pruning, through the generic star:
+    # alpha star (a beta + c) = (alpha star phi) star beta for phi = a X_e + c,
+    # and alpha |-> alpha star phi^-1 maps the canonical span onto itself
+    rng = random.Random(10)
+    for field, support, degree in ((F3, support_pm1(), 2), (F5, ball(Z2, 1), 1), (F3, ball(cyclic_group(3), 1), 2)):
+        group = support.group
+        monos = search_monomials(support, degree)
+        span = set(monos)
+        ident = NearRingElement.identity(group, field)
+
+        def element(coeffs):
+            return NearRingElement(group, field, {u: field.from_int(c) for u, c in zip(monos, coeffs)})
+
+        for _ in range(20):
+            a = field.from_int(rng.randrange(1, field.p))
+            c = field.from_int(rng.randrange(field.p))
+            phi = ident.scale(a) + NearRingElement.constant(group, field, c)
+            phi_inv = ident.scale(a.inverse()) - NearRingElement.constant(group, field, a.inverse() * c)
+            assert phi.star(phi_inv) == ident and phi_inv.star(phi) == ident
+            alpha = element([rng.randrange(field.p) for _ in monos])
+            beta = element([rng.randrange(field.p) for _ in monos])
+            assert phi.star(beta) == beta.scale(a) + NearRingElement.constant(group, field, c)
+            assert alpha.star(phi.star(beta)) == alpha.star(phi).star(beta)
+            image = alpha.star(phi_inv)
+            assert set(image.terms) <= span
+            assert image.star(phi) == alpha
+    # onto, exhaustively on a small space
+    support = FiniteSubset(Z, [zel(0), zel(1)])
+    monos = search_monomials(support, 2)
+    ident = NearRingElement.identity(Z, F3)
+    phi_inv = ident.scale(F3.from_int(2)) - NearRingElement.constant(Z, F3, F3.from_int(1))
+    space = {
+        NearRingElement(Z, F3, {u: F3.from_int(c) for u, c in zip(monos, coeffs)})
+        for coeffs in itertools.product(range(3), repeat=len(monos))
+    }
+    assert {alpha.star(phi_inv) for alpha in space} == space
 
 
 def test_finding_dataclass_shape():
