@@ -72,6 +72,7 @@ from .linear_ca import (  # noqa: F401
     window_matrix,
 )
 from .sofic import (  # noqa: F401
+    BallPlan,
     LabeledGraph,
     ball_iso,
     cayley_quotient,

@@ -57,7 +57,6 @@ class Pattern:
 
     def translate(self, g: GroupElement):
         """The shifted pattern (g p)(h) = p(g^-1 h) on the domain g*domain."""
-        ginv = g.inverse()
         vals = {g * h: v for h, v in self.values.items()}
         return Pattern(FiniteSubset(self.domain.group, vals), vals)
 

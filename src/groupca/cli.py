@@ -59,10 +59,6 @@ def _load_rule(path):
         return rule_from_json(json.load(fh))
 
 
-def _frac_str(q: Fraction) -> str:
-    return str(q)
-
-
 def _base_report(args, command):
     return {"command": command, "seed": args.seed, "version": __version__}
 
@@ -236,9 +232,9 @@ def _cmd_mdim(args):
         {
             "rule": rule_to_json(ca),
             "i_max": args.imax,
-            "q_sequence": [_frac_str(q) for q in report.sequence],
+            "q_sequence": [str(q) for q in report.sequence],
             "q_decimal": [exact_decimal(q) for q in report.sequence],
-            "estimate": _frac_str(report.estimate),
+            "estimate": str(report.estimate),
             "estimate_decimal": exact_decimal(report.estimate),
         }
     )
@@ -258,9 +254,9 @@ def _cmd_goe(args):
             "rule": rule_to_json(ca),
             "classification": report.classification,
             "alarm": report.alarm,
-            "mdim_estimate": _frac_str(report.mdim.estimate),
+            "mdim_estimate": str(report.mdim.estimate),
             "mdim_estimate_decimal": exact_decimal(report.mdim.estimate),
-            "q_sequence": [_frac_str(q) for q in report.mdim.sequence],
+            "q_sequence": [str(q) for q in report.mdim.sequence],
             "preinjectivity": report.preinjectivity.verdict,
             "preinjectivity_witness": witness,
             "surjectivity": report.surjectivity.verdict,
@@ -290,7 +286,7 @@ def _cmd_sofic_check(args):
             "group": args.group,
             "graph": cert.graph_meta,
             "r": cert.r,
-            "epsilon": _frac_str(cert.epsilon),
+            "epsilon": str(cert.epsilon),
             "counts": cert.counts(),
             "ball_2r_size": cert.ball_2r_size,
             "passed": cert.passed,

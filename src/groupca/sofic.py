@@ -22,11 +22,9 @@ from fractions import Fraction
 
 from .groups import (
     FiniteGroup,
-    FiniteSubset,
     FreeGroup,
     GroupError,
     ZdGroup,
-    ball,
 )
 from .rings import rank_kernel_sparse
 
@@ -44,13 +42,21 @@ class LabeledGraph:
         self.n = n_vertices
         self.step_maps = {s: dict(m) for s, m in step_maps.items()}
         self.meta = dict(meta or {})
+        if not isinstance(n_vertices, int) or n_vertices < 1:
+            raise SoficError("need at least one vertex (got %r)" % (n_vertices,))
         label_set = set(self.labels)
+        if len(label_set) != len(self.labels):
+            raise SoficError("a label is listed twice")
         for s in self.labels:
             if s.inverse() not in label_set:
                 raise SoficError("label set is not symmetric")
         for s, m in self.step_maps.items():
+            if s not in label_set:
+                raise SoficError("edge label %s is not a graph label" % s)
             inv = self.step_maps.get(s.inverse(), {})
             for v, w in m.items():
+                if not (0 <= v < n_vertices and 0 <= w < n_vertices):
+                    raise SoficError("edge (%s, %s, %s) leaves the vertices 0..%d" % (v, s, w, n_vertices - 1))
                 if inv.get(w) != v:
                     raise SoficError("edge involution violated at (%s, %s, %s)" % (v, s, w))
 
@@ -184,65 +190,98 @@ def cayley_quotient(group, params: str, seed: int = 0) -> LabeledGraph:
 
 # ---------------------------------------------------------------------------
 # ball isomorphisms
+#
+# A ball plan walks the group's radius-r ball once per (group, r, labels):
+# its elements in BFS order, identity first, and its edges as int triples
+# (i, k, j) meaning elements[i] * labels[k] == elements[j], in the order the
+# label-following BFS visits them, plus the pairs (i, k) whose edge leaves
+# the ball.  ``ball_iso`` replays the triples at a vertex with dict lookups
+# in the graph's step maps, so checking every vertex multiplies no group
+# elements.  On the induced edges the copy is then a homomorphism, so its
+# inverse is one exactly when no outside edge of an image vertex lands back
+# in the image.
 
 
-def ball_iso(graph: LabeledGraph, v, r: int, gens=None):
+class BallPlan:
+    """The radius-r ball of the Cayley graph for ``labels`` as integer edges."""
+
+    __slots__ = ("radius", "labels", "elements", "index", "edges", "outside")
+
+    def __init__(self, group, r: int, labels):
+        if r < 0:
+            raise GroupError("radius must be >= 0")
+        self.radius = r
+        self.labels = tuple(labels)
+        ident = group.identity()
+        elements, depth, index = [ident], [0], {ident: 0}
+        edges, outside = [], []
+        i = 0
+        while i < len(elements):
+            # BFS: every element within distance r is indexed before the
+            # first element at distance r is expanded
+            g, d = elements[i], depth[i]
+            for k, s in enumerate(self.labels):
+                h = g * s
+                j = index.get(h)
+                if j is None:
+                    if d == r:
+                        outside.append((i, k))
+                        continue
+                    j = index[h] = len(elements)
+                    elements.append(h)
+                    depth.append(d + 1)
+                edges.append((i, k, j))
+            i += 1
+        self.elements = tuple(elements)
+        self.index = index
+        self.edges = tuple(edges)
+        self.outside = tuple(outside)
+
+    def __len__(self):
+        return len(self.elements)
+
+
+def ball_iso(graph: LabeledGraph, v, r: int, plan: BallPlan = None):
     """Label-following copy of the group's radius-r ball rooted at v.
 
     Returns the unique candidate map as {group element: vertex} when it is
     a bijective labeled-graph homomorphism onto the graph ball with
-    homomorphic inverse on the induced subgraphs, else None.
+    homomorphic inverse on the induced subgraphs, else None.  ``plan`` is
+    the ball plan for (graph.group, r, graph.labels), built when omitted.
     """
-    group = graph.group
-    if gens is None:
-        gens = list(graph.labels)
-    group_ball = ball(group, r, gens=gens)
-    ident = group.identity()
-    copy_map = {ident: v}
+    if plan is None:
+        plan = BallPlan(graph.group, r, graph.labels)
+    elif plan.radius != r or plan.labels != graph.labels:
+        raise SoficError("ball plan does not match radius %d and the graph's labels" % r)
+    steps = [graph.step_maps.get(s, {}) for s in plan.labels]
+    img = [None] * len(plan.elements)
+    img[0] = v
     used = {v}
-    queue = deque([ident])  # deterministic BFS construction by label-following
-    visited = {ident}
-    while queue:
-        g = queue.popleft()
-        for s in gens:
-            h = g * s
-            if h not in group_ball:
-                continue
-            w = graph.step(copy_map[g], s)
-            if w is None:
-                return None
-            if h in copy_map:
-                if copy_map[h] != w:
-                    return None
-            else:
-                if w in used:
-                    return None  # not injective
-                copy_map[h] = w
-                used.add(w)
-            if h not in visited:
-                visited.add(h)
-                queue.append(h)
-    if len(copy_map) != len(group_ball):
-        return None
-    graph_ball = set(graph.ball_vertices(v, r))
-    if used != graph_ball:
+    for i, k, j in plan.edges:
+        w = steps[k].get(img[i])
+        if w is None:
+            return None
+        if img[j] is None:
+            if w in used:
+                return None  # not injective
+            img[j] = w
+            used.add(w)
+        elif img[j] != w:
+            return None
+    if used != set(graph.ball_vertices(v, r)):
         return None
     # inverse homomorphism on the induced subgraph of the graph ball
-    inv = {w: g for g, w in copy_map.items()}
-    for x in graph_ball:
-        for s in gens:
-            y = graph.step(x, s)
-            if y is None or y not in graph_ball:
-                continue
-            h = inv[x] * s
-            if h not in group_ball or copy_map.get(h) != y:
-                return None
-    return copy_map
+    for i, k in plan.outside:
+        if steps[k].get(img[i]) in used:
+            return None
+    return dict(zip(plan.elements, img))
 
 
-def v_r_set(graph: LabeledGraph, r: int):
+def v_r_set(graph: LabeledGraph, r: int, plan: BallPlan = None):
     """Vertices whose radius-r ball copies the group's ball exactly."""
-    return [v for v in range(graph.n) if ball_iso(graph, v, r) is not None]
+    if plan is None:
+        plan = BallPlan(graph.group, r, graph.labels)
+    return [v for v in range(graph.n) if ball_iso(graph, v, r, plan) is not None]
 
 
 def greedy_pack(graph: LabeledGraph, base, r: int):
@@ -298,9 +337,8 @@ def certificate(graph: LabeledGraph, r: int, epsilon) -> SoficCertificate:
     epsilon = Fraction(epsilon)
     if not (0 < epsilon < 1):
         raise SoficError("epsilon must lie in (0, 1)")
-    v1 = v_r_set(graph, r)
-    v2 = v_r_set(graph, 2 * r)
-    v3 = v_r_set(graph, 3 * r)
+    plans = [BallPlan(graph.group, k * r, graph.labels) for k in (1, 2, 3)]
+    v1, v2, v3 = (v_r_set(graph, p.radius, p) for p in plans)
     pack = greedy_pack(graph, v3, r)
     checks = {}
     s1, s2, s3 = set(v1), set(v2), set(v3)
@@ -325,7 +363,7 @@ def certificate(graph: LabeledGraph, r: int, epsilon) -> SoficCertificate:
             disjoint = False
         seen |= b
     checks["packing_disjoint"] = disjoint
-    ball_2r = len(ball(graph.group, 2 * r, gens=list(graph.labels)))
+    ball_2r = len(plans[1])
     checks["packing_inequality"] = ball_2r * len(pack) >= len(v3)
     passed = Fraction(len(v1)) >= (1 - epsilon) * graph.n
     if not all(checks.values()):
@@ -376,17 +414,15 @@ def graph_ca_rank_audit(graph: LabeledGraph, ca, r: int, left_inverse=None) -> R
         raise CAError("rank audit needs a linear rule")
     rule = ca.rule
     n = rule.n
-    group = graph.group
-    radius_ball = ball(group, r, gens=list(graph.labels))
+    plans = [BallPlan(graph.group, k * r, graph.labels) for k in (1, 2, 3)]
+    radius_ball = plans[0].index
     if any(g not in radius_ball for g in ca.memory_set()):
         raise SoficError("memory set exceeds the audit radius")
     if left_inverse is not None and any(
         g not in radius_ball for g in left_inverse.memory_set()
     ):
         raise SoficError("inverse memory set exceeds the audit radius")
-    v1 = v_r_set(graph, r)
-    v2 = v_r_set(graph, 2 * r)
-    v3 = v_r_set(graph, 3 * r)
+    v1, v2, v3 = (v_r_set(graph, p.radius, p) for p in plans)
     if not v2:
         raise SoficError("V(2r) is empty; the graph is too coarse at this radius")
     pos1 = {v: i for i, v in enumerate(v1)}
@@ -396,7 +432,7 @@ def graph_ca_rank_audit(graph: LabeledGraph, ca, r: int, left_inverse=None) -> R
     def transported_rows(symbol, out_vertices, in_pos):
         rows = []
         for v in out_vertices:
-            copy_map = ball_iso(graph, v, r)
+            copy_map = ball_iso(graph, v, r, plans[0])
             if copy_map is None:
                 raise SoficError("vertex %r lost its ball isomorphism" % v)
             block_cols = {}
@@ -473,5 +509,10 @@ def graph_from_text(group, text: str) -> LabeledGraph:
     for ln in lines[2:]:
         v_text, s_text, w_text = ln.split()
         s = group.parse_element(s_text)
-        steps[s][int(v_text)] = int(w_text)
+        if s not in steps:
+            raise SoficError("edge label %s is not in the labels header" % s)
+        v = int(v_text)
+        if v in steps[s]:
+            raise SoficError("vertex %d has two edges labeled %s" % (v, s))
+        steps[s][v] = int(w_text)
     return LabeledGraph(group, labels, n, steps, meta={"kind": "file"})

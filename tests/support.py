@@ -167,3 +167,79 @@ def cyclic_group(n):
 
 def free2():
     return FreeGroup(2)
+
+
+# ---------------------------------------------------------------------------
+# reference ball isomorphism and graph perturbations (sofic layer)
+
+
+def ball_iso_reference(graph, v, r):
+    """``ball_iso`` from its definition, for differential tests.
+
+    Each element of the radius-r ball is sent to the end of the path from v
+    that follows the labels of a geodesic word for it.  The map is returned
+    (in BFS order of the words, identity first) when it is a bijection onto
+    the graph ball and maps the labeled edges of the group ball exactly onto
+    the labeled edges of the induced subgraph, else None.
+    """
+    group, labels = graph.group, graph.labels
+    members = set(ball(group, r, gens=list(labels)))
+    words = {group.identity(): ()}
+    frontier = [group.identity()]
+    while frontier:
+        nxt = []
+        for g in frontier:
+            for s in labels:
+                h = g * s
+                if h in members and h not in words:
+                    words[h] = words[g] + (s,)
+                    nxt.append(h)
+        frontier = nxt
+    assert set(words) == members
+    image = {}
+    for g, word in words.items():
+        x = v
+        for s in word:
+            x = graph.step(x, s)
+            if x is None:
+                return None
+        image[g] = x
+    graph_ball = set(graph.ball_vertices(v, r))
+    if len(set(image.values())) != len(image) or set(image.values()) != graph_ball:
+        return None
+    group_edges = {(image[g], s, image[g * s]) for g in members for s in labels if g * s in members}
+    graph_edges = {
+        (x, s, graph.step(x, s)) for x in graph_ball for s in labels if graph.step(x, s) in graph_ball
+    }
+    return image if group_edges == graph_edges else None
+
+
+def perturb_graph(graph, rng, moves):
+    """A copy of ``graph`` with ``moves`` random edge-pair deletions or swaps.
+
+    A deletion drops (a, s, b) together with (b, s^-1, a); a swap rewires
+    (a, s, b), (c, s, d) to (a, s, d), (c, s, b) and fixes the s^-1 edges, so
+    the edge involution still holds.
+    """
+    from groupca.sofic import LabeledGraph
+
+    steps = {s: dict(m) for s, m in graph.step_maps.items()}
+    for _ in range(moves):
+        s = graph.labels[rng.randrange(len(graph.labels))]
+        t = s.inverse()
+        fwd, bwd = steps[s], steps[t]
+        if not fwd:
+            continue
+        a = rng.choice(sorted(fwd))
+        b = fwd[a]
+        others = [c for c in sorted(fwd) if c != a]
+        if s == t or not others or rng.random() < 0.5:
+            del fwd[a]
+            bwd.pop(b, None)
+            continue
+        c = rng.choice(others)
+        d = fwd[c]
+        fwd[a], fwd[c] = d, b
+        bwd[d], bwd[b] = a, c
+    meta = dict(graph.meta, perturbed=moves)
+    return LabeledGraph(graph.group, graph.labels, graph.n, steps, meta=meta)

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from support import pair_sigma, z_fixtures
 
 from groupca.ca import rule_to_json
@@ -282,3 +284,27 @@ def test_graph_file_input(tmp_path):
     )
     assert code == 0
     assert json.loads(out.read_text())["passed"] is True
+
+
+# the path 0 - 1 - 2 - 3; each case below keeps the edge involution intact
+_PATH4_EDGES = ["%d (1) %d" % (v, v + 1) for v in range(3)] + ["%d (-1) %d" % (v + 1, v) for v in range(3)]
+
+
+@pytest.mark.parametrize(
+    "header, edges",
+    [
+        ("labels: (1) (-1)\nvertices: 4", _PATH4_EDGES + ["0 (2) 1"]),  # label not in the header
+        ("labels: (1) (-1)\nvertices: 4", _PATH4_EDGES + ["3 (1) 4", "4 (-1) 3"]),  # vertex id outside [0, 4)
+        ("labels: (1) (-1)\nvertices: -3", []),  # negative vertex count
+        ("labels: (1) (-1)\nvertices: 4", _PATH4_EDGES + ["3 (1) 2", "3 (1) 0", "0 (-1) 3"]),  # two edges for (3, (1))
+        ("labels: (1) (-1) (1)\nvertices: 4", _PATH4_EDGES),  # a label listed twice
+    ],
+    ids=["unknown_label", "vertex_out_of_range", "negative_count", "duplicate_edge", "repeated_label"],
+)
+def test_malformed_graph_files_exit_2(tmp_path, capsys, header, edges):
+    gpath = tmp_path / "g.txt"
+    gpath.write_text("\n".join([header] + edges) + "\n")
+    argv = ["sofic-check", "--group", "zd:1", "--graph", "file:%s" % gpath, "--radius", "1", "--epsilon", "0.1"]
+    assert run_job(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err

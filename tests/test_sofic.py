@@ -1,13 +1,15 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from support import cyclic_group, pair_sigma, z_fixtures
+from support import ball_iso_reference, cyclic_group, pair_sigma, perturb_graph, z_fixtures
 
-from groupca.groups import FreeGroup, ZdGroup
+from groupca.groups import FreeGroup, ZdGroup, ball
 from groupca.rings import QQ, ExactMatrix
 from groupca.ca import CellularAutomaton, LinearRule
 from groupca.sofic import (
+    BallPlan,
     LabeledGraph,
     SoficError,
     ball_iso,
@@ -197,3 +199,52 @@ def test_ball_iso_respects_edge_structure():
     broken = LabeledGraph(Z, [plus, minus], 10, steps)
     assert ball_iso(broken, 0, 1) is None
     assert ball_iso(broken, 5, 1) is not None
+
+
+def _differential_graphs():
+    rng = random.Random(20181)
+    graphs = [cycle_graph(Z, n) for n in (1, 2, 3, 5, 8)]
+    graphs += [torus_graph(Z2, n) for n in (1, 2, 3, 5)]
+    graphs += [torus_graph(ZdGroup(3), n) for n in (2, 3)]
+    graphs += [schreier_graph(FREE2, n, seed=seed) for n, seed in ((6, 1), (12, 2), (12, 3))]
+    graphs += [finite_cayley_graph(cyclic_group(n)) for n in (2, 3, 4, 6)]
+    perturbed = [perturb_graph(g, rng, moves) for g in graphs for moves in (1, 2, 3)]
+    return graphs + perturbed
+
+
+def test_ball_iso_matches_reference_on_seeded_graphs():
+    accepted = rejected = 0
+    for graph in _differential_graphs():
+        for r in range(4):
+            expected = {v: ball_iso_reference(graph, v, r) for v in range(graph.n)}
+            plan = BallPlan(graph.group, r, graph.labels)
+            for v in range(graph.n):
+                got = ball_iso(graph, v, r, plan)
+                want = expected[v]
+                assert (got is None) == (want is None), (graph.meta, r, v)
+                if got is not None:
+                    assert list(got.items()) == list(want.items()), (graph.meta, r, v)
+                    accepted += 1
+                else:
+                    rejected += 1
+            assert v_r_set(graph, r) == [v for v in range(graph.n) if expected[v] is not None]
+    # the suite exercises both verdicts in quantity
+    assert accepted > 500 and rejected > 500
+
+
+def test_ball_plan_is_the_group_ball():
+    for group in (Z, Z2, FREE2, cyclic_group(5)):
+        labels = group.generators()
+        for r in range(4):
+            plan = BallPlan(group, r, labels)
+            assert plan.elements[0] == group.identity()
+            assert set(plan.elements) == set(ball(group, r, gens=labels))
+            assert all(plan.elements[i] * labels[k] == plan.elements[j] for i, k, j in plan.edges)
+            assert all(plan.elements[i] * labels[k] not in plan.index for i, k in plan.outside)
+            assert len(plan.edges) + len(plan.outside) == len(plan) * len(labels)
+
+
+def test_ball_iso_rejects_a_plan_for_other_radius():
+    g = cycle_graph(Z, 10)
+    with pytest.raises(SoficError):
+        ball_iso(g, 0, 2, BallPlan(Z, 1, g.labels))
