@@ -44,16 +44,8 @@ class Pattern:
         self.domain = domain
         self.values = dict(values)
 
-    @classmethod
-    def from_pairs(cls, group, pairs):
-        values = dict(pairs)
-        return cls(FiniteSubset(group, values), values)
-
     def __getitem__(self, g):
         return self.values[g]
-
-    def restrict(self, domain: FiniteSubset):
-        return Pattern(domain, {g: self.values[g] for g in domain})
 
     def translate(self, g: GroupElement):
         """The shifted pattern (g p)(h) = p(g^-1 h) on the domain g*domain."""
@@ -158,10 +150,6 @@ class CellularAutomaton:
         if self.rule.variant == "linear":
             return self.rule.memory_for(self.group)
         return self.rule.memory
-
-    def alphabet_arity(self):
-        """None for scalar/table alphabets, n for vector alphabets."""
-        return self.rule.n if self.rule.variant == "linear" else None
 
     def _evaluate_at(self, pattern: Pattern, g: GroupElement):
         memory = self.memory_set()

@@ -18,7 +18,6 @@ from fractions import Fraction
 from . import __version__
 from .ca import (
     CAError,
-    ca_from_polynomial,
     compose,
     pattern_from_json,
     pattern_to_json,
@@ -422,14 +421,20 @@ def build_parser():
     return parser
 
 
-def _apply_job_file(parser, argv):
-    """Use a job file's keys as defaults for the named subcommand."""
-    if "--job" not in argv:
+def _apply_job_file(argv):
+    """Use a job file's keys as defaults for the named subcommand.
+
+    The file is named by ``--job PATH`` or ``--job=PATH`` and holds a JSON
+    object or a TOML table.
+    """
+    i = next((i for i, arg in enumerate(argv) if arg == "--job" or arg.startswith("--job=")), None)
+    if i is None:
         return argv
-    idx = argv.index("--job")
-    if idx + 1 >= len(argv):
-        raise ValueError("--job needs a file path")
-    path = argv[idx + 1]
+    _, eq, path = argv[i].partition("=")
+    if not eq:
+        if i + 1 >= len(argv):
+            raise ValueError("--job needs a file path")
+        path = argv[i + 1]
     if path.endswith(".toml"):
         import tomllib
 
@@ -438,6 +443,8 @@ def _apply_job_file(parser, argv):
     else:
         with open(path, "r", encoding="utf-8") as fh:
             job = json.load(fh)
+    if not isinstance(job, dict):
+        raise ValueError("job file %s must hold a JSON object or a TOML table" % path)
     given = {arg.split("=", 1)[0] for arg in argv}
     extra = []
     for key, value in job.items():
@@ -478,8 +485,11 @@ def _validate_bounds(args):
 def run_job(argv) -> int:
     parser = build_parser()
     try:
-        argv = _attach_texts(_apply_job_file(parser, list(argv)))
-        args = parser.parse_args(argv)
+        argv = _attach_texts(_apply_job_file(list(argv)))
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:  # argparse printed its usage (code 2) or a help text (code 0)
+            return exc.code
         _validate_bounds(args)
         return args.handler(args)
     except _ERRORS as exc:

@@ -221,23 +221,22 @@ def find_left_inverse(ca: CellularAutomaton, r_max: int) -> LeftInverseReport:
         if group.identity() not in wm.in_domain:
             continue
         # transpose the system: W^T h^T = P^T, one RHS column per output row
-        wt_rows = [dict() for _ in range(wm.ncols)]
+        aug = [dict() for _ in range(wm.ncols)]
         for i, row in enumerate(wm.matrix_rows):
             for j, v in row.items():
-                wt_rows[j][i] = v
+                aug[j][i] = v
         id_base = wm.in_domain.position(group.identity()) * n
         ncols = wm.nrows
-        aug = wt_rows
         for k in range(n):
             # RHS column k: 1 at row id_base+k
             aug[id_base + k][ncols + k] = wm.field.one()
-        pivots, consistent = _jordan(wm.field, aug, ncols)
-        if not consistent:
+        rank_kernel_sparse(wm.field, aug, ncols)
+        leads = [(min(row), row) for row in aug if row]
+        if any(col >= ncols for col, _ in leads):
             continue  # projection rows outside the row space
         zero = wm.field.zero()
         sol = [[zero] * (n * len(window)) for _ in range(n)]
-        for col, ri in pivots.items():
-            row = aug[ri]
+        for col, row in leads:
             for k in range(n):
                 v = row.get(ncols + k)
                 if v:
@@ -254,51 +253,6 @@ def find_left_inverse(ca: CellularAutomaton, r_max: int) -> LeftInverseReport:
             continue
         return LeftInverseReport(True, r, inverse, r_max)
     return LeftInverseReport(False, r_max=r_max)
-
-
-def _jordan(field, rows, ncols):
-    """Gauss-Jordan with pivots restricted to the first ``ncols`` columns.
-
-    Returns (pivots, consistent): consistency fails when a pivot-free row
-    still has support in the trailing (right-hand-side) columns.
-    """
-    pivots = {}
-    remaining = list(range(len(rows)))
-    for col in range(ncols):
-        pr = None
-        for i in remaining:
-            if rows[i].get(col):
-                pr = i
-                break
-        if pr is None:
-            continue
-        remaining.remove(pr)
-        pivots[col] = pr
-        prow = rows[pr]
-        inv = _inv_scalar(prow[col])
-        for j, v in list(prow.items()):
-            prow[j] = v * inv
-        for i in range(len(rows)):
-            if i == pr:
-                continue
-            f = rows[i].get(col)
-            if not f:
-                continue
-            ri = rows[i]
-            for j, v in prow.items():
-                nv = ri.get(j, field.zero()) - f * v
-                if nv:
-                    ri[j] = nv
-                elif j in ri:
-                    del ri[j]
-    consistent = all(not rows[i] for i in remaining)
-    return pivots, consistent
-
-
-def _inv_scalar(x):
-    if isinstance(x, Fraction):
-        return 1 / x
-    return x.inverse()
 
 
 @dataclass

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field as dc_field
 
 from .group_ring import GroupRingElement, TwistedGroupRingElement
 from .groups import FiniteSubset, GroupElement
-from .rings import PrimeField, RingError
+from .rings import PrimeField, scalar_inverse
 
 
 class NearRingError(ValueError):
@@ -236,9 +236,6 @@ class NearRingElement:
             out.update(u.support())
         return FiniteSubset(self.group, out)
 
-    def total_degree(self) -> int:
-        return max((u.degree() for u in self.terms), default=0)
-
     def is_constant(self) -> bool:
         return all(u.degree() == 0 for u in self.terms)
 
@@ -267,15 +264,6 @@ class NearRingElement:
                 prod = NearRingElement.one(self.group, self.field)
             out = out + prod.scale(c)
         return out
-
-    def star_power(self, n: int) -> "NearRingElement":
-        """Right-iterated star power a^(n) = a * a^(n-1); n >= 1."""
-        if n < 1:
-            raise NearRingError("star power needs n >= 1")
-        acc = self
-        for _ in range(n - 1):
-            acc = self.star(acc)
-        return acc
 
     def __repr__(self):
         if not self.terms:
@@ -444,25 +432,12 @@ def _trivial_unit_shape(alpha, beta):
         return None
     g = u.items[0][0]
     const = alpha.constant_coefficient()
-    a_inv = _invert_scalar(a)
-    if a_inv is None:
-        return None
+    a_inv = scalar_inverse(a)
     b = -(const * a_inv)
     expected_beta = NearRingElement.variable(g.inverse(), field, coeff=a_inv) + NearRingElement.constant(group, field, b)
     if beta == expected_beta:
         return a, g, b
     return None
-
-
-def _invert_scalar(c):
-    try:
-        from fractions import Fraction
-
-        if isinstance(c, Fraction):
-            return 1 / c if c else None
-        return c.inverse() if c else None
-    except (RingError, ZeroDivisionError):
-        return None
 
 
 # ---------------------------------------------------------------------------

@@ -568,11 +568,18 @@ class ExactMatrix:
 
 
 def rank_kernel_sparse(field, rows, ncols, want_kernel=True):
-    """Gauss-Jordan elimination on sparse rows (dicts col->scalar).
+    """Gauss-Jordan elimination on sparse rows (dicts col->nonzero scalar).
 
     Pivot rule: first nonzero column, smallest surviving row index.  The
     kernel basis vectors come out in reduced echelon form, one per free
     column, in ascending column order.  Mutates ``rows``.
+
+    Pivots are taken in columns below ``ncols`` only; entries at columns
+    >= ``ncols`` (right-hand sides) are carried through every row
+    operation.  With ``want_kernel`` the rows end fully reduced: a nonzero
+    row's smallest column is its pivot, which holds 1 and is zero in every
+    other row, and a nonzero row whose smallest column is >= ``ncols``
+    has no pivot (an inconsistent right-hand side).
     """
     pivots = {}  # col -> row index
     remaining = list(range(len(rows)))
@@ -587,7 +594,7 @@ def rank_kernel_sparse(field, rows, ncols, want_kernel=True):
         remaining.remove(pivot_row)
         pivots[col] = pivot_row
         prow = rows[pivot_row]
-        inv = _scalar_inverse(prow[col])
+        inv = scalar_inverse(prow[col])
         for j, v in list(prow.items()):
             prow[j] = v * inv
         prow[col] = field.one()
@@ -621,7 +628,8 @@ def rank_kernel_sparse(field, rows, ncols, want_kernel=True):
     return rank, kernel
 
 
-def _scalar_inverse(x):
+def scalar_inverse(x):
+    """Inverse of a nonzero field scalar: a Fraction or a finite-field element."""
     if isinstance(x, Fraction):
         return 1 / x
     return x.inverse()

@@ -5,7 +5,7 @@ from fractions import Fraction
 from groupca.ca import CellularAutomaton, LinearRule
 from groupca.groups import FiniteGroup, FreeGroup, ZdGroup, ball
 from groupca.near_ring import ExponentVector, NearRingElement
-from groupca.rings import QQ, ExactMatrix, PrimeField
+from groupca.rings import QQ, ExactMatrix, PrimeField, rank_kernel_sparse
 
 
 def rand_group_element(group, rng, radius=2):
@@ -68,6 +68,36 @@ def rand_group_ring(group, field, rng, radius=2, max_terms=3, shape=None):
 
 def rand_matrix(field, rng, n):
     return ExactMatrix(field, [[rand_scalar(field, rng) for _ in range(n)] for _ in range(n)])
+
+
+def field_scalar(field, rng):
+    """A random scalar drawn from the whole field (small fractions over Q)."""
+    if field.characteristic == 0:
+        return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+    return rng.choice(field.elements())
+
+
+def solve_reduced(field, rows, rhs, ncols):
+    """Solve A x = b with one rank_kernel_sparse pass over [A | b].
+
+    ``rows`` are the sparse rows of A and ``rhs`` the entries of b.  The
+    answer is read from the reduced rows as find_left_inverse reads it:
+    free variables zero, None when a row's smallest column is the
+    right-hand side.
+    """
+    aug = [dict(row) for row in rows]
+    for row, v in zip(aug, rhs):
+        if v:
+            row[ncols] = v
+    rank_kernel_sparse(field, aug, ncols)
+    x = [field.zero()] * ncols
+    for row in aug:
+        if row:
+            lead = min(row)
+            if lead >= ncols:
+                return None
+            x[lead] = row.get(ncols, field.zero())
+    return x
 
 
 # ---------------------------------------------------------------------------

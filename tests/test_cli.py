@@ -1,6 +1,9 @@
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from support import pair_sigma, z_fixtures
 
@@ -223,6 +226,43 @@ def test_job_file_defaults(tmp_path):
     code, out = run_to_file(tmp_path, "fromjob.json", ["idem", "--job", str(job)])
     assert code == 0
     assert json.loads(out.read_text())["findings_count"] == 3
+
+
+@pytest.mark.parametrize("top", [[], "s", 3, None], ids=["list", "string", "number", "null"])
+def test_job_file_not_an_object_exits_2(tmp_path, capsys, top):
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps(top))
+    assert run_job(["idem", "--job", str(job)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(_JSON)
+def test_job_file_of_any_json_value_exits_0_or_2(value):
+    with tempfile.TemporaryDirectory() as d:
+        job = os.path.join(d, "job.json")
+        with open(job, "w", encoding="utf-8") as fh:
+            json.dump(value, fh)
+        assert run_job(["star", "--job", job, "--out", os.path.join(d, "out.json")]) in (0, 2)
+
+
+def test_job_equals_form(tmp_path):
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps({"group": "zd:1", "field": "q", "alpha": "X[(1)]^2", "beta": "X[(0)] - 1"}))
+    code, spaced = run_to_file(tmp_path, "spaced.json", ["star", "--job", str(job)])
+    assert code == 0
+    code, joined = run_to_file(tmp_path, "joined.json", ["star", "--job=%s" % job])
+    assert code == 0
+    assert spaced.read_bytes() == joined.read_bytes()
+    assert json.loads(joined.read_text())["product"] == "X[(1)]^2 - 2*X[(1)] + 1"
 
 
 def test_input_errors_exit_2(tmp_path):

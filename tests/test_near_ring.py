@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from support import cyclic_group, rand_exponent_vector, rand_group_ring, rand_near_ring
+from support import cyclic_group, rand_exponent_vector, rand_group_ring, rand_near_ring, solve_reduced
 
 import groupca.near_ring as nr_mod
 from groupca.group_ring import GroupRingElement, TwistedGroupRingElement
@@ -28,7 +28,7 @@ from groupca.near_ring import (
     shift,
     star,
 )
-from groupca.rings import QQ, ExtensionField, PrimeField, TwistedPoly
+from groupca.rings import QQ, ExtensionField, PrimeField, TwistedPoly, rank_kernel_sparse
 
 Z = ZdGroup(1)
 Z2 = ZdGroup(2)
@@ -203,7 +203,7 @@ def test_star_associative_random():
                 assert star(star(a, b), c) == star(a, star(b, c))
 
 
-def test_star_power_and_polynomial_apply():
+def test_polynomial_apply():
     a = X(0)
     assert polynomial_apply([QQ.zero(), QQ.one()], a) == a  # P = x
     p_sq_minus = [QQ.zero(), -QQ.one(), QQ.one()]  # x^2 - x
@@ -556,6 +556,50 @@ def test_affine_substitution_laws():
         for coeffs in itertools.product(range(3), repeat=len(monos))
     }
     assert {alpha.star(phi_inv) for alpha in space} == space
+
+
+def _combine(columns, coeffs, p):
+    out = {}
+    for col, c in zip(columns, coeffs):
+        for m, x in col.items():
+            out[m] = (out.get(m, 0) + c * x) % p
+    return {m: x for m, x in out.items() if x}
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_solve_mod_p_matches_generic_elimination(p):
+    """The search kernel's plain-int solver against rank_kernel_sparse over F_p."""
+    field = PrimeField(p)
+    rng = random.Random(p)
+    seen = {True: 0, False: 0}
+    for _ in range(750):
+        keys = rng.sample(range(100), rng.randint(1, 6))
+        columns = []
+        for _ in range(rng.randint(1, 7)):
+            if columns and rng.random() < 0.3:  # forced dependent column
+                col = _combine(columns, [rng.randrange(p) for _ in columns], p)
+            else:
+                col = {m: rng.randrange(1, p) for m in rng.sample(keys, len(keys)) if rng.random() < 0.5}
+            columns.append(col)
+        if rng.random() < 0.5:
+            target = _combine(columns, [rng.randrange(p) for _ in columns], p)
+        else:
+            target = {m: rng.randrange(1, p) for m in keys if rng.random() < 0.5}
+        ncols = len(columns)
+        rows = [{j: field.from_int(col[m]) for j, col in enumerate(columns) if m in col} for m in keys]
+        rhs = [field.from_int(target.get(m, 0)) for m in keys]
+        rank, basis = rank_kernel_sparse(field, [dict(r) for r in rows], ncols)
+        with_b = [{**row, ncols: v} if v else row for row, v in zip(rows, rhs)]
+        full_rank, _ = rank_kernel_sparse(field, with_b, ncols + 1, want_kernel=False)
+        got = nr_mod._solve_mod_p(columns, target, p)
+        x = solve_reduced(field, rows, rhs, ncols)
+        assert (got is None) == (x is None) == (rank < full_rank)
+        seen[got is None] += 1
+        if got is not None:
+            particular, kernel = got
+            assert kernel == [[v.v for v in vec] for vec in basis]
+            assert particular == [v.v for v in x]
+    assert min(seen.values()) > 150
 
 
 def test_finding_dataclass_shape():

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import pytest
 
+from support import field_scalar, solve_reduced
+
 from groupca.rings import (
     _IRREDUCIBLE,
     QQ,
@@ -18,6 +20,7 @@ from groupca.rings import (
     matrix_rank_kernel,
     rank_kernel_sparse,
     scalar_field,
+    scalar_inverse,
     twisted_multiply,
 )
 
@@ -155,7 +158,7 @@ def _alt_rank_span(field, m):
         remaining.remove(pr)
         pivots[col] = pr
         prow = rows[pr]
-        inv = 1 / prow[col] if isinstance(prow[col], Fraction) else prow[col].inverse()
+        inv = scalar_inverse(prow[col])
         for j, v in list(prow.items()):
             prow[j] = v * inv
         for i in remaining:
@@ -180,6 +183,52 @@ def test_rank_against_second_elimination_order():
                 field, [[field.from_int(rng.randint(-2, 2)) for _ in range(nc)] for _ in range(nr)]
             )
             assert m.rank() == _alt_rank_span(field, m)
+
+
+def _rank(field, rows, ncols):
+    return rank_kernel_sparse(field, [dict(r) for r in rows], ncols, want_kernel=False)[0]
+
+
+def test_right_hand_sides_ride_through_elimination():
+    """[A | B] reduced with ncols = A's width: pivots stay in A, the rows end
+    fully reduced, and reading them solves exactly the consistent systems."""
+    rng = random.Random(13)
+    seen = {True: 0, False: 0}
+    for field in (QQ, F5, GF4):
+        for _ in range(150):
+            nr, nc, nb = rng.randint(1, 6), rng.randint(1, 6), rng.randint(1, 2)
+            rows = [{j: field_scalar(field, rng) for j in range(nc) if rng.random() < 0.6} for _ in range(nr)]
+            rows = [{j: v for j, v in row.items() if v} for row in rows]
+            rhs = []
+            for _ in range(nb):
+                if rng.random() < 0.5:  # in the column space of A
+                    x0 = [field_scalar(field, rng) for _ in range(nc)]
+                    rhs.append([sum((v * x0[j] for j, v in row.items()), field.zero()) for row in rows])
+                else:
+                    rhs.append([field_scalar(field, rng) for _ in range(nr)])
+            aug = [dict(row) for row in rows]
+            for k, b in enumerate(rhs):
+                for row, v in zip(aug, b):
+                    if v:
+                        row[nc + k] = v
+            full_rank = _rank(field, aug, nc + nb)
+            rank, _ = rank_kernel_sparse(field, aug, nc)
+            leads = [(min(row), i) for i, row in enumerate(aug) if row]
+            pivots = [(col, i) for col, i in leads if col < nc]
+            assert len(pivots) == rank == _rank(field, rows, nc)
+            for col, i in pivots:
+                assert aug[i][col] == field.one()
+                assert all(not row.get(col) for h, row in enumerate(aug) if h != i)
+            inconsistent = len(leads) > len(pivots)
+            assert inconsistent == (rank < full_rank)
+            seen[inconsistent] += 1
+            for b in rhs:
+                x = solve_reduced(field, rows, b, nc)
+                with_b = [{**row, nc: v} if v else row for row, v in zip(rows, b)]
+                assert (x is None) == (rank < _rank(field, with_b, nc + 1))
+                if x is not None:
+                    assert [sum((v * x[j] for j, v in row.items()), field.zero()) for row in rows] == b
+    assert min(seen.values()) > 100
 
 
 def test_rank_kernel_rejects_non_field():
