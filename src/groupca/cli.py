@@ -425,7 +425,7 @@ def _apply_job_file(argv):
     """Use a job file's keys as defaults for the named subcommand.
 
     The file is named by ``--job PATH`` or ``--job=PATH`` and holds a JSON
-    object or a TOML table.
+    object or a TOML table whose values are strings or numbers.
     """
     i = next((i for i, arg in enumerate(argv) if arg == "--job" or arg.startswith("--job=")), None)
     if i is None:
@@ -448,6 +448,8 @@ def _apply_job_file(argv):
     given = {arg.split("=", 1)[0] for arg in argv}
     extra = []
     for key, value in job.items():
+        if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+            raise ValueError("job file %s: the value of %r must be a string or a number" % (path, key))
         flag = "--" + key.replace("_", "-")
         if flag not in given:
             extra.extend([flag, str(value)])

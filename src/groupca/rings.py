@@ -11,6 +11,7 @@ No floating point is used anywhere; every operation is exact.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
 
 
@@ -580,50 +581,63 @@ def rank_kernel_sparse(field, rows, ncols, want_kernel=True):
     row's smallest column is its pivot, which holds 1 and is zero in every
     other row, and a nonzero row whose smallest column is >= ``ncols``
     has no pivot (an inconsistent right-hand side).
+
+    Pivots and target rows are read from ``index``, which maps each column
+    to the rows that are nonzero there: row ``i`` is in ``index[c]``
+    exactly when ``rows[i].get(c)`` is nonzero.  It is built once from the
+    input and updated wherever fill-in makes an entry nonzero or
+    cancellation makes it zero, so the cost follows the nonzeros, not
+    rows x columns.  The pivot rule and every row operation are those of a
+    scan over the rows in row order (each target row depends only on
+    itself and the pivot row, so the order targets are visited in does
+    not matter), and the reduced rows and the kernel are the scan's.
     """
+    zero, one = field.zero(), field.one()
+    index = defaultdict(set)
+    for i, row in enumerate(rows):
+        for c, v in row.items():
+            if v:
+                index[c].add(i)
+    live = set(range(len(rows)))
     pivots = {}  # col -> row index
-    remaining = list(range(len(rows)))
     for col in range(ncols):
-        pivot_row = None
-        for i in remaining:
-            if rows[i].get(col):
-                pivot_row = i
-                break
-        if pivot_row is None:
+        hits = [i for i in index.get(col, ()) if i in live]
+        if not hits:
             continue
-        remaining.remove(pivot_row)
+        pivot_row = min(hits)
+        live.remove(pivot_row)
         pivots[col] = pivot_row
         prow = rows[pivot_row]
         inv = scalar_inverse(prow[col])
         for j, v in list(prow.items()):
             prow[j] = v * inv
-        prow[col] = field.one()
-        targets = remaining if not want_kernel else [i for i in range(len(rows)) if i != pivot_row]
-        for i in targets:
-            f = rows[i].get(col)
-            if not f:
-                continue
+        prow[col] = one
+        targets = index[col] if want_kernel else hits
+        # a copy: eliminating row i removes it from index[col]
+        for i in [i for i in targets if i != pivot_row]:
             ri = rows[i]
+            f = ri[col]
             for j, v in prow.items():
-                nv = ri.get(j, field.zero()) - f * v
+                nv = ri.get(j, zero) - f * v
                 if nv:
                     ri[j] = nv
+                    index[j].add(i)
                 elif j in ri:
                     del ri[j]
+                    index[j].discard(i)
     rank = len(pivots)
     if not want_kernel:
         return rank, []
+    # After full reduction only pivot rows are nonzero below ncols.
+    pivot_col = {i: c for c, i in pivots.items()}
     kernel = []
-    zero, one = field.zero(), field.one()
     for col in range(ncols):
         if col in pivots:
             continue
         vec = [zero] * ncols
         vec[col] = one
-        for pcol, prow_idx in pivots.items():
-            v = rows[prow_idx].get(col)
-            if v:
-                vec[pcol] = -v
+        for i in index.get(col, ()):
+            vec[pivot_col[i]] = -rows[i][col]
         kernel.append(tuple(vec))
     return rank, kernel
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 from groupca.ca import CellularAutomaton, LinearRule
 from groupca.groups import FiniteGroup, FreeGroup, ZdGroup, ball
 from groupca.near_ring import ExponentVector, NearRingElement
-from groupca.rings import QQ, ExactMatrix, PrimeField, rank_kernel_sparse
+from groupca.rings import QQ, ExactMatrix, PrimeField, rank_kernel_sparse, scalar_inverse
 
 
 def rand_group_element(group, rng, radius=2):
@@ -75,6 +75,61 @@ def field_scalar(field, rng):
     if field.characteristic == 0:
         return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
     return rng.choice(field.elements())
+
+
+def rank_kernel_reference(field, rows, ncols, want_kernel=True):
+    """rank_kernel_sparse as a plain scan over the rows, for differential tests.
+
+    Every column looks for its pivot by probing the surviving rows in
+    index order, and every pivot probes every candidate target row.  The
+    pivot rule and the row arithmetic are rank_kernel_sparse's; only the
+    search for pivots and targets differs.  Mutates ``rows``.
+    """
+    pivots = {}  # col -> row index
+    remaining = list(range(len(rows)))
+    for col in range(ncols):
+        pivot_row = None
+        for i in remaining:
+            if rows[i].get(col):
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        remaining.remove(pivot_row)
+        pivots[col] = pivot_row
+        prow = rows[pivot_row]
+        inv = scalar_inverse(prow[col])
+        for j, v in list(prow.items()):
+            prow[j] = v * inv
+        prow[col] = field.one()
+        targets = remaining if not want_kernel else [i for i in range(len(rows)) if i != pivot_row]
+        for i in targets:
+            f = rows[i].get(col)
+            if not f:
+                continue
+            ri = rows[i]
+            for j, v in prow.items():
+                nv = ri.get(j, field.zero()) - f * v
+                if nv:
+                    ri[j] = nv
+                elif j in ri:
+                    del ri[j]
+    rank = len(pivots)
+    if not want_kernel:
+        return rank, []
+    kernel = []
+    zero, one = field.zero(), field.one()
+    for col in range(ncols):
+        if col in pivots:
+            continue
+        vec = [zero] * ncols
+        vec[col] = one
+        for pcol, prow_idx in pivots.items():
+            v = rows[prow_idx].get(col)
+            if v:
+                vec[pcol] = -v
+        kernel.append(tuple(vec))
+    return rank, kernel
 
 
 def solve_reduced(field, rows, rhs, ncols):

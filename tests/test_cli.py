@@ -237,6 +237,23 @@ def test_job_file_not_an_object_exits_2(tmp_path, capsys, top):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [("out", None), ("alpha", ["X[(1)]"]), ("seed", True), ("group", {"name": "zd:1"})],
+    ids=["null", "array", "boolean", "object"],
+)
+def test_job_file_values_must_be_strings_or_numbers(tmp_path, monkeypatch, capsys, key, value):
+    monkeypatch.chdir(tmp_path)
+    job = {"group": "zd:1", "field": "q", "alpha": "X[(1)]", "beta": "X[(0)]"}
+    job[key] = value
+    (tmp_path / "job.json").write_text(json.dumps(job))
+    assert run_job(["star", "--job", "job.json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and repr(key) in captured.err
+    assert [p.name for p in tmp_path.iterdir()] == ["job.json"]  # a null "out" must not become a file "None"
+
+
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=8),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner, max_size=3),

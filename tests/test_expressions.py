@@ -2,14 +2,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from support import rand_group_ring, rand_near_ring
 
+from groupca.cli import _ERRORS
 from groupca.expressions import ParseError, format_element, parse_element
 from groupca.group_ring import GroupRingElement, TwistedGroupRingElement
-from groupca.groups import FreeGroup, ZdGroup
+from groupca.groups import FreeGroup, ZdGroup, parse_group_spec
 from groupca.near_ring import ExponentVector, NearRingElement
-from groupca.rings import QQ, ExtensionField, PrimeField, RingError, TwistedPoly
+from groupca.rings import QQ, ExtensionField, PrimeField, RingError, TwistedPoly, field_from_spec
 
 Z = ZdGroup(1)
 Z2 = ZdGroup(2)
@@ -117,3 +119,48 @@ def test_gf4_coefficients_round_trip():
     e = parse_element("(w+1)*X[(0)] + w", Z, GF4)
     assert format_element(e) == "(w^1+1)*X[(0)] + w^1"
     assert parse_element(format_element(e), Z, GF4) == e
+
+
+# Stray tokens: fragments of each group's syntax, operators, small numbers
+# and foreign characters.  Tokens are joined with spaces, so numbers never
+# run together and exponents stay small.
+_TOKENS = [
+    "X[", "[", "]", "(", ")", "(1)", "(0,1)", "a", "B", "#", "#1",
+    "+", "-", "*", "^", "/", ",", "0", "1", "2", "3", "w", "t", "e", "?",
+]
+_GROUP_ATOMS = {
+    "zd:1": ["(1)", "(-2)", "(0)"],
+    "zd:2": ["(0,-1)", "(1,1)", "(0,0)"],
+    "free:2": ["a", "b^-1*a", "1"],
+    "cyclic:3": ["#0", "#1", "#2"],
+}
+_KINDS = {"near_ring": NearRingElement, "group_ring": GroupRingElement, "twisted": TwistedGroupRingElement}
+
+
+@st.composite
+def _element_texts(draw):
+    """A group, a kind and a text: a well-formed element of that kind, noise,
+    or a well-formed element followed by noise."""
+    spec = draw(st.sampled_from(sorted(_GROUP_ATOMS)))
+    kind = draw(st.sampled_from(sorted(_KINDS)))
+    wrap = "X[%s]" if kind == "near_ring" else "[%s]"
+    atoms = [wrap % g for g in _GROUP_ATOMS[spec]] + ["0", "1", "2", "1/2", "w"] + ["t"] * (kind == "twisted")
+    factor = st.tuples(st.sampled_from(atoms), st.sampled_from(["", "^0", "^2", "^3"])).map("".join)
+    term = st.lists(factor, min_size=1, max_size=3).map("*".join)
+    expr = st.lists(st.tuples(st.sampled_from("+-"), term), min_size=1, max_size=4).map(
+        lambda terms: " ".join(op + " " + t for op, t in terms)
+    )
+    noise = st.lists(st.sampled_from(_TOKENS), max_size=10).map(" ".join)
+    text = draw(st.one_of(expr, expr.map(lambda e: "(%s)^2" % e), noise, st.tuples(expr, noise).map(" ".join)))
+    return spec, kind, text
+
+
+@settings(derandomize=True, database=None, max_examples=500, deadline=None)
+@given(_element_texts(), st.sampled_from(["q", "f5", "gf4"]))
+def test_parse_element_returns_an_element_or_a_typed_error(case, field):
+    spec, kind, text = case
+    try:
+        value = parse_element(text, parse_group_spec(spec), field_from_spec(field), kind=kind)
+    except _ERRORS:
+        return
+    assert isinstance(value, _KINDS[kind])

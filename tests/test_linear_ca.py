@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from support import fixture_suite, pair_sigma, z_fixtures, z2_fixtures
+from support import fixture_suite, pair_sigma, rank_kernel_reference, z_fixtures, z2_fixtures
 
 from groupca.ca import CAError, CellularAutomaton, LinearRule, Pattern, ca_from_polynomial, compose, group_ring_of
 from groupca.groups import FiniteSubset, ZdGroup, ball
@@ -18,7 +18,7 @@ from groupca.linear_ca import (
     window_matrix,
 )
 from groupca.near_ring import NearRingElement
-from groupca.rings import QQ, ExactMatrix
+from groupca.rings import QQ, ExactMatrix, rank_kernel_sparse
 
 Z = ZdGroup(1)
 Z2 = ZdGroup(2)
@@ -250,3 +250,24 @@ def test_supported_mode_covers_inverse_side():
     assert {e.value[0] for e in wm.out_domain} == {-1, 0, 1}
     rank, kernel = wm.to_exact().rank_kernel()
     assert kernel == []
+
+
+def test_window_eliminations_match_reference_scan():
+    """rank_kernel_sparse against the plain scan on the fixture rules' window
+    matrices, r <= 4, in every mode and both want_kernel modes."""
+    checked = 0
+    for ca in list(z_fixtures().values()) + list(z2_fixtures().values()):
+        for r in range(5):
+            window = chain_window(ca.group, r)
+            for mode in ("plus", "minus", "supported"):
+                if mode == "minus" and not len(ca.memory_set()):
+                    continue
+                wm = window_matrix(ca, mode, window)
+                for want_kernel in (True, False):
+                    fast = [dict(row) for row in wm.matrix_rows]
+                    slow = [dict(row) for row in wm.matrix_rows]
+                    got = rank_kernel_sparse(wm.field, fast, wm.ncols, want_kernel)
+                    assert got == rank_kernel_reference(wm.field, slow, wm.ncols, want_kernel)
+                    assert fast == slow
+                    checked += 1
+    assert checked == 2 * 5 * (3 * 10 - 1)

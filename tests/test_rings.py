@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from support import field_scalar, solve_reduced
+from support import field_scalar, rank_kernel_reference, solve_reduced
 
 from groupca.rings import (
     _IRREDUCIBLE,
@@ -229,6 +229,46 @@ def test_right_hand_sides_ride_through_elimination():
                 if x is not None:
                     assert [sum((v * x[j] for j, v in row.items()), field.zero()) for row in rows] == b
     assert min(seen.values()) > 100
+
+
+def _random_sparse_rows(field, rng, nrows, width):
+    """Sparse rows with explicit zero entries, empty rows, repeated rows and
+    keys in random order."""
+    rows = []
+    for _ in range(nrows):
+        shape = rng.random()
+        if rows and shape < 0.15:
+            rows.append(dict(rng.choice(rows)))
+        elif shape < 0.25:
+            rows.append({})
+        else:
+            density = rng.random()
+            cols = [j for j in range(width) if rng.random() < density]
+            rng.shuffle(cols)
+            rows.append({j: field_scalar(field, rng) for j in cols})
+    return rows
+
+
+def test_rank_kernel_matches_reference_scan():
+    """The column index finds the pivots and targets the plain scan finds:
+    same rank, same kernel and the same reduced rows."""
+    rng = random.Random(29)
+    seen = {"explicit_zero": 0, "empty": 0, "repeated": 0, "rhs": 0, "kernel": 0}
+    for field in (QQ, F2, F3, F5, GF4):
+        for _ in range(120):
+            nr, nc, nb = rng.randint(0, 9), rng.randint(0, 9), rng.randint(0, 2)
+            rows = _random_sparse_rows(field, rng, nr, nc + nb)
+            seen["explicit_zero"] += any(not v for row in rows for v in row.values())
+            seen["empty"] += any(not row for row in rows)
+            seen["repeated"] += len({tuple(sorted(row.items())) for row in rows}) < len(rows)
+            seen["rhs"] += any(j >= nc for row in rows for j in row)
+            for want_kernel in (True, False):
+                fast, slow = [dict(r) for r in rows], [dict(r) for r in rows]
+                got = rank_kernel_sparse(field, fast, nc, want_kernel)
+                assert got == rank_kernel_reference(field, slow, nc, want_kernel)
+                assert fast == slow
+                seen["kernel"] += bool(got[1])
+    assert min(seen.values()) > 50, seen
 
 
 def test_rank_kernel_rejects_non_field():
