@@ -445,10 +445,16 @@ def rule_from_json(doc: dict) -> CellularAutomaton:
         symbol = {}
         for elem_text, rows in payload["symbol"]:
             g = group.parse_element(elem_text)
+            if g in symbol:
+                raise CAError("rule.payload.symbol lists %s twice" % g)
             symbol[g] = ExactMatrix(field, [[field.parse(v) for v in row] for row in rows])
         return CellularAutomaton(group, LinearRule(payload["n"], field, symbol))
     memory = FiniteSubset(group, [group.parse_element(t) for t in payload["memory"]])
-    mapping = {tuple(k): v for k, v in payload["map"]}
+    mapping = {}
+    for key, value in payload["map"]:
+        if tuple(key) in mapping:
+            raise CAError("rule.payload.map lists the key %r twice" % (key,))
+        mapping[tuple(key)] = value
     return CellularAutomaton(group, TableRule(payload["alphabet"], memory, mapping))
 
 
@@ -475,6 +481,8 @@ def pattern_from_json(doc: dict, ca: CellularAutomaton) -> Pattern:
     values = {}
     for elem_text, raw in zip(doc["domain"], doc["values"]):
         g = group.parse_element(elem_text)
+        if g in values:
+            raise CAError("pattern.domain lists %s twice" % g)
         if ca.rule.variant == "linear":
             values[g] = tuple(field.parse(x) for x in raw)
         elif ca.rule.variant == "polynomial":

@@ -11,9 +11,9 @@ Exit codes: 0 success, 1 theorem-violation alarm, 2 input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
-from fractions import Fraction
 
 from . import __version__
 from .ca import (
@@ -29,7 +29,7 @@ from .group_ring import GroupRingError
 from .groups import FiniteSubset, GroupError, ball, parse_group_spec
 from .linear_ca import find_left_inverse, goe_report, mdim_estimate
 from .near_ring import NearRingError, embed_group_ring, embed_twisted, exhaustive_search
-from .rings import RingError, exact_decimal, field_from_spec
+from .rings import QQ, RingError, exact_decimal, field_from_spec
 from .sofic import SoficError, cayley_quotient, graph_ca_rank_audit, graph_from_text
 
 _ERRORS = (CAError, GroupError, GroupRingError, NearRingError, ParseError, RingError, SoficError, ValueError, OSError)
@@ -278,7 +278,7 @@ def _cmd_sofic_check(args):
 
     group = parse_group_spec(args.group)
     graph = _load_graph(args, group)
-    cert = certificate(graph, args.radius, Fraction(args.epsilon))
+    cert = certificate(graph, args.radius, QQ.parse(args.epsilon))
     doc = _base_report(args, "sofic-check")
     doc.update(
         {
@@ -484,12 +484,22 @@ def _validate_bounds(args):
             raise ValueError("--%s must be at least %d (got %d)" % (name, low, value))
 
 
+# the parser of this process, built by the first run_job
+_shared_parser = functools.cache(build_parser)
+
+
 def run_job(argv) -> int:
-    parser = build_parser()
+    """Run one CLI job and return its exit code.
+
+    The argparse parser is built on the first call and reused by every
+    later one.  Each call is independent: ``parse_args`` fills a fresh
+    namespace from the parser's defaults, so no option of one job reaches
+    the next.
+    """
     try:
         argv = _attach_texts(_apply_job_file(list(argv)))
         try:
-            args = parser.parse_args(argv)
+            args = _shared_parser().parse_args(argv)
         except SystemExit as exc:  # argparse printed its usage (code 2) or a help text (code 0)
             return exc.code
         _validate_bounds(args)

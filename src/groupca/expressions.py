@@ -167,6 +167,8 @@ class _Parser:
                 k2, v2, p2 = self.next()
                 if k2 != "num":
                     raise ParseError("malformed rational literal", p2)
+                if v2 == 0:
+                    raise ParseError("zero denominator", p2)
                 c = c / self.field.from_int(v2)
             return self.constant(c)
         if kind == "w":

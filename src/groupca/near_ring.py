@@ -201,6 +201,8 @@ class NearRingElement:
     def __pow__(self, n: int):
         if n < 0:
             raise NearRingError("negative polynomial power")
+        if n > 1:
+            self._check_power_size(n)
         acc = NearRingElement.one(self.group, self.field)
         base = self
         while n:
@@ -209,6 +211,32 @@ class NearRingElement:
             base = base * base if n > 1 else base
             n >>= 1
         return acc
+
+    def _check_power_size(self, n: int):
+        """Raise TermCapExceeded before expanding self^n when its size bound exceeds TERM_CAP.
+
+        With k terms in self and m_g the largest exponent of X_g, self^n has at
+        most min(C(n+k-1, k-1), prod_g (n*m_g + 1)) terms: the multinomial
+        count of its products, and the box of exponent vectors that fit.  Each
+        factor is computed only until it exceeds the cap; C(n+k-1, i) grows
+        with i up to i = min(k-1, n), and every box side is at least 2.
+        """
+        k = len(self.terms)
+        top = {}
+        for u in self.terms:
+            for g, e in u.items:
+                top[g] = max(e, top.get(g, 0))
+        multinomial = box = 1
+        for i in range(1, min(k - 1, n) + 1):
+            multinomial = multinomial * (n + k - i) // i
+            if multinomial > TERM_CAP:
+                break
+        for m in top.values():
+            box *= n * m + 1
+            if box > TERM_CAP:
+                break
+        if min(multinomial, box) > TERM_CAP:
+            raise TermCapExceeded("a %d-term polynomial to the power %d may exceed %d terms" % (k, n, TERM_CAP))
 
     def __bool__(self):
         return bool(self.terms)

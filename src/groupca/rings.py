@@ -61,7 +61,10 @@ class Rationals:
         return str(x)
 
     def parse(self, text: str):
-        return Fraction(text.strip())
+        try:
+            return Fraction(text.strip())
+        except ZeroDivisionError:
+            raise RingError("zero denominator in %r" % text) from None
 
     def __eq__(self, other):
         return isinstance(other, Rationals)

@@ -248,6 +248,14 @@ def ball_iso(graph: LabeledGraph, v, r: int, plan: BallPlan = None):
     a bijective labeled-graph homomorphism onto the graph ball with
     homomorphic inverse on the induced subgraphs, else None.  ``plan`` is
     the ball plan for (graph.group, r, graph.labels), built when omitted.
+
+    A completed walk maps the group ball onto the graph ball of radius r at
+    v, so the image needs no comparison with ``graph.ball_vertices``.  Every
+    element of depth < r has all of its labelled out-edges among the plan
+    edges, and the walk checked each of them; so by induction on t, a graph
+    path of length t <= r from v ends at the image of an element of depth
+    <= t.  Conversely, an element is first reached from its BFS parent, so
+    every image vertex lies at the end of a tree path of length <= r.
     """
     if plan is None:
         plan = BallPlan(graph.group, r, graph.labels)
@@ -268,8 +276,6 @@ def ball_iso(graph: LabeledGraph, v, r: int, plan: BallPlan = None):
             used.add(w)
         elif img[j] != w:
             return None
-    if used != set(graph.ball_vertices(v, r)):
-        return None
     # inverse homomorphism on the induced subgraph of the graph ball
     for i, k in plan.outside:
         if steps[k].get(img[i]) in used:

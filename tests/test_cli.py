@@ -365,3 +365,49 @@ def test_malformed_graph_files_exit_2(tmp_path, capsys, header, edges):
     assert run_job(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_jobs_in_one_process_keep_their_options_apart():
+    from parser_reuse import check_parser_reuse
+
+    check_parser_reuse()
+
+
+def _linear_rule_file(tmp_path, symbol):
+    path = tmp_path / "rule.json"
+    path.write_text(json.dumps({"group": "zd:1", "variant": "linear", "payload": {"n": 1, "field": "q", "symbol": symbol}}))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["star", "--group", "zd:1", "--field", "q", "--alpha", "1/0*X[(1)]", "--beta", "X[(0)]"],
+        ["sofic-check", "--group", "zd:1", "--graph", "cycle:10", "--radius", "1", "--epsilon", "1/0"],
+        ["mdim", "--imax", "2", "--rule"],
+        ["goe", "--imax", "2", "--rmax", "1", "--rule"],
+        ["ca-invert", "--radius", "1", "--rule"],
+    ],
+    ids=["star", "sofic-check", "mdim", "goe", "ca-invert"],
+)
+def test_zero_denominators_exit_2(tmp_path, capsys, argv):
+    if argv[-1] == "--rule":
+        argv = argv + [_linear_rule_file(tmp_path, [["(0)", [["1/0"]]]])]
+    assert run_job(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "zero denominator" in captured.err
+
+
+def test_repeated_keys_in_rule_and_pattern_files_exit_2(tmp_path, capsys):
+    rule = _linear_rule_file(tmp_path, [["(0)", [["1"]]], ["(0)", [["2"]]]])
+    assert run_job(["ca-invert", "--rule", rule, "--radius", "1"]) == 2
+    table = tmp_path / "table.json"
+    payload = {"alphabet": [0, 1], "memory": ["(0)"], "map": [[[0], 1], [[1], 0], [[0], 0]]}
+    table.write_text(json.dumps({"group": "zd:1", "variant": "table", "payload": payload}))
+    assert run_job(["ca-invert", "--rule", str(table), "--radius", "1"]) == 2
+    pattern = tmp_path / "pattern.json"
+    pattern.write_text(json.dumps({"domain": ["(0)", "(0)"], "values": [["1"], ["2"]]}))
+    assert run_job(["ca-step", "--rule", _linear_rule_file(tmp_path, [["(0)", [["1"]]]]), "--pattern", str(pattern)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("error: ") == 3 and err.count("twice") == 3 and "Traceback" not in err

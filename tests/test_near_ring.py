@@ -1,5 +1,8 @@
+import contextlib
 import itertools
+import math
 import random
+import signal
 from fractions import Fraction
 
 import pytest
@@ -220,6 +223,59 @@ def test_term_cap_guard(monkeypatch):
     big = sum((X(i) for i in range(1, 4)), X(0))
     with pytest.raises(TermCapExceeded):
         star(big ** 3, big)
+
+
+class _OverBudget(Exception):
+    """Not an input error, so run_job does not turn it into exit 2."""
+
+
+@contextlib.contextmanager
+def _wall_budget(seconds):
+    def expire(signum, frame):
+        raise _OverBudget("over the %g s wall budget" % seconds)
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_power_size_bound_rejects_before_expanding(capsys):
+    from groupca.cli import run_job
+
+    argv = ["star", "--group", "zd:1", "--field", "q", "--alpha", "X[(1)]^99999", "--beta", "X[(0)] + X[(1)] + X[(2)]"]
+    with _wall_budget(2.0):
+        assert run_job(argv) == 2
+    assert capsys.readouterr().err.startswith("error: a 3-term polynomial to the power 99999")
+    # C(29, 9) > TERM_CAP, but every exponent of (1 + X + ... + X^9)^20 fits in [0, 180]
+    p = sum((NearRingElement.variable(zel(0), QQ, e) for e in range(1, 10)), NearRingElement.one(Z, QQ))
+    with _wall_budget(2.0):
+        assert len((p ** 20).terms) == 181
+
+
+def test_power_size_bound_matches_its_formula(monkeypatch):
+    """The capped loops raise exactly when min(C(n+k-1, k-1), prod_g (n*m_g + 1)) exceeds the cap."""
+    rng = random.Random(6)
+    for cap in (3, 20, 150):
+        monkeypatch.setattr(nr_mod, "TERM_CAP", cap)
+        for _ in range(150):
+            p = NearRingElement(Z, QQ, {rand_exponent_vector(Z, rng, radius=1): QQ.one() for _ in range(rng.randint(2, 6))})
+            n = rng.randint(2, 12)
+            k = len(p.terms)
+            top = {}
+            for u in p.terms:
+                for g, e in u.items:
+                    top[g] = max(e, top.get(g, 0))
+            bound = min(math.comb(n + k - 1, k - 1), math.prod(n * m + 1 for m in top.values()))
+            try:
+                size = len((p ** n).terms)
+            except TermCapExceeded:
+                assert bound > cap
+            else:
+                assert bound <= cap and size <= bound
 
 
 # -- embeddings ----------------------------------------------------------
