@@ -206,13 +206,7 @@ def compose(tau: CellularAutomaton, sigma: CellularAutomaton) -> CellularAutomat
     if rt.variant == "linear":
         if rt.field != rs.field or rt.n != rs.n:
             raise CAError("alphabet mismatch")
-        symbol = {}
-        for g, a in rt.symbol.items():
-            for h, b in rs.symbol.items():
-                t = g * h
-                m = a * b
-                symbol[t] = symbol[t] + m if t in symbol else m
-        return CellularAutomaton(tau.group, LinearRule(rt.n, rt.field, symbol))
+        return ca_from_group_ring(group_ring_of(tau) * group_ring_of(sigma))
     # table rules: tabulate on the product memory set
     if rt.alphabet != rs.alphabet:
         raise CAError("alphabet mismatch")

@@ -111,14 +111,6 @@ class _Parser:
         except Exception as exc:
             raise ParseError("bad group element %r (%s)" % (text, exc), position)
 
-    def power(self, value, n):
-        if self.kind == "near_ring":
-            return value**n
-        acc = self.constant(self.field.one())
-        for _ in range(n):
-            acc = acc * value
-        return acc
-
     # grammar ------------------------------------------------------------
 
     def parse(self):
@@ -155,7 +147,7 @@ class _Parser:
             kind, value, pos = self.next()
             if kind != "num":
                 raise ParseError("exponent must be a nonnegative integer", pos)
-            a = self.power(a, value)
+            a = a**value
         return a
 
     def atom(self):
@@ -283,17 +275,13 @@ def _format_near_ring(x: NearRingElement) -> str:
         neg = _coeff_is_negative(c)
         if neg:
             c = -c
-        mono = "*".join(
-            "X[%s]" % g if e == 1 else "X[%s]^%d" % (g, e)
-            for g, e in sorted(u.items, key=lambda kv: kv[0].sort_key(), reverse=True)
-        )
         ctext = _coeff_text(c, x.field)
-        if not mono:
+        if not u.items:
             parts.append((neg, ctext))
         elif ctext == "1":
-            parts.append((neg, mono))
+            parts.append((neg, repr(u)))
         else:
-            parts.append((neg, "%s*%s" % (ctext, mono)))
+            parts.append((neg, "%s*%r" % (ctext, u)))
     return _join_terms(parts)
 
 

@@ -14,11 +14,22 @@ import random
 from dataclasses import dataclass
 
 from .groups import FiniteGroup, FiniteSubset, GroupElement
-from .rings import ExactMatrix, RingError, TwistedPoly
+from .rings import ExactMatrix, RingError, TwistedPoly, power
 
 
 class GroupRingError(ValueError):
     pass
+
+
+def _convolve(a, b):
+    """(a*b)(t) = sum_h a(h) b(h^-1 t) for sparse maps group element -> coefficient."""
+    out = {}
+    for g, x in a.items():
+        for h, y in b.items():
+            t = g * h
+            c = x * y
+            out[t] = out[t] + c if t in out else c
+    return out
 
 
 class GroupRingElement:
@@ -56,16 +67,6 @@ class GroupRingElement:
         one = field.one() if shape is None else ExactMatrix.identity(field, shape)
         return cls(group, field, {group.identity(): one}, shape=shape)
 
-    @classmethod
-    def from_terms(cls, group, field, terms, shape=None):
-        acc = {}
-        for g, c in terms:
-            if g in acc:
-                acc[g] = acc[g] + c
-            else:
-                acc[g] = c
-        return cls(group, field, acc, shape=shape)
-
     def support(self) -> FiniteSubset:
         return FiniteSubset(self.group, self.coeffs)
 
@@ -93,13 +94,10 @@ class GroupRingElement:
     def __mul__(self, other):
         """Convolution product; support(a*b) is contained in supp(a)*supp(b)."""
         self._compat(other)
-        out = {}
-        for g, a in self.coeffs.items():
-            for h, b in other.coeffs.items():
-                t = g * h
-                c = a * b
-                out[t] = out[t] + c if t in out else c
-        return GroupRingElement(self.group, self.field, out, shape=self.shape)
+        return GroupRingElement(self.group, self.field, _convolve(self.coeffs, other.coeffs), shape=self.shape)
+
+    def __pow__(self, n: int):
+        return power(self, n, GroupRingElement.identity(self.group, self.field, self.shape))
 
     def scale(self, c):
         if self.shape is None:
@@ -133,12 +131,11 @@ class GroupRingElement:
         return self == GroupRingElement.identity(self.group, self.field, self.shape)
 
     def __repr__(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for g in sorted(self.coeffs, key=lambda e: e.sort_key()):
-            parts.append("%r*[%s]" % (self.coeffs[g], g))
-        return " + ".join(parts)
+        if self.shape is not None:
+            return "GroupRingElement(%dx%d matrices on %r)" % (self.shape, self.shape, self.support())
+        from .expressions import format_element  # expressions imports this module
+
+        return format_element(self)
 
 
 def gr_convolve(a: GroupRingElement, b: GroupRingElement) -> GroupRingElement:
@@ -225,30 +222,26 @@ def direct_finiteness_scan(group: FiniteGroup, field, shape=None, cap=2**20, sam
             coeffs[g] = ExactMatrix(field, [list(block[r * n : (r + 1) * n]) for r in range(n)])
         return GroupRingElement(group, field, coeffs, shape=shape)
 
+    if ring_size * ring_size <= cap:
+        space = [element_from_digits(d) for d in itertools.product(scalars, repeat=slots)]
+        pairs = itertools.product(space, repeat=2)
+    else:
+        rng = random.Random(seed)
+
+        def draw():
+            return element_from_digits([scalars[rng.randrange(len(scalars))] for _ in range(slots)])
+
+        pairs = ((draw(), draw()) for _ in range(samples))
     pairs_checked = 0
     one_sided = 0
     violations = []
-    if ring_size * ring_size <= cap:
-        space = [element_from_digits(d) for d in itertools.product(scalars, repeat=slots)]
-        for a in space:
-            for b in space:
-                pairs_checked += 1
-                audit = one_sided_inverse_audit(a, b)
-                if audit.verdict != "not_one_sided":
-                    one_sided += 1
-                if audit.verdict == "direct_finiteness_violation":
-                    violations.append((a, b))
-    else:
-        rng = random.Random(seed)
-        for _ in range(samples):
-            a = element_from_digits([scalars[rng.randrange(len(scalars))] for _ in range(slots)])
-            b = element_from_digits([scalars[rng.randrange(len(scalars))] for _ in range(slots)])
-            pairs_checked += 1
-            audit = one_sided_inverse_audit(a, b)
-            if audit.verdict != "not_one_sided":
-                one_sided += 1
-            if audit.verdict == "direct_finiteness_violation":
-                violations.append((a, b))
+    for a, b in pairs:
+        pairs_checked += 1
+        audit = one_sided_inverse_audit(a, b)
+        if audit.verdict != "not_one_sided":
+            one_sided += 1
+        if audit.verdict == "direct_finiteness_violation":
+            violations.append((a, b))
     return pairs_checked, one_sided, violations
 
 
@@ -293,13 +286,10 @@ class TwistedGroupRingElement:
 
     def __mul__(self, other):
         self._compat(other)
-        out = {}
-        for g, a in self.coeffs.items():
-            for h, b in other.coeffs.items():
-                t = g * h
-                c = a * b
-                out[t] = out[t] + c if t in out else c
-        return TwistedGroupRingElement(self.group, self.field, out)
+        return TwistedGroupRingElement(self.group, self.field, _convolve(self.coeffs, other.coeffs))
+
+    def __pow__(self, n: int):
+        return power(self, n, TwistedGroupRingElement.identity(self.group, self.field))
 
     def __bool__(self):
         return bool(self.coeffs)
@@ -310,9 +300,6 @@ class TwistedGroupRingElement:
         return self.group == other.group and self.field == other.field and self.coeffs == other.coeffs
 
     def __repr__(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for g in sorted(self.coeffs, key=lambda e: e.sort_key()):
-            parts.append("(%r)*[%s]" % (self.coeffs[g], g))
-        return " + ".join(parts)
+        from .expressions import format_element  # expressions imports this module
+
+        return format_element(self)

@@ -14,6 +14,7 @@ truncated power-series (Magnus) order on free groups.
 
 from __future__ import annotations
 
+import itertools
 from collections import deque
 
 
@@ -414,11 +415,6 @@ class FiniteSubset:
                 out.add(g * h)
         return FiniteSubset(self.group, out)
 
-    def translate(self, g, side="left"):
-        if side == "left":
-            return FiniteSubset(self.group, [g * e for e in self.elements])
-        return FiniteSubset(self.group, [e * g for e in self.elements])
-
     def inverses(self):
         return FiniteSubset(self.group, [e.inverse() for e in self.elements])
 
@@ -507,10 +503,7 @@ def box_window(group: ZdGroup, radius: int) -> FiniteSubset:
     """Box [-r, r]^d; the window chain used for Z^d checks."""
     if not isinstance(group, ZdGroup):
         raise GroupError("box windows only for Z^d")
-    coords = [()]
-    for _ in range(group.d):
-        coords = [c + (x,) for c in coords for x in range(-radius, radius + 1)]
-    return FiniteSubset(group, [group.element(c) for c in coords])
+    return _box(group, range(-radius, radius + 1))
 
 
 def folner_box(group: ZdGroup, i: int) -> FiniteSubset:
@@ -519,10 +512,12 @@ def folner_box(group: ZdGroup, i: int) -> FiniteSubset:
         raise GroupError("Folner boxes are only provided for Z^d")
     if i < 1:
         raise GroupError("index must be >= 1")
-    coords = [()]
-    for _ in range(group.d):
-        coords = [c + (x,) for c in coords for x in range(i)]
-    return FiniteSubset(group, [group.element(c) for c in coords])
+    return _box(group, range(i))
+
+
+def _box(group: ZdGroup, side) -> FiniteSubset:
+    """The box side^d, coordinates taken from ``side``."""
+    return FiniteSubset(group, [group.element(c) for c in itertools.product(side, repeat=group.d)])
 
 
 # ---------------------------------------------------------------------------

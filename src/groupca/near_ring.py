@@ -26,7 +26,7 @@ from dataclasses import dataclass, field as dc_field
 
 from .group_ring import GroupRingElement, TwistedGroupRingElement
 from .groups import FiniteSubset, GroupElement
-from .rings import PrimeField, scalar_inverse
+from .rings import PrimeField, frobenius, power, scalar_inverse
 
 
 class NearRingError(ValueError):
@@ -111,11 +111,21 @@ class ExponentVector:
         return self._hash
 
     def __repr__(self):
+        """The monomial's text, variables in descending order; "1" when empty."""
         if not self.items:
             return "1"
         return "*".join(
-            "X[%s]" % g if e == 1 else "X[%s]^%d" % (g, e) for g, e in self.items
+            "X[%s]" % g if e == 1 else "X[%s]^%d" % (g, e) for g, e in reversed(self.items)
         )
+
+
+def _digits(n: int, p: int):
+    """Base-p digits of n, least significant first; [n] when p = 0."""
+    digits = [n % p if p else n]
+    while p and n >= p:
+        n //= p
+        digits.append(n % p)
+    return digits
 
 
 class NearRingElement:
@@ -199,27 +209,44 @@ class NearRingElement:
         return NearRingElement(self.group, self.field, out)
 
     def __pow__(self, n: int):
+        """self^n; in characteristic p by base-p digits, a^(q*p + d) = F(a^q) * a^d.
+
+        F is the Frobenius map c*X^u -> c^p*X^(p*u).  It is additive in
+        characteristic p, so F(a) = a^p.
+        """
         if n < 0:
             raise NearRingError("negative polynomial power")
         if n > 1:
             self._check_power_size(n)
-        acc = NearRingElement.one(self.group, self.field)
-        base = self
-        while n:
-            if n & 1:
-                acc = acc * base
-            base = base * base if n > 1 else base
-            n >>= 1
+        one = NearRingElement.one(self.group, self.field)
+        digits = _digits(n, self.field.characteristic)
+        acc = power(self, digits[-1], one)
+        for d in reversed(digits[:-1]):
+            acc = acc._frobenius()
+            if d:
+                acc = acc * power(self, d, one)
         return acc
+
+    def _frobenius(self):
+        """F(self) = self^p in characteristic p: c*X^u -> c^p*X^(p*u)."""
+        p = self.field.characteristic
+        return NearRingElement(
+            self.group,
+            self.field,
+            {ExponentVector(self.group, {g: p * e for g, e in u.items}): frobenius(c, 1) for u, c in self.terms.items()},
+        )
 
     def _check_power_size(self, n: int):
         """Raise TermCapExceeded before expanding self^n when its size bound exceeds TERM_CAP.
 
         With k terms in self and m_g the largest exponent of X_g, self^n has at
         most min(C(n+k-1, k-1), prod_g (n*m_g + 1)) terms: the multinomial
-        count of its products, and the box of exponent vectors that fit.  Each
-        factor is computed only until it exceeds the cap; C(n+k-1, i) grows
-        with i up to i = min(k-1, n), and every box side is at least 2.
+        count of its products, and the box of exponent vectors that fit.  In
+        characteristic p the multinomial count is taken per base-p digit d_i
+        of n, prod_i C(d_i+k-1, k-1), since self^n = prod_i F^i(self^(d_i))
+        and F is injective on monomials.  Each factor is computed only until
+        it exceeds the cap; C(d+k-1, i) grows with i up to i = min(k-1, d),
+        and every box side is at least 2.
         """
         k = len(self.terms)
         top = {}
@@ -227,8 +254,13 @@ class NearRingElement:
             for g, e in u.items:
                 top[g] = max(e, top.get(g, 0))
         multinomial = box = 1
-        for i in range(1, min(k - 1, n) + 1):
-            multinomial = multinomial * (n + k - i) // i
+        for d in _digits(n, self.field.characteristic):
+            count = 1
+            for i in range(1, min(k - 1, d) + 1):
+                count = count * (d + k - i) // i
+                if count > TERM_CAP:
+                    break
+            multinomial *= count
             if multinomial > TERM_CAP:
                 break
         for m in top.values():
@@ -294,18 +326,9 @@ class NearRingElement:
         return out
 
     def __repr__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for u in sorted(self.terms, key=lambda m: m.sort_key(), reverse=True):
-            c = self.terms[u]
-            if not u.items:
-                parts.append(repr(c))
-            elif c == self.field.one():
-                parts.append(repr(u))
-            else:
-                parts.append("%r*%r" % (c, u))
-        return " + ".join(parts)
+        from .expressions import format_element  # expressions imports this module
+
+        return format_element(self)
 
 
 def star(a: NearRingElement, b: NearRingElement) -> NearRingElement:
@@ -421,10 +444,9 @@ class UnitClassification:
     b: object = None
     product: object = None
     reverse_product: object = None
-    order_backed: bool = True
 
 
-def classify_unit_pair(alpha: NearRingElement, beta: NearRingElement, order=None) -> UnitClassification:
+def classify_unit_pair(alpha: NearRingElement, beta: NearRingElement) -> UnitClassification:
     """Classify a pair with alpha*beta computed first.
 
     If the star product is X_identity, try to extract the trivial-unit
@@ -440,14 +462,8 @@ def classify_unit_pair(alpha: NearRingElement, beta: NearRingElement, order=None
     extracted = _trivial_unit_shape(alpha, beta)
     if extracted is not None:
         a, g, b = extracted
-        return UnitClassification(
-            "trivial_unit", a=a, g=g, b=b, product=prod, reverse_product=rev,
-            order_backed=order is not None,
-        )
-    return UnitClassification(
-        "nontrivial_unit_witness", product=prod, reverse_product=rev,
-        order_backed=order is not None,
-    )
+        return UnitClassification("trivial_unit", a=a, g=g, b=b, product=prod, reverse_product=rev)
+    return UnitClassification("nontrivial_unit_witness", product=prod, reverse_product=rev)
 
 
 def _trivial_unit_shape(alpha, beta):

@@ -30,6 +30,23 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def power(x, n: int, one):
+    """x^n for n >= 0 by square-and-multiply, for any associative ``*``; ``one`` is x^0.
+
+    No squaring follows the last bit, and ``one`` is never multiplied in.
+    """
+    if n < 0:
+        raise RingError("negative power")
+    acc = None
+    while n:
+        if n & 1:
+            acc = x if acc is None else acc * x
+        n >>= 1
+        if n:
+            x = x * x
+    return one if acc is None else acc
+
+
 # ---------------------------------------------------------------------------
 # fields
 
@@ -274,14 +291,7 @@ class ExtElement:
     def __pow__(self, n: int):
         if n < 0:
             return self.inverse() ** (-n)
-        acc = self.field.one()
-        base = self
-        while n:
-            if n & 1:
-                acc = acc * base
-            base = base * base
-            n >>= 1
-        return acc
+        return power(self, n, self.field.one())
 
     def __bool__(self):
         return any(self.c)

@@ -61,6 +61,7 @@ def test_near_ring_round_trip_random():
             for _ in range(60):
                 elem = rand_near_ring(group, field, rng)
                 text = format_element(elem)
+                assert repr(elem) == text
                 assert parse_element(text, group, field, kind="near_ring") == elem
 
 
@@ -70,6 +71,7 @@ def test_group_ring_round_trip_random():
         for _ in range(60):
             elem = rand_group_ring(group, QQ, rng)
             text = format_element(elem)
+            assert repr(elem) == text
             assert parse_element(text, group, field=QQ, kind="group_ring") == elem
 
 
@@ -85,6 +87,7 @@ def test_twisted_round_trip():
         },
     )
     text = format_element(elem)
+    assert repr(elem) == text
     assert parse_element(text, Z, GF4, kind="twisted") == elem
 
 

@@ -2,8 +2,9 @@ import random
 
 import pytest
 
-from support import cyclic_group, rand_group_ring
+from support import cyclic_group, field_scalar, rand_group_ring
 
+from groupca.expressions import format_element
 from groupca.group_ring import (
     GroupRingElement,
     GroupRingError,
@@ -14,8 +15,8 @@ from groupca.group_ring import (
     one_sided_inverse_audit,
     transported_product,
 )
-from groupca.groups import ZdGroup
-from groupca.rings import QQ, ExactMatrix, PrimeField, TwistedPoly
+from groupca.groups import FreeGroup, ZdGroup
+from groupca.rings import QQ, ExactMatrix, ExtensionField, PrimeField, TwistedPoly
 
 Z = ZdGroup(1)
 Z2 = ZdGroup(2)
@@ -161,6 +162,35 @@ def test_scan_sampling_path():
     pairs, _, violations = direct_finiteness_scan(z4, F3, cap=10, samples=50, seed=1)
     assert pairs == 50
     assert violations == []
+
+
+def test_powers_equal_repeated_products():
+    rng = random.Random(7)
+    gf4 = ExtensionField(2, 2)
+    free2 = FreeGroup(2)
+    for _ in range(20):
+        twisted = TwistedGroupRingElement(
+            Z,
+            gf4,
+            {zel(rng.randint(-1, 1)): TwistedPoly(gf4, [field_scalar(gf4, rng) for _ in range(3)]) for _ in range(2)},
+        )
+        for elem, one in (
+            (rand_group_ring(free2, QQ, rng, radius=1), GroupRingElement.identity(free2, QQ)),
+            (rand_group_ring(Z, F3, rng, radius=1, shape=2), GroupRingElement.identity(Z, F3, 2)),
+            (twisted, TwistedGroupRingElement.identity(Z, gf4)),
+        ):
+            n = rng.randint(0, 6)
+            expected = one
+            for _ in range(n):
+                expected = expected * elem
+            assert elem ** n == expected
+
+
+def test_matrix_elements_have_no_inline_text():
+    a, _ = make_invertible_pair()
+    assert repr(a) == "GroupRingElement(2x2 matrices on %r)" % (a.support(),)
+    with pytest.raises(TypeError):
+        format_element(a)
 
 
 def test_twisted_group_ring_product():

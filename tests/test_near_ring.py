@@ -1,5 +1,6 @@
 import contextlib
 import itertools
+import json
 import math
 import random
 import signal
@@ -8,7 +9,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from support import cyclic_group, rand_exponent_vector, rand_group_ring, rand_near_ring, solve_reduced
+from support import cyclic_group, field_scalar, rand_exponent_vector, rand_group_ring, rand_near_ring, solve_reduced
 
 import groupca.near_ring as nr_mod
 from groupca.group_ring import GroupRingElement, TwistedGroupRingElement
@@ -257,25 +258,69 @@ def test_power_size_bound_rejects_before_expanding(capsys):
 
 
 def test_power_size_bound_matches_its_formula(monkeypatch):
-    """The capped loops raise exactly when min(C(n+k-1, k-1), prod_g (n*m_g + 1)) exceeds the cap."""
-    rng = random.Random(6)
-    for cap in (3, 20, 150):
-        monkeypatch.setattr(nr_mod, "TERM_CAP", cap)
-        for _ in range(150):
-            p = NearRingElement(Z, QQ, {rand_exponent_vector(Z, rng, radius=1): QQ.one() for _ in range(rng.randint(2, 6))})
-            n = rng.randint(2, 12)
-            k = len(p.terms)
-            top = {}
-            for u in p.terms:
-                for g, e in u.items:
-                    top[g] = max(e, top.get(g, 0))
-            bound = min(math.comb(n + k - 1, k - 1), math.prod(n * m + 1 for m in top.values()))
-            try:
-                size = len((p ** n).terms)
-            except TermCapExceeded:
-                assert bound > cap
-            else:
-                assert bound <= cap and size <= bound
+    """The capped loops raise exactly when min(C, prod_g (n*m_g + 1)) exceeds the cap.
+
+    C is C(n+k-1, k-1) over Q and prod_i C(d_i+k-1, k-1) over the base-p
+    digits d_i of n in characteristic p.
+    """
+    for field, draws in ((QQ, 150), (F2, 60), (F3, 60), (F5, 60)):
+        rng = random.Random(6)
+        for cap in (3, 20, 150):
+            monkeypatch.setattr(nr_mod, "TERM_CAP", cap)
+            for _ in range(draws):
+                p = NearRingElement(Z, field, {rand_exponent_vector(Z, rng, radius=1): field.one() for _ in range(rng.randint(2, 6))})
+                n = rng.randint(2, 12) if field is QQ else rng.randint(2, 40)
+                k = len(p.terms)
+                top = {}
+                for u in p.terms:
+                    for g, e in u.items:
+                        top[g] = max(e, top.get(g, 0))
+                digits = [n] if field is QQ else sympy.ntheory.digits(n, field.characteristic)[1:]
+                multinomial = math.prod(math.comb(d + k - 1, k - 1) for d in digits)
+                bound = min(multinomial, math.prod(n * m + 1 for m in top.values()))
+                try:
+                    size = len((p ** n).terms)
+                except TermCapExceeded:
+                    assert bound > cap
+                else:
+                    assert bound <= cap and size <= bound
+
+
+def test_char_p_powers_go_by_base_p_digits(capsys):
+    """X[(0)]^(p^k) star a sum of variables is the sum of their p^k-th powers, in well under 2 s."""
+    from groupca.cli import run_job
+
+    cases = [("f2", 2**20, 2), ("f3", 3**8, 3), ("f3", 3**6, 3), ("f5", 5**4, 3)]
+    for field, n, k in cases:
+        beta = " + ".join("X[(%d)]" % i for i in range(k))
+        argv = ["star", "--group", "zd:1", "--field", field, "--alpha", "X[(0)]^%d" % n, "--beta", beta]
+        with _wall_budget(2.0):
+            assert run_job(argv) == 0
+        product = json.loads(capsys.readouterr().out)["product"]
+        assert product == " + ".join("X[(%d)]^%d" % (i, n) for i in reversed(range(k)))
+
+
+def test_char_p_powers_match_repeated_products():
+    rng = random.Random(11)
+    for field in (F2, F3, F5, GF4, ExtensionField(3, 2)):
+        for _ in range(25):
+            terms = {rand_exponent_vector(Z, rng, radius=1, max_degree=2): field_scalar(field, rng) for _ in range(3)}
+            a = NearRingElement(Z, field, terms)
+            n = rng.randint(0, 40)
+            expected = NearRingElement.one(Z, field)
+            for _ in range(n):
+                expected = expected * a
+            assert a ** n == expected
+
+
+def test_group_ring_power_in_the_parser_is_fast(capsys):
+    from groupca.cli import run_job
+
+    argv = ["embed", "--group", "zd:1", "--field", "q", "--kind", "iota", "--element", "[(1)]^2000000"]
+    with _wall_budget(2.0):
+        assert run_job(argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert (report["element"], report["image"]) == ("[(2000000)]", "X[(2000000)]")
 
 
 # -- embeddings ----------------------------------------------------------
@@ -482,7 +527,7 @@ def test_search_space_cap():
 def test_idempotent_search_f2():
     res = exhaustive_search("idempotent", F2, support_pm1(), 2)
     found = {repr(f.alpha) for f in res.findings}
-    assert found == {"0", "1 mod 2", "X[(0)]"}
+    assert found == {"0", "1", "X[(0)]"}
 
 
 def test_zero_divisor_search_f2_empty():
