@@ -3,6 +3,7 @@
 __version__ = "0.1.0"
 
 from .groups import (  # noqa: F401
+    BallPlan,
     FiniteGroup,
     FiniteSubset,
     FreeGroup,
@@ -11,6 +12,7 @@ from .groups import (  # noqa: F401
     MagnusOrder,
     ZdGroup,
     ball,
+    ball_plan,
     box_window,
     folner_box,
     parse_group_spec,
@@ -72,7 +74,6 @@ from .linear_ca import (  # noqa: F401
     window_matrix,
 )
 from .sofic import (  # noqa: F401
-    BallPlan,
     LabeledGraph,
     ball_iso,
     cayley_quotient,

@@ -258,6 +258,16 @@ class MemoryReport:
     verified: bool
 
 
+def _sample_value(ca, rng):
+    """A random cell value: a vector for linear rules, a scalar for polynomial ones, a symbol for tables."""
+    rule = ca.rule
+    if rule.variant == "linear":
+        return tuple(rule.field.from_int(rng.randrange(-3, 4)) for _ in range(rule.n))
+    if rule.variant == "polynomial":
+        return rule.field.from_int(rng.randrange(-3, 4))
+    return rng.choice(rule.alphabet)
+
+
 def minimal_memory_set(ca: CellularAutomaton, probes: int = 8, seed: int = 0) -> MemoryReport:
     """Memory set read from the rule, probed for minimality.
 
@@ -276,26 +286,21 @@ def minimal_memory_set(ca: CellularAutomaton, probes: int = 8, seed: int = 0) ->
     outside = [g for g in near if g not in memory]
     domain = memory.union(outside)
 
-    def sample_value():
-        if ca.rule.variant == "linear":
-            return tuple(ca.rule.field.from_int(rng.randrange(-3, 4)) for _ in range(ca.rule.n))
-        return ca.rule.field.from_int(rng.randrange(-3, 4))
-
     verified = True
     for _ in range(probes):
-        base = {g: sample_value() for g in domain}
+        base = {g: _sample_value(ca, rng) for g in domain}
         ref = ca._evaluate_at(Pattern(domain, base), group.identity())
         for g in outside:
             changed = dict(base)
-            changed[g] = sample_value()
+            changed[g] = _sample_value(ca, rng)
             if ca._evaluate_at(Pattern(domain, changed), group.identity()) != ref:
                 return MemoryReport(memory, False)
     for g in memory:
         hit = False
         for _ in range(probes * 4):
-            base = {h: sample_value() for h in domain}
+            base = {h: _sample_value(ca, rng) for h in domain}
             changed = dict(base)
-            changed[g] = sample_value()
+            changed[g] = _sample_value(ca, rng)
             ref = ca._evaluate_at(Pattern(domain, base), group.identity())
             new = ca._evaluate_at(Pattern(domain, changed), group.identity())
             if new != ref:
@@ -327,15 +332,8 @@ def equivariance_check(ca, samples: int = 20, seed: int = 0, radius: int = 2) ->
     if len(memory):
         base_domain = base_domain.product(memory.union([group.identity()]))
 
-    def sample_value():
-        if ca.rule.variant == "linear":
-            return tuple(ca.rule.field.from_int(rng.randrange(-3, 4)) for _ in range(ca.rule.n))
-        if ca.rule.variant == "polynomial":
-            return ca.rule.field.from_int(rng.randrange(-3, 4))
-        return rng.choice(ca.rule.alphabet)
-
     for i in range(samples):
-        pattern = Pattern(base_domain, {g: sample_value() for g in base_domain})
+        pattern = Pattern(base_domain, {g: _sample_value(ca, rng) for g in base_domain})
         g = shifts[rng.randrange(len(shifts))]
         out = ca.apply_interior(pattern)
         shifted_out = ca.apply_interior(pattern.translate(g))

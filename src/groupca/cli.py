@@ -35,22 +35,21 @@ from .sofic import SoficError, cayley_quotient, graph_ca_rank_audit, graph_from_
 _ERRORS = (CAError, GroupError, GroupRingError, NearRingError, ParseError, RingError, SoficError, ValueError, OSError)
 
 
-def _emit(doc, out_path):
-    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _emit_lines(lines, path):
-    text = "".join(json.dumps(line, sort_keys=True) + "\n" for line in lines)
+def _write(text, path):
+    """Write text to the file at path, or to stdout when path is empty."""
     if path:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit(doc, out_path):
+    _write(json.dumps(doc, sort_keys=True, indent=2) + "\n", out_path)
+
+
+def _emit_lines(lines, path):
+    _write("".join(json.dumps(line, sort_keys=True) + "\n" for line in lines), path)
 
 
 def _load_rule(path):

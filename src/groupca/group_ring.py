@@ -10,11 +10,12 @@ exhaustive direct-finiteness scan for small finite coefficient rings.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 
-from .groups import FiniteGroup, FiniteSubset, GroupElement
-from .rings import ExactMatrix, RingError, TwistedPoly, power
+from .groups import FiniteGroup, FiniteSubset, GroupElement, ZdGroup
+from .rings import TERM_CAP, ExactMatrix, RingError, TwistedPoly, power
 
 
 class GroupRingError(ValueError):
@@ -22,7 +23,9 @@ class GroupRingError(ValueError):
 
 
 def _convolve(a, b):
-    """(a*b)(t) = sum_h a(h) b(h^-1 t) for sparse maps group element -> coefficient."""
+    """(a*b)(t) = sum_h a(h) b(h^-1 t); refused when |supp a| * |supp b| exceeds TERM_CAP."""
+    if len(a) * len(b) > TERM_CAP:
+        raise GroupRingError("a product of %d and %d terms exceeds %d term products" % (len(a), len(b), TERM_CAP))
     out = {}
     for g, x in a.items():
         for h, y in b.items():
@@ -97,6 +100,22 @@ class GroupRingElement:
         return GroupRingElement(self.group, self.field, _convolve(self.coeffs, other.coeffs), shape=self.shape)
 
     def __pow__(self, n: int):
+        """self^n by square-and-multiply; on Z^d its largest products are checked first.
+
+        With k terms, supp(self^i) lies in the box i*[lo_c, hi_c] and has at
+        most C(i+k-1, k-1) points.  Both grow with i, so the largest products
+        of the chain are its last squaring and its last multiply.
+        """
+        k = len(self.coeffs)
+        if isinstance(self.group, ZdGroup) and k > 1 and n > 1:
+            widths = [max(c) - min(c) for c in zip(*(g.value for g in self.coeffs))]
+
+            def size(i):
+                return min(math.comb(i + k - 1, k - 1), math.prod(i * w + 1 for w in widths))
+
+            top = 1 << (n.bit_length() - 1)
+            if size(top // 2) ** 2 > TERM_CAP or size(n - top) * size(top) > TERM_CAP:
+                raise GroupRingError("a %d-term element to the power %d may exceed %d term products" % (k, n, TERM_CAP))
         return power(self, n, GroupRingElement.identity(self.group, self.field, self.shape))
 
     def scale(self, c):

@@ -14,8 +14,8 @@ truncated power-series (Magnus) order on free groups.
 
 from __future__ import annotations
 
+import functools
 import itertools
-from collections import deque
 
 
 class GroupError(ValueError):
@@ -176,16 +176,11 @@ class FreeGroup(Group):
         return ()
 
     def _canonical(self, value):
-        word = []
-        for s in value:
-            s = int(s)
+        letters = tuple(int(s) for s in value)
+        for s in letters:
             if s == 0 or abs(s) > self.rank:
                 raise GroupError("bad letter %r" % s)
-            if word and word[-1] == -s:
-                word.pop()
-            else:
-                word.append(s)
-        return tuple(word)
+        return self._mul((), letters)
 
     def _mul(self, a, b):
         word = list(a)
@@ -451,29 +446,69 @@ def subset_calculus(omega: FiniteSubset, memory: FiniteSubset):
     return interior, neighborhood, boundary
 
 
+class BallPlan:
+    """The radius-r ball of the Cayley graph for ``labels`` (right multiplication), walked once.
+
+    ``elements`` lists the ball in BFS order, identity first, and ``index``
+    maps each element to its position.  ``edges`` holds the induced edges
+    as int triples (i, k, j) meaning elements[i] * labels[k] == elements[j],
+    in the order the BFS visits them, and ``outside`` the pairs (i, k) whose
+    edge leaves the ball.  ``sofic.ball_iso`` replays the triples at a graph
+    vertex as dict lookups in the graph's step maps, so checking every
+    vertex multiplies no group elements.  On the induced edges the copy is
+    then a homomorphism, so its inverse is one exactly when no outside edge
+    of an image vertex lands back in the image.  ``ball_plan`` keeps one
+    plan per (group, r, labels).
+    """
+
+    __slots__ = ("labels", "elements", "index", "edges", "outside")
+
+    def __init__(self, group, r: int, labels):
+        if r < 0:
+            raise GroupError("radius must be >= 0")
+        self.labels = tuple(labels)
+        ident = group.identity()
+        elements, depth, index = [ident], [0], {ident: 0}
+        edges, outside = [], []
+        i = 0
+        while i < len(elements):
+            # BFS: every element within distance r is indexed before the
+            # first element at distance r is expanded
+            g, d = elements[i], depth[i]
+            for k, s in enumerate(self.labels):
+                h = g * s
+                j = index.get(h)
+                if j is None:
+                    if d == r:
+                        outside.append((i, k))
+                        continue
+                    j = index[h] = len(elements)
+                    elements.append(h)
+                    depth.append(d + 1)
+                edges.append((i, k, j))
+            i += 1
+        self.elements = tuple(elements)
+        self.index = index
+        self.edges = tuple(edges)
+        self.outside = tuple(outside)
+
+    def __len__(self):
+        return len(self.elements)
+
+
+# one plan per (group, r, labels tuple), kept for the life of the process
+ball_plan = functools.cache(BallPlan)
+
+
 def ball(group, radius: int, gens=None) -> FiniteSubset:
-    """Word-metric ball of the given radius around the identity (BFS)."""
-    if radius < 0:
-        raise GroupError("radius must be >= 0")
+    """Word-metric ball of the given radius around the identity."""
     if gens is None:
         gens = group.generators()
-    seen = {group.identity(): 0}
-    frontier = deque([group.identity()])
-    while frontier:
-        g = frontier.popleft()
-        d = seen[g]
-        if d == radius:
-            continue
-        for s in gens:
-            h = g * s
-            if h not in seen:
-                seen[h] = d + 1
-                frontier.append(h)
-    return FiniteSubset(group, seen)
+    return FiniteSubset(group, ball_plan(group, radius, tuple(gens)).elements)
 
 
 def word_distance(g: GroupElement, h: GroupElement = None, gens=None) -> int:
-    """d_S(g, h); BFS on the Cayley graph, with closed forms for default S."""
+    """d_S(g, h): the first radius whose ball plan holds g^-1 h, with closed forms for default S."""
     group = g.group
     target = g.inverse() * h if h is not None else g
     if gens is None:
@@ -482,21 +517,12 @@ def word_distance(g: GroupElement, h: GroupElement = None, gens=None) -> int:
         if isinstance(group, FreeGroup):
             return len(target.value)
         gens = group.generators()
-    if target.is_identity():
-        return 0
-    seen = {group.identity(): 0}
-    frontier = deque([group.identity()])
-    while frontier:
-        e = frontier.popleft()
-        d = seen[e]
-        for s in gens:
-            f = e * s
-            if f == target:
-                return d + 1
-            if f not in seen:
-                seen[f] = d + 1
-                frontier.append(f)
-    raise GroupError("element not generated by the given set")
+    for r in itertools.count():
+        plan = ball_plan(group, r, tuple(gens))
+        if target in plan.index:
+            return r
+        if not plan.outside:  # the ball is the whole generated subgroup
+            raise GroupError("element not generated by the given set")
 
 
 def box_window(group: ZdGroup, radius: int) -> FiniteSubset:

@@ -56,6 +56,20 @@ class WindowMatrix:
         return ExactMatrix(self.field, rows)
 
 
+def block_rows(blocks, n: int) -> list:
+    """The n sparse rows of one output point; each pair (bc, m) in ``blocks``, in
+    order, puts the n x n matrix m in the columns bc*n .. bc*n + n-1."""
+    rows = []
+    for i in range(n):
+        row = {}
+        for bc, m in blocks:
+            for j, v in enumerate(m.rows[i]):
+                if v:
+                    row[bc * n + j] = v
+        rows.append(row)
+    return rows
+
+
 def window_matrix(ca: CellularAutomaton, mode: str, window: FiniteSubset) -> WindowMatrix:
     """Block matrix of a window restriction.
 
@@ -90,14 +104,7 @@ def window_matrix(ca: CellularAutomaton, mode: str, window: FiniteSubset) -> Win
             g_in = g_out * h
             if g_in in in_domain:
                 block_cols[in_domain.position(g_in)] = m
-        for i in range(n):
-            row = {}
-            for bc, m in block_cols.items():
-                for j in range(n):
-                    v = m.rows[i][j]
-                    if v:
-                        row[bc * n + j] = v
-            rows.append(row)
+        rows += block_rows(block_cols.items(), n)
     return WindowMatrix(
         matrix_rows=rows,
         nrows=n * len(out_domain),

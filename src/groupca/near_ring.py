@@ -21,12 +21,13 @@ from __future__ import annotations
 
 import contextlib
 import itertools
+import math
 import os
 from dataclasses import dataclass, field as dc_field
 
 from .group_ring import GroupRingElement, TwistedGroupRingElement
 from .groups import FiniteSubset, GroupElement
-from .rings import PrimeField, frobenius, power, scalar_inverse
+from .rings import TERM_CAP, PrimeField, frobenius, power, scalar_inverse
 
 
 class NearRingError(ValueError):
@@ -34,10 +35,7 @@ class NearRingError(ValueError):
 
 
 class TermCapExceeded(NearRingError):
-    """Raised when an intermediate polynomial outgrows the configured term cap."""
-
-
-TERM_CAP = 10**6
+    """Raised before a product, power or substitution whose size bound exceeds TERM_CAP."""
 
 
 class ExponentVector:
@@ -193,8 +191,23 @@ class NearRingElement:
         return NearRingElement(self.group, self.field, {u: v * c for u, v in self.terms.items()})
 
     def __mul__(self, other):
-        """Ordinary commutative polynomial product (exponents add pointwise)."""
+        """Ordinary commutative polynomial product (exponents add pointwise).
+
+        Refused when min(|a|*|b|, prod_g (m_g(a) + m_g(b) + 1)) exceeds
+        TERM_CAP, m_g being the largest exponent of X_g in a factor: the
+        product has at most that many terms.
+        """
         self._compat(other)
+        if len(self.terms) * len(other.terms) > TERM_CAP:
+            a, b = self._top_exponents(), other._top_exponents()
+            if math.prod(a.get(g, 0) + b.get(g, 0) + 1 for g in a.keys() | b.keys()) > TERM_CAP:
+                raise TermCapExceeded(
+                    "a product of %d and %d terms may exceed %d terms" % (len(self.terms), len(other.terms), TERM_CAP)
+                )
+        return self._times(other)
+
+    def _times(self, other):
+        """self * other without the size check."""
         out = {}
         for u, a in self.terms.items():
             for v, b in other.terms.items():
@@ -204,27 +217,26 @@ class NearRingElement:
                     out[w] = out[w] + c
                 else:
                     out[w] = c
-            if len(out) > TERM_CAP:
-                raise TermCapExceeded("polynomial exceeded %d terms" % TERM_CAP)
         return NearRingElement(self.group, self.field, out)
 
     def __pow__(self, n: int):
         """self^n; in characteristic p by base-p digits, a^(q*p + d) = F(a^q) * a^d.
 
         F is the Frobenius map c*X^u -> c^p*X^(p*u).  It is additive in
-        characteristic p, so F(a) = a^p.
+        characteristic p, so F(a) = a^p.  The size bound of self^n also
+        bounds every partial power, so the products inside skip their check.
         """
         if n < 0:
             raise NearRingError("negative polynomial power")
-        if n > 1:
-            self._check_power_size(n)
+        if n > 1 and self._expansion_exceeds_cap(((self.group.identity(), n),)):
+            raise TermCapExceeded("a %d-term polynomial to the power %d may exceed %d terms" % (len(self.terms), n, TERM_CAP))
         one = NearRingElement.one(self.group, self.field)
         digits = _digits(n, self.field.characteristic)
-        acc = power(self, digits[-1], one)
+        acc = power(self, digits[-1], one, NearRingElement._times)
         for d in reversed(digits[:-1]):
             acc = acc._frobenius()
             if d:
-                acc = acc * power(self, d, one)
+                acc = acc._times(power(self, d, one, NearRingElement._times))
         return acc
 
     def _frobenius(self):
@@ -236,39 +248,43 @@ class NearRingElement:
             {ExponentVector(self.group, {g: p * e for g, e in u.items}): frobenius(c, 1) for u, c in self.terms.items()},
         )
 
-    def _check_power_size(self, n: int):
-        """Raise TermCapExceeded before expanding self^n when its size bound exceeds TERM_CAP.
-
-        With k terms in self and m_g the largest exponent of X_g, self^n has at
-        most min(C(n+k-1, k-1), prod_g (n*m_g + 1)) terms: the multinomial
-        count of its products, and the box of exponent vectors that fit.  In
-        characteristic p the multinomial count is taken per base-p digit d_i
-        of n, prod_i C(d_i+k-1, k-1), since self^n = prod_i F^i(self^(d_i))
-        and F is injective on monomials.  Each factor is computed only until
-        it exceeds the cap; C(d+k-1, i) grows with i up to i = min(k-1, d),
-        and every box side is at least 2.
-        """
-        k = len(self.terms)
+    def _top_exponents(self):
+        """{g: the largest exponent of X_g in self}."""
         top = {}
         for u in self.terms:
             for g, e in u.items:
                 top[g] = max(e, top.get(g, 0))
-        multinomial = box = 1
-        for d in _digits(n, self.field.characteristic):
-            count = 1
+        return top
+
+    def _expansion_exceeds_cap(self, factors) -> bool:
+        """Whether the product of shift(g, self)^e over (g, e) in ``factors`` may exceed TERM_CAP terms.
+
+        With k terms in self and m_h the largest exponent of X_h, the
+        product has at most min(prod_e C(e+k-1, k-1), prod_x (sum_g e *
+        m_{g^-1 x} + 1)) terms: the multinomial count of its products, and
+        the box of exponent vectors that fit, since shift(g, .) moves the
+        exponent of X_h to X_{g*h}.  self^n is the factor (identity, n).  In
+        characteristic p the count of a power is taken per base-p digit d_i
+        of e, prod_i C(d_i+k-1, k-1), since a^e = prod_i F^i(a^(d_i)) and F
+        is injective on monomials.  The count is computed only until it
+        exceeds the cap; C(d+k-1, i) grows with i up to i = min(k-1, d).
+        """
+        k = len(self.terms)
+        count = 1
+        for d in [d for _, e in factors for d in _digits(e, self.field.characteristic)]:
             for i in range(1, min(k - 1, d) + 1):
                 count = count * (d + k - i) // i
                 if count > TERM_CAP:
                     break
-            multinomial *= count
-            if multinomial > TERM_CAP:
+            if count > TERM_CAP:
                 break
-        for m in top.values():
-            box *= n * m + 1
-            if box > TERM_CAP:
-                break
-        if min(multinomial, box) > TERM_CAP:
-            raise TermCapExceeded("a %d-term polynomial to the power %d may exceed %d terms" % (k, n, TERM_CAP))
+        else:
+            return False
+        top, sides = self._top_exponents(), {}
+        for g, e in factors:
+            for h, m in top.items():
+                sides[g * h] = sides.get(g * h, 0) + e * m
+        return math.prod(side + 1 for side in sides.values()) > TERM_CAP
 
     def __bool__(self):
         return bool(self.terms)
@@ -314,6 +330,11 @@ class NearRingElement:
         out = NearRingElement.zero(self.group, self.field)
         shifted = {}
         for u, c in self.terms.items():
+            # a single factor is checked by __pow__
+            if len(u.items) > 1 and other._expansion_exceeds_cap(u.items):
+                raise TermCapExceeded(
+                    "substituting a %d-term polynomial into %r may exceed %d terms" % (len(other.terms), u, TERM_CAP)
+                )
             prod = None
             for g, e in u.items:
                 if g not in shifted:

@@ -11,12 +11,16 @@ No floating point is used anywhere; every operation is exact.
 
 from __future__ import annotations
 
+import operator
 from collections import defaultdict
 from fractions import Fraction
 
 
 class RingError(ValueError):
     pass
+
+
+TERM_CAP = 10**6  # size bound of polynomial and group-ring products, checked before forming them
 
 
 def _is_prime(n: int) -> bool:
@@ -30,8 +34,8 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def power(x, n: int, one):
-    """x^n for n >= 0 by square-and-multiply, for any associative ``*``; ``one`` is x^0.
+def power(x, n: int, one, mul=operator.mul):
+    """x^n for n >= 0 by square-and-multiply, for any associative ``mul``; ``one`` is x^0.
 
     No squaring follows the last bit, and ``one`` is never multiplied in.
     """
@@ -40,10 +44,10 @@ def power(x, n: int, one):
     acc = None
     while n:
         if n & 1:
-            acc = x if acc is None else acc * x
+            acc = x if acc is None else mul(acc, x)
         n >>= 1
         if n:
-            x = x * x
+            x = mul(x, x)
     return one if acc is None else acc
 
 

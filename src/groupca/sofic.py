@@ -21,11 +21,14 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
 from .groups import (
+    BallPlan,  # noqa: F401  (exported with ball_iso, which replays it)
     FiniteGroup,
     FreeGroup,
-    GroupError,
     ZdGroup,
+    ball_plan,
 )
+from .ca import CAError
+from .linear_ca import block_rows
 from .rings import rank_kernel_sparse
 
 
@@ -190,64 +193,15 @@ def cayley_quotient(group, params: str, seed: int = 0) -> LabeledGraph:
 
 # ---------------------------------------------------------------------------
 # ball isomorphisms
-#
-# A ball plan walks the group's radius-r ball once per (group, r, labels):
-# its elements in BFS order, identity first, and its edges as int triples
-# (i, k, j) meaning elements[i] * labels[k] == elements[j], in the order the
-# label-following BFS visits them, plus the pairs (i, k) whose edge leaves
-# the ball.  ``ball_iso`` replays the triples at a vertex with dict lookups
-# in the graph's step maps, so checking every vertex multiplies no group
-# elements.  On the induced edges the copy is then a homomorphism, so its
-# inverse is one exactly when no outside edge of an image vertex lands back
-# in the image.
 
 
-class BallPlan:
-    """The radius-r ball of the Cayley graph for ``labels`` as integer edges."""
-
-    __slots__ = ("radius", "labels", "elements", "index", "edges", "outside")
-
-    def __init__(self, group, r: int, labels):
-        if r < 0:
-            raise GroupError("radius must be >= 0")
-        self.radius = r
-        self.labels = tuple(labels)
-        ident = group.identity()
-        elements, depth, index = [ident], [0], {ident: 0}
-        edges, outside = [], []
-        i = 0
-        while i < len(elements):
-            # BFS: every element within distance r is indexed before the
-            # first element at distance r is expanded
-            g, d = elements[i], depth[i]
-            for k, s in enumerate(self.labels):
-                h = g * s
-                j = index.get(h)
-                if j is None:
-                    if d == r:
-                        outside.append((i, k))
-                        continue
-                    j = index[h] = len(elements)
-                    elements.append(h)
-                    depth.append(d + 1)
-                edges.append((i, k, j))
-            i += 1
-        self.elements = tuple(elements)
-        self.index = index
-        self.edges = tuple(edges)
-        self.outside = tuple(outside)
-
-    def __len__(self):
-        return len(self.elements)
-
-
-def ball_iso(graph: LabeledGraph, v, r: int, plan: BallPlan = None):
+def ball_iso(graph: LabeledGraph, v, r: int):
     """Label-following copy of the group's radius-r ball rooted at v.
 
     Returns the unique candidate map as {group element: vertex} when it is
     a bijective labeled-graph homomorphism onto the graph ball with
-    homomorphic inverse on the induced subgraphs, else None.  ``plan`` is
-    the ball plan for (graph.group, r, graph.labels), built when omitted.
+    homomorphic inverse on the induced subgraphs, else None.  The copy
+    replays the ball plan for (graph.group, r, graph.labels).
 
     A completed walk maps the group ball onto the graph ball of radius r at
     v, so the image needs no comparison with ``graph.ball_vertices``.  Every
@@ -257,10 +211,7 @@ def ball_iso(graph: LabeledGraph, v, r: int, plan: BallPlan = None):
     <= t.  Conversely, an element is first reached from its BFS parent, so
     every image vertex lies at the end of a tree path of length <= r.
     """
-    if plan is None:
-        plan = BallPlan(graph.group, r, graph.labels)
-    elif plan.radius != r or plan.labels != graph.labels:
-        raise SoficError("ball plan does not match radius %d and the graph's labels" % r)
+    plan = ball_plan(graph.group, r, graph.labels)
     steps = [graph.step_maps.get(s, {}) for s in plan.labels]
     img = [None] * len(plan.elements)
     img[0] = v
@@ -283,11 +234,9 @@ def ball_iso(graph: LabeledGraph, v, r: int, plan: BallPlan = None):
     return dict(zip(plan.elements, img))
 
 
-def v_r_set(graph: LabeledGraph, r: int, plan: BallPlan = None):
+def v_r_set(graph: LabeledGraph, r: int):
     """Vertices whose radius-r ball copies the group's ball exactly."""
-    if plan is None:
-        plan = BallPlan(graph.group, r, graph.labels)
-    return [v for v in range(graph.n) if ball_iso(graph, v, r, plan) is not None]
+    return [v for v in range(graph.n) if ball_iso(graph, v, r) is not None]
 
 
 def greedy_pack(graph: LabeledGraph, base, r: int):
@@ -299,11 +248,10 @@ def greedy_pack(graph: LabeledGraph, base, r: int):
     taken = []
     covered = set()
     for v in sorted(base):
-        b = set(graph.ball_vertices(v, r))
-        if b & covered:
-            continue
-        taken.append(v)
-        covered |= b
+        b = graph.ball_vertices(v, r).keys()
+        if covered.isdisjoint(b):
+            taken.append(v)
+            covered |= b
     return taken
 
 
@@ -343,33 +291,18 @@ def certificate(graph: LabeledGraph, r: int, epsilon) -> SoficCertificate:
     epsilon = Fraction(epsilon)
     if not (0 < epsilon < 1):
         raise SoficError("epsilon must lie in (0, 1)")
-    plans = [BallPlan(graph.group, k * r, graph.labels) for k in (1, 2, 3)]
-    v1, v2, v3 = (v_r_set(graph, p.radius, p) for p in plans)
+    v1, v2, v3 = (v_r_set(graph, k * r) for k in (1, 2, 3))
     pack = greedy_pack(graph, v3, r)
     checks = {}
     s1, s2, s3 = set(v1), set(v2), set(v3)
     checks["nesting"] = s2 <= s1 and s3 <= s2
-    contain = True
-    for k in (1, 2):
-        upper = v2 if k == 1 else v3
-        target = s1 if k == 1 else s2
-        for v in upper:
-            if not set(graph.ball_vertices(v, r)) <= target:
-                contain = False
-    checks["ball_containment"] = contain
-    covered = set()
-    for v in pack:
-        covered |= set(graph.ball_vertices(v, 2 * r))
-    checks["packing_covers"] = s3 <= covered
-    disjoint = True
-    seen = set()
-    for v in pack:
-        b = set(graph.ball_vertices(v, r))
-        if b & seen:
-            disjoint = False
-        seen |= b
-    checks["packing_disjoint"] = disjoint
-    ball_2r = len(plans[1])
+    checks["ball_containment"] = all(
+        graph.ball_vertices(v, r).keys() <= inner for outer, inner in ((v2, s1), (v3, s2)) for v in outer
+    )
+    checks["packing_covers"] = s3 <= set().union(*(graph.ball_vertices(v, 2 * r) for v in pack))
+    balls = [graph.ball_vertices(v, r) for v in pack]
+    checks["packing_disjoint"] = sum(map(len, balls)) == len(set().union(*balls))
+    ball_2r = len(ball_plan(graph.group, 2 * r, graph.labels))
     checks["packing_inequality"] = ball_2r * len(pack) >= len(v3)
     passed = Fraction(len(v1)) >= (1 - epsilon) * graph.n
     if not all(checks.values()):
@@ -414,21 +347,18 @@ def graph_ca_rank_audit(graph: LabeledGraph, ca, r: int, left_inverse=None) -> R
     the projection onto A^(V(3r)) exactly, and the forward rank must then
     be at least n * |V(3r)|.
     """
-    from .ca import CAError
-
     if ca.rule.variant != "linear":
         raise CAError("rank audit needs a linear rule")
     rule = ca.rule
     n = rule.n
-    plans = [BallPlan(graph.group, k * r, graph.labels) for k in (1, 2, 3)]
-    radius_ball = plans[0].index
+    radius_ball = ball_plan(graph.group, r, graph.labels).index
     if any(g not in radius_ball for g in ca.memory_set()):
         raise SoficError("memory set exceeds the audit radius")
     if left_inverse is not None and any(
         g not in radius_ball for g in left_inverse.memory_set()
     ):
         raise SoficError("inverse memory set exceeds the audit radius")
-    v1, v2, v3 = (v_r_set(graph, p.radius, p) for p in plans)
+    v1, v2, v3 = (v_r_set(graph, k * r) for k in (1, 2, 3))
     if not v2:
         raise SoficError("V(2r) is empty; the graph is too coarse at this radius")
     pos1 = {v: i for i, v in enumerate(v1)}
@@ -438,7 +368,7 @@ def graph_ca_rank_audit(graph: LabeledGraph, ca, r: int, left_inverse=None) -> R
     def transported_rows(symbol, out_vertices, in_pos):
         rows = []
         for v in out_vertices:
-            copy_map = ball_iso(graph, v, r, plans[0])
+            copy_map = ball_iso(graph, v, r)
             if copy_map is None:
                 raise SoficError("vertex %r lost its ball isomorphism" % v)
             block_cols = {}
@@ -447,14 +377,7 @@ def graph_ca_rank_audit(graph: LabeledGraph, ca, r: int, left_inverse=None) -> R
                 if w not in in_pos:
                     raise SoficError("transported memory leaves the good set")
                 block_cols[in_pos[w]] = mat
-            for i in range(n):
-                row = {}
-                for bc, mat in sorted(block_cols.items()):
-                    for j in range(n):
-                        val = mat.rows[i][j]
-                        if val:
-                            row[bc * n + j] = val
-                rows.append(row)
+            rows += block_rows(sorted(block_cols.items()), n)
         return rows
 
     forward_rows = transported_rows(rule.symbol, v2, pos1)

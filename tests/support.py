@@ -268,19 +268,18 @@ def ball_iso_reference(graph, v, r):
     the labeled edges of the induced subgraph, else None.
     """
     group, labels = graph.group, graph.labels
-    members = set(ball(group, r, gens=list(labels)))
     words = {group.identity(): ()}
     frontier = [group.identity()]
-    while frontier:
+    for _ in range(r):
         nxt = []
         for g in frontier:
             for s in labels:
                 h = g * s
-                if h in members and h not in words:
+                if h not in words:
                     words[h] = words[g] + (s,)
                     nxt.append(h)
         frontier = nxt
-    assert set(words) == members
+    members = set(words)
     image = {}
     for g, word in words.items():
         x = v

@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+import groupca.group_ring as gr_mod
+
 from support import cyclic_group, field_scalar, rand_group_ring
 
 from groupca.expressions import format_element
@@ -37,6 +39,26 @@ def test_convolve_telescoping():
     prod = gr_convolve(one_plus_g, one_minus_g)
     assert prod == scalar_elem(Z, QQ, {(0,): 1, (2,): -1})
     assert {e.value[0] for e in prod.support()} == {0, 2}
+
+
+def test_product_size_check(monkeypatch):
+    """A group-ring product raises exactly when |supp a| * |supp b| exceeds the cap."""
+    monkeypatch.setattr(gr_mod, "TERM_CAP", 6)
+    rng = random.Random(4)
+    for _ in range(100):
+        a, b = (rand_group_ring(Z2, QQ, rng, max_terms=4) for _ in range(2))
+        if len(a.coeffs) * len(b.coeffs) > 6:
+            with pytest.raises(GroupRingError):
+                a * b
+        else:
+            assert set((a * b).coeffs) <= {g * h for g in a.coeffs for h in b.coeffs}
+    # (1 + t)^i has i + 1 terms; the chain of the 5th power is 2*2, 3*3, 2*5
+    monkeypatch.setattr(gr_mod, "TERM_CAP", 10)
+    one_plus_t = scalar_elem(Z, QQ, {(0,): 1, (1,): 1})
+    assert len((one_plus_t**5).coeffs) == 6
+    for n in (6, 8):  # 3*5 and 5*5, refused before the chain starts
+        with pytest.raises(GroupRingError, match="to the power"):
+            one_plus_t**n
 
 
 def test_torsion_zero_divisor_f2():

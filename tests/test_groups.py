@@ -143,34 +143,50 @@ def test_group_laws_random():
             assert a * a.inverse() == ident
 
 
+def _bfs_distance(group, gens, target):
+    from collections import deque
+
+    seen = {group.identity(): 0}
+    q = deque([group.identity()])
+    while q:
+        e = q.popleft()
+        if e == target:
+            return seen[e]
+        for s in gens:
+            f = e * s
+            if f not in seen:
+                seen[f] = seen[e] + 1
+                q.append(f)
+    raise AssertionError("not generated")
+
+
 def test_word_metric_properties_and_bfs_oracle():
     rng = random.Random(2)
     for group in (Z2, F2, Z4):
         gens = group.generators()
         elems = list(ball(group, 2))
-
-        def bfs_distance(target):
-            from collections import deque
-
-            seen = {group.identity(): 0}
-            q = deque([group.identity()])
-            while q:
-                e = q.popleft()
-                if e == target:
-                    return seen[e]
-                for s in gens:
-                    f = e * s
-                    if f not in seen:
-                        seen[f] = seen[e] + 1
-                        q.append(f)
-            raise AssertionError("not generated")
-
         for _ in range(40):
             g, h, k = (elems[rng.randrange(len(elems))] for _ in range(3))
             dgh = word_distance(g, h)
             assert dgh == word_distance(h, g)
             assert word_distance(g, k) <= dgh + word_distance(h, k)
-            assert dgh == bfs_distance(g.inverse() * h)
+            assert dgh == _bfs_distance(group, gens, g.inverse() * h)
+
+
+def test_word_distance_with_explicit_generators():
+    gens = [zel(2), zel(-2), zel(3), zel(-3)]
+    for n in range(-12, 13):
+        assert word_distance(zel(n), gens=gens) == _bfs_distance(Z, gens, zel(n))
+    assert word_distance(zel(1), zel(6), gens=gens) == 2
+    z6 = FiniteGroup.cyclic(6)
+    evens = [z6.element(2), z6.element(4)]
+    for n in (0, 2, 4):
+        assert word_distance(z6.element(n), gens=evens) == _bfs_distance(z6, evens, z6.element(n))
+    for n in (1, 3, 5):
+        with pytest.raises(GroupError):
+            word_distance(z6.element(n), gens=evens)
+    with pytest.raises(GroupError):
+        word_distance(z6.element(0), z6.element(3), gens=evens)
 
 
 def test_lex_order_examples():

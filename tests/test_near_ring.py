@@ -323,6 +323,68 @@ def test_group_ring_power_in_the_parser_is_fast(capsys):
     assert (report["element"], report["image"]) == ("[(2000000)]", "X[(2000000)]")
 
 
+def _top_exponents(p):
+    top = {}
+    for u in p.terms:
+        for g, e in u.items:
+            top[g] = max(e, top.get(g, 0))
+    return top
+
+
+def test_product_size_bound_matches_its_formula(monkeypatch):
+    """a * b raises exactly when min(|a|*|b|, prod_g (m_g(a) + m_g(b) + 1)) exceeds the cap."""
+    rng = random.Random(8)
+    for cap in (3, 20, 150):
+        monkeypatch.setattr(nr_mod, "TERM_CAP", cap)
+        for _ in range(150):
+            a, b = (rand_near_ring(Z, QQ, rng, radius=1, max_degree=4, max_terms=16) for _ in range(2))
+            ta, tb = _top_exponents(a), _top_exponents(b)
+            box = math.prod(ta.get(g, 0) + tb.get(g, 0) + 1 for g in ta.keys() | tb.keys())
+            bound = min(len(a.terms) * len(b.terms), box)
+            try:
+                size = len((a * b).terms)
+            except TermCapExceeded:
+                assert bound > cap
+            else:
+                assert bound <= cap and size <= bound
+
+
+def test_star_size_bound_matches_its_formula(monkeypatch):
+    """star(X^u, b) for u with two or more variables raises exactly when
+    min(prod_g C(u(g)+k-1, k-1), prod_x (sum_g u(g) * m_{g^-1 x}(b) + 1)) exceeds the cap."""
+    rng = random.Random(9)
+    for cap in (20, 150, 1000):
+        monkeypatch.setattr(nr_mod, "TERM_CAP", cap)
+        for _ in range(60):
+            exps = {zel(i): rng.randint(1, 5) for i in rng.sample(range(-2, 3), rng.randint(2, 3))}
+            alpha = NearRingElement(Z, QQ, {ExponentVector(Z, exps): QQ.one()})
+            beta = rand_near_ring(Z, QQ, rng, radius=1, max_degree=2, max_terms=4, nonzero=True)
+            k = len(beta.terms)
+            sides = {}
+            for g, e in exps.items():
+                for h, m in _top_exponents(beta).items():
+                    sides[g * h] = sides.get(g * h, 0) + e * m
+            count = math.prod(math.comb(e + k - 1, k - 1) for e in exps.values())
+            bound = min(count, math.prod(side + 1 for side in sides.values()))
+            try:
+                size = len(star(alpha, beta).terms)
+            except TermCapExceeded as exc:  # before any factor is expanded
+                assert bound > cap and str(exc).startswith("substituting")
+            else:
+                assert bound <= cap and size <= bound
+
+
+def test_product_size_bounds_stop_large_products_early():
+    """Products whose factors each pass their own size bound exit 2 well under 2 s."""
+    from groupca.cli import run_job
+
+    stars = ["star", "--group", "zd:1", "--field", "q", "--alpha", "X[(0)]^700*X[(1)]^700", "--beta", "X[(0)]+X[(1)]+X[(2)]"]
+    embed = ["embed", "--group", "zd:1", "--field", "q", "--kind", "iota", "--element", "([(0)]+[(1)])^20000"]
+    for argv in (stars, embed):
+        with _wall_budget(2.0):
+            assert run_job(argv) == 2
+
+
 # -- embeddings ----------------------------------------------------------
 
 

@@ -15,8 +15,8 @@ It prints each side's job count and the md5 of its records.  When the two
 differ it names the first differing job and exits with status 1; it exits
 with status 0 when they agree.  Nothing is written inside the repository.
 
-This is a check to run by hand, not a CI gate: a change may alter reports
-on purpose.
+CI runs it against a pull request's base commit in a job that does not
+gate the merge: a change may alter reports on purpose.
 """
 
 from __future__ import annotations
