@@ -36,7 +36,6 @@ _ERRORS = (CAError, GroupError, GroupRingError, NearRingError, ParseError, RingE
 
 
 def _write(text, path):
-    """Write text to the file at path, or to stdout when path is empty."""
     if path:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -100,14 +100,16 @@ class GroupRingElement:
         return GroupRingElement(self.group, self.field, _convolve(self.coeffs, other.coeffs), shape=self.shape)
 
     def __pow__(self, n: int):
-        """self^n by square-and-multiply; on Z^d its largest products are checked first.
+        """self^n by square-and-multiply; on Q[Z^d] its largest products are checked first.
 
         With k terms, supp(self^i) lies in the box i*[lo_c, hi_c] and has at
         most C(i+k-1, k-1) points.  Both grow with i, so the largest products
-        of the chain are its last squaring and its last multiply.
+        of the chain are its last squaring and its last multiply.  In
+        characteristic p or with (nilpotent) matrix coefficients cancellation
+        can keep the chain smaller, so only _convolve's rule applies there.
         """
         k = len(self.coeffs)
-        if isinstance(self.group, ZdGroup) and k > 1 and n > 1:
+        if self.shape is None and self.field.characteristic == 0 and isinstance(self.group, ZdGroup) and k > 1 and n > 1:
             widths = [max(c) - min(c) for c in zip(*(g.value for g in self.coeffs))]
 
             def size(i):

@@ -458,7 +458,7 @@ class BallPlan:
     vertex multiplies no group elements.  On the induced edges the copy is
     then a homomorphism, so its inverse is one exactly when no outside edge
     of an image vertex lands back in the image.  ``ball_plan`` keeps one
-    plan per (group, r, labels).
+    plan per (group, r, labels tuple) for the life of the process.
     """
 
     __slots__ = ("labels", "elements", "index", "edges", "outside")
@@ -496,7 +496,6 @@ class BallPlan:
         return len(self.elements)
 
 
-# one plan per (group, r, labels tuple), kept for the life of the process
 ball_plan = functools.cache(BallPlan)
 
 
@@ -508,7 +507,7 @@ def ball(group, radius: int, gens=None) -> FiniteSubset:
 
 
 def word_distance(g: GroupElement, h: GroupElement = None, gens=None) -> int:
-    """d_S(g, h): the first radius whose ball plan holds g^-1 h, with closed forms for default S."""
+    """d_S(g, h): the first radius whose (uncached) ball plan holds g^-1 h, with closed forms for default S."""
     group = g.group
     target = g.inverse() * h if h is not None else g
     if gens is None:
@@ -518,7 +517,7 @@ def word_distance(g: GroupElement, h: GroupElement = None, gens=None) -> int:
             return len(target.value)
         gens = group.generators()
     for r in itertools.count():
-        plan = ball_plan(group, r, tuple(gens))
+        plan = BallPlan(group, r, gens)
         if target in plan.index:
             return r
         if not plan.outside:  # the ball is the whole generated subgroup

@@ -251,7 +251,7 @@ def greedy_pack(graph: LabeledGraph, base, r: int):
         b = graph.ball_vertices(v, r).keys()
         if covered.isdisjoint(b):
             taken.append(v)
-            covered |= b
+            covered.update(b)
     return taken
 
 

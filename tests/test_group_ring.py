@@ -59,6 +59,11 @@ def test_product_size_check(monkeypatch):
     for n in (6, 8):  # 3*5 and 5*5, refused before the chain starts
         with pytest.raises(GroupRingError, match="to the power"):
             one_plus_t**n
+    # cancellation keeps these chains small, so only the product rule applies
+    assert len((scalar_elem(Z, F2, {(0,): 1, (1,): 1}) ** 8).coeffs) == 2
+    upper = ExactMatrix.from_ints(QQ, [[0, 1], [0, 0]])
+    nilpotent = GroupRingElement(Z, QQ, {zel(0): upper, zel(1): upper}, shape=2)
+    assert not nilpotent**8
 
 
 def test_torsion_zero_divisor_f2():

@@ -385,6 +385,20 @@ def test_product_size_bounds_stop_large_products_early():
             assert run_job(argv) == 2
 
 
+def test_char_p_group_ring_powers_are_not_refused(capsys):
+    """In characteristic p, (a+b)^(p^k) = a^(p^k) + b^(p^k) keeps the power chain small."""
+    from groupca.cli import run_job
+
+    cases = [("f2", 2**20, 2), ("f2", 2**20, 3), ("f3", 3**8, 2)]
+    for field, n, k in cases:
+        element = "(%s)^%d" % ("+".join("[(%d)]" % i for i in range(k)), n)
+        argv = ["embed", "--group", "zd:1", "--field", field, "--kind", "iota", "--element", element]
+        with _wall_budget(2.0):
+            assert run_job(argv) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["element"] == " + ".join(["1"] + ["[(%d)]" % (i * n) for i in range(1, k)])
+
+
 # -- embeddings ----------------------------------------------------------
 
 
