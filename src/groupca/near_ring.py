@@ -19,10 +19,10 @@ calculus for bi-invariantly ordered groups is built on it.
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import itertools
 import math
-import os
 from dataclasses import dataclass, field as dc_field
 
 from .group_ring import GroupRingElement, TwistedGroupRingElement
@@ -508,6 +508,10 @@ def _trivial_unit_shape(alpha, beta):
 # ---------------------------------------------------------------------------
 # exhaustive search over finite coefficient spaces
 #
+# The space has p^m elements for the m = C(|S|+d, d) monomials of total
+# degree at most d over the support S.  It is refused against the space cap
+# from |S| and d alone, before any monomial is built.
+#
 # The star product is K-linear in its left argument, so for a fixed right
 # operand beta the map alpha |-> alpha star beta is a linear map on the
 # coefficient space.  A beta is a unit partner when alpha star beta = X_e
@@ -523,9 +527,9 @@ def _trivial_unit_shape(alpha, beta):
 # representative per orbit: constant digit 0 and first nonzero digit 1, plus
 # beta = 0 for the constants, which form one orbit of their own.  Phase 2
 # solves every member of the live orbits directly, in enumeration order, so
-# the findings are exactly those of a full scan.  Only associativity and
-# left linearity are used, never the theorem under test.  Idempotents are
-# found by direct enumeration.
+# the findings are exactly those of a full scan.  Both phases run the same
+# solve loop.  Only associativity and left linearity are used, never the
+# theorem under test.  Idempotents are found by direct enumeration.
 #
 # Internals run on plain integers mod p.  A monomial is one int holding the
 # exponent of variable i in bits [i*w, (i+1)*w), so the monomial product is
@@ -555,62 +559,44 @@ class SearchResult:
 def search_monomials(support: FiniteSubset, max_total_degree: int):
     """Canonical monomial list: exponent support inside ``support``, total
     degree bounded, ordered by (degree, sorted sparse form)."""
-    elems = list(support)
-    monos = []
-
-    def rec(idx, remaining, current):
-        if idx == len(elems):
-            monos.append(ExponentVector(support.group, dict(current)))
-            return
-        for e in range(remaining + 1):
-            if e:
-                current[elems[idx]] = e
-            rec(idx + 1, remaining - e, current)
-            if e:
-                del current[elems[idx]]
-
-    rec(0, max_total_degree, {})
+    monos = [
+        ExponentVector(support.group, collections.Counter(combo))
+        for d in range(max_total_degree + 1)
+        for combo in itertools.combinations_with_replacement(support, d)
+    ]
     monos.sort(key=lambda u: u.sort_key())
     return monos
 
 
-def _universe(support: FiniteSubset, max_total_degree: int):
-    """All products of at most max_total_degree support elements (plus identity)."""
-    group = support.group
-    layer = {group.identity()}
-    universe = {group.identity()}
-    for _ in range(max_total_degree):
-        layer = {g * s for g in layer for s in support}
-        universe |= layer
-    return sorted(universe, key=lambda e: e.sort_key())
-
-
 class _FastPoly:
-    """Shared data for the integer-mod-p polynomial fast path.
+    """Shared data for the integer-mod-p polynomial fast path of one search.
 
     Polynomials are dicts packed monomial -> coefficient in [1, p).  No
     exponent of X^u star beta or alpha star alpha exceeds d^2 for the degree
     bound d, so fields of w = bit_length(d^2) + 1 bits never carry into each
-    other when monomials are added.
+    other when monomials are added.  ``target`` is the right-hand side of
+    the search's systems: X_e for units, 0 for zero divisors.
     """
 
-    def __init__(self, group, p, support, max_total_degree):
-        self.group = group
-        self.p = p
+    def __init__(self, kind, field, support, max_total_degree):
+        group = self.group = support.group
+        self.field = field
+        self.p = field.p
         # variables of any product X^u star beta are 2-fold products g*h of
         # support elements, whatever the degree bound
-        self.universe = _universe(support, 2)
-        self.var_index = {g: i for i, g in enumerate(self.universe)}
-        self.width = (max_total_degree**2).bit_length() + 1
+        universe = FiniteSubset(group, [group.identity(), *support, *support.product(support)])
+        width = (max_total_degree**2).bit_length() + 1
+
+        def pack(items):
+            return sum(e << (universe.position(g) * width) for g, e in items)
+
         self.monomials = search_monomials(support, max_total_degree)
-        self.mono_keys = [self._pack(u.items) for u in self.monomials]
-        self.ident_key = self._pack([(group.identity(), 1)])
+        self.mono_keys = [pack(u.items) for u in self.monomials]
+        self.target = {pack([(group.identity(), 1)]): 1} if kind == "unit" else {}
         # shift_tables[k][i] is the packed shift by the k-th support element
         # of the i-th canonical monomial
         elems = list(support)
-        self.shift_tables = [
-            [self._pack([(g * h, e) for h, e in u.items]) for u in self.monomials] for g in elems
-        ]
+        self.shift_tables = [[pack([(g * h, e) for h, e in u.items]) for u in self.monomials] for g in elems]
         # X^u star beta = (X^v star beta) * shift(g, beta) for u = v + X_g;
         # v comes before u, since the canonical order starts with the degree
         position = {u: i for i, u in enumerate(self.monomials)}
@@ -620,9 +606,6 @@ class _FastPoly:
             rest = dict(u.items)
             rest[g] = e - 1
             self.factors.append((position[ExponentVector(group, rest)], elems.index(g)))
-
-    def _pack(self, items):
-        return sum(e << (self.var_index[g] * self.width) for g, e in items)
 
     def mul(self, a, b):
         p = self.p
@@ -643,20 +626,11 @@ class _FastPoly:
             cols.append(shifted[k] if v == 0 else self.mul(cols[v], shifted[k]))
         return cols
 
-    def digits_to_poly(self, digits):
-        return {self.mono_keys[i]: d for i, d in enumerate(digits) if d}
-
-    def poly_to_element(self, poly, field):
-        mask = (1 << self.width) - 1
-        terms = {}
-        for mono, c in poly.items():
-            exponents = {}
-            for g in self.universe:
-                if mono & mask:
-                    exponents[g] = mono & mask
-                mono >>= self.width
-            terms[ExponentVector(self.group, exponents)] = field.from_int(c)
-        return NearRingElement(self.group, field, terms)
+    def element(self, digits):
+        """The public element with the given coefficient digits on the canonical monomials."""
+        return NearRingElement(
+            self.group, self.field, {u: self.field.from_int(c) for u, c in zip(self.monomials, digits) if c}
+        )
 
 
 def _solve_mod_p(columns, target, p):
@@ -719,51 +693,15 @@ def _enumerate_solutions(particular, kernel, p, cap=100000):
         yield tuple(vec)
 
 
-def _target(kind, fast):
-    return {fast.ident_key: 1} if kind == "unit" else {}
-
-
-def _orbit_segments(kind, p, m):
-    """Enumeration-index ranges holding the orbit representatives, in order.
+def _representatives(kind, p, m):
+    """Enumeration-index ranges holding the orbit representatives, ascending.
 
     The representative with its first nonzero digit at position m-1-j
     (digit 1, any digits after it) has an index in [p^j, 2 p^j).  Zero
     divisors need a nonconstant beta, so only units scan beta = 0.
     """
-    constants = [(0, 1)] if kind == "unit" else []
-    return constants + [(p**j, 2 * p**j) for j in range(m - 1)]
-
-
-def _slice_segments(segments, start, stop):
-    """The index ranges of representatives number start..stop-1."""
-    for a, b in segments:
-        n = b - a
-        if start < n and stop > 0:
-            yield a + max(start, 0), a + min(stop, n)
-        start -= n
-        stop -= n
-
-
-def _live_representatives(kind, group, field, support, max_total_degree, start, stop):
-    """Solve representatives number start..stop-1; return the live ones' digits.
-
-    A unit representative is live when its system is solvable, a
-    zero-divisor one when its kernel is nonzero (alpha = 0 always solves
-    the homogeneous system).
-    """
-    p = field.p
-    fast = _FastPoly(group, p, support, max_total_degree)
-    m = len(fast.mono_keys)
-    target = _target(kind, fast)
-    live = []
-    for a, b in _slice_segments(_orbit_segments(kind, p, m), start, stop):
-        digits = _index_to_digits(a, p, m)
-        for _ in range(a, b):
-            solved = _solve_mod_p(fast.columns(digits), target, p)
-            if solved is not None and (kind == "unit" or solved[1]):
-                live.append(tuple(digits))
-            _advance(digits, p)
-    return live
+    constants = [range(1)] if kind == "unit" else []
+    return constants + [range(p**j, 2 * p**j) for j in range(m - 1)]
 
 
 def _orbit(digits, p):
@@ -777,44 +715,49 @@ def _orbit(digits, p):
     return out
 
 
-def _solve_betas(kind, group, field, support, max_total_degree, indices):
-    """Solve the systems of the betas at the given indices; raw findings in order."""
-    p = field.p
-    fast = _FastPoly(group, p, support, max_total_degree)
-    m = len(fast.mono_keys)
-    target = _target(kind, fast)
-    findings = []
-    for index in indices:
-        digits = _index_to_digits(index, p, m)
-        solved = _solve_mod_p(fast.columns(digits), target, p)
-        if solved is None:
-            continue
-        particular, kernel = solved
-        beta_digits = tuple(digits)
-        for sol in _enumerate_solutions(particular, kernel, p):
-            if kind == "zero_divisor" and not any(sol):
-                continue  # alpha must be nonzero
-            findings.append((index, beta_digits, sol))
-    return findings
+def _live_betas(fast, ranges):
+    """(index, digits, (particular, kernel)) for each live beta in the ascending index ranges.
+
+    A beta is live when alpha star beta = target has a nonzero solution
+    alpha: any solution when the target is X_e, a nonzero kernel when it
+    is 0 (alpha = 0 always solves the homogeneous system).
+    """
+    p = fast.p
+    live = []
+    for index, digits in _walk(ranges, p, len(fast.monomials)):
+        solved = _solve_mod_p(fast.columns(digits), fast.target, p)
+        if solved is not None and (fast.target or solved[1]):
+            live.append((index, tuple(digits), solved))
+    return live
 
 
-def _idempotent_chunk(group, field, support, max_total_degree, start, stop):
-    """Scan enumeration indices [start, stop) for alpha star alpha = alpha."""
-    p = field.p
-    fast = _FastPoly(group, p, support, max_total_degree)
-    digits = _index_to_digits(start, p, len(fast.mono_keys))
-    findings = []
-    for index in range(start, stop):
+def _idempotents(fast, ranges):
+    """(index, digits, None) for each alpha in the ascending index ranges with alpha star alpha = alpha."""
+    p = fast.p
+    found = []
+    for index, digits in _walk(ranges, p, len(fast.monomials)):
         acc = {}
         for d, col in zip(digits, fast.columns(digits)):
             if d:
                 for mono, c in col.items():
                     acc[mono] = acc.get(mono, 0) + d * c
         square = {mono: c % p for mono, c in acc.items() if c % p}
-        if square == fast.digits_to_poly(digits):
-            findings.append((index, tuple(digits), None))
-        _advance(digits, p)
-    return findings
+        if square == {key: d for key, d in zip(fast.mono_keys, digits) if d}:
+            found.append((index, tuple(digits), None))
+    return found
+
+
+def _walk(ranges, p, m):
+    """(index, digits) for each index of the ascending enumeration-index ranges.
+
+    ``digits`` is one list per range, advanced in place from one index to
+    the next; copy it to keep it.
+    """
+    for r in ranges:
+        digits = _index_to_digits(r.start, p, m)
+        for index in r:
+            yield index, digits
+            _advance(digits, p)
 
 
 def _index_to_digits(index, p, m):
@@ -842,13 +785,6 @@ def _advance(digits, p):
         i -= 1
 
 
-def worker_count(explicit=None) -> int:
-    if explicit is not None:
-        return max(1, int(explicit))
-    env = os.environ.get("GROUPCA_WORKERS")
-    return max(1, int(env)) if env else 1
-
-
 def exhaustive_search(
     kind: str,
     field,
@@ -871,17 +807,15 @@ def exhaustive_search(
         raise NearRingError("unknown search kind %r" % kind)
     if not isinstance(field, PrimeField):
         raise NearRingError("exhaustive search runs over prime fields only")
-    group = support.group
-    monomials = search_monomials(support, max_total_degree)
-    m = len(monomials)
     p = field.p
+    m = math.comb(len(support) + max_total_degree, max_total_degree)
+    # p^m >= 2^m is above the cap once m reaches its bit length, so p^m is
+    # formed only when it is small
+    if m >= space_cap.bit_length() or p**m > space_cap:
+        raise NearRingError("search space has %d^%d elements, above the cap of %d" % (p, m, space_cap))
     size = p**m
-    if size > space_cap:
-        raise NearRingError(
-            "search space has %d elements, above the cap of %d" % (size, space_cap)
-        )
-    nworkers = worker_count(workers)
-    space = (group, field, support, max_total_degree)
+    fast = _FastPoly(kind, field, support, max_total_degree)
+    nworkers = max(1, int(workers or 1))
     pool = None
     if nworkers > 1:
         import multiprocessing
@@ -889,56 +823,66 @@ def exhaustive_search(
         pool = multiprocessing.Pool(processes=nworkers)
     with pool or contextlib.nullcontext():
         if kind == "idempotent":
-            chunks = [space + r for r in _chunk_ranges(size, nworkers)]
-            merged = _run_chunks(pool, _idempotent_chunk, chunks)
+            records = _run_chunks(pool, _idempotents, fast, [range(size)], nworkers)
         else:
-            reps = sum(b - a for a, b in _orbit_segments(kind, p, m))
-            chunks = [(kind,) + space + r for r in _chunk_ranges(reps, nworkers)]
-            live = _run_chunks(pool, _live_representatives, chunks)
-            betas = sorted(set().union(*(_orbit(digits, p) for digits in live)))
-            chunks = [(kind,) + space + (betas[a:b],) for a, b in _chunk_ranges(len(betas), nworkers)]
-            merged = _run_chunks(pool, _solve_betas, chunks)
-    fast = _FastPoly(group, p, support, max_total_degree)
-    findings = [_certify(kind, fast, field, rec) for rec in merged]
-    return SearchResult(kind=kind, findings=findings, monomials=monomials, space_size=size, workers=nworkers)
+            live = _run_chunks(pool, _live_betas, fast, _representatives(kind, p, m), nworkers)
+            betas = sorted(set().union(*(_orbit(digits, p) for _, digits, _ in live)))
+            records = _run_chunks(pool, _live_betas, fast, [range(b, b + 1) for b in betas], nworkers)
+    findings = [finding for record in records for finding in _certify(kind, fast, record)]
+    return SearchResult(kind=kind, findings=findings, monomials=fast.monomials, space_size=size, workers=nworkers)
 
 
-def _run_chunks(pool, fn, chunks):
-    """fn over the chunks, on the pool when there is more than one; results concatenated in order."""
+def _run_chunks(pool, fn, fast, ranges, nworkers):
+    """fn(fast, chunk) over the index ranges cut into at most nworkers chunks of about equal length.
+
+    The chunks run on the pool when there is more than one; their results
+    are concatenated in order.
+    """
+    step = max(1, -(-sum(map(len, ranges)) // nworkers))
+    chunks, chunk, room = [], [], step
+    for r in ranges:
+        while r:
+            piece, r = r[:room], r[room:]
+            chunk.append(piece)
+            room -= len(piece)
+            if not room:
+                chunks.append((fast, chunk))
+                chunk, room = [], step
+    if chunk:
+        chunks.append((fast, chunk))
     if pool is not None and len(chunks) > 1:
         raw = pool.starmap(fn, chunks)
     else:
-        raw = [fn(*c) for c in chunks]
-    return [item for part in raw for item in part]
+        raw = [fn(*chunk) for chunk in chunks]
+    return [record for part in raw for record in part]
 
 
-def _chunk_ranges(size, nworkers):
-    n = min(nworkers, size) or 1
-    step = max(1, (size + n - 1) // n)
-    return [(i, min(i + step, size)) for i in range(0, size, step)]
-
-
-def _certify(kind, fast, field, record):
-    """Rebuild a raw finding as public elements and recompute its product."""
-    index, beta_digits, alpha_sol = record
+def _certify(kind, fast, record):
+    """Rebuild a raw record as public findings, one per solution alpha, recomputing each product."""
+    _, digits, solved = record
     if kind == "idempotent":
-        alpha = fast.poly_to_element(fast.digits_to_poly(list(beta_digits)), field)
+        alpha = fast.element(digits)
         product = alpha.star(alpha)
         if product != alpha:
             raise NearRingError("fast path disagreed with the generic star product")
-        return Finding("idempotent", alpha, None, product, "idempotent")
-    beta = fast.poly_to_element(fast.digits_to_poly(list(beta_digits)), field)
-    alpha_poly = {fast.mono_keys[i]: c for i, c in enumerate(alpha_sol) if c}
-    alpha = fast.poly_to_element(alpha_poly, field)
-    product = alpha.star(beta)
-    if kind == "unit":
-        cls = classify_unit_pair(alpha, beta)
-        if cls.verdict == "not_unit_pair":
+        return [Finding("idempotent", alpha, None, product, "idempotent")]
+    beta = fast.element(digits)
+    findings = []
+    for sol in _enumerate_solutions(*solved, fast.p):
+        if not any(sol):
+            continue  # alpha must be nonzero
+        alpha = fast.element(sol)
+        product = alpha.star(beta)
+        if kind == "unit":
+            cls = classify_unit_pair(alpha, beta)
+            if cls.verdict == "not_unit_pair":
+                raise NearRingError("fast path disagreed with the generic star product")
+            detail = {"reverse_product": cls.reverse_product}
+            if cls.verdict == "trivial_unit":
+                detail.update({"a": cls.a, "g": cls.g, "b": cls.b})
+            findings.append(Finding("unit", alpha, beta, product, cls.verdict, detail))
+        elif product:
             raise NearRingError("fast path disagreed with the generic star product")
-        detail = {"reverse_product": cls.reverse_product}
-        if cls.verdict == "trivial_unit":
-            detail.update({"a": cls.a, "g": cls.g, "b": cls.b})
-        return Finding("unit", alpha, beta, product, cls.verdict, detail)
-    if product:
-        raise NearRingError("fast path disagreed with the generic star product")
-    return Finding("zero_divisor", alpha, beta, product, "zero_divisor_pair")
+        else:
+            findings.append(Finding("zero_divisor", alpha, beta, product, "zero_divisor_pair"))
+    return findings

@@ -211,15 +211,6 @@ def test_report_byte_determinism(tmp_path):
     assert out1.read_bytes() == out2.read_bytes() == out3.read_bytes()
 
 
-def test_worker_count_env_var(tmp_path, monkeypatch):
-    argv = ["units", "--group", "zd:1", "--field", "f2", "--degree", "2", "--radius", "1"]
-    monkeypatch.setenv("GROUPCA_WORKERS", "3")
-    _, out_env = run_to_file(tmp_path, "env.json", argv)
-    monkeypatch.delenv("GROUPCA_WORKERS")
-    _, out_plain = run_to_file(tmp_path, "plain.json", argv)
-    assert out_env.read_bytes() == out_plain.read_bytes()
-
-
 def test_job_file_defaults(tmp_path):
     job = tmp_path / "job.json"
     job.write_text(json.dumps({"group": "zd:1", "field": "f2", "degree": 2, "radius": 1}))

@@ -591,6 +591,27 @@ def test_search_monomials_canonical():
     assert monos[0] == ev({})
 
 
+@pytest.mark.parametrize(
+    "support",
+    [support_pm1(), ball(Z2, 1), ball(FREE2, 1), ball(cyclic_group(3), 1)],
+    ids=["zd:1", "zd:2", "free:2", "cyclic:3"],
+)
+def test_search_monomials_match_the_exponent_box(support):
+    """Every exponent vector of total degree <= d, once each, in strictly increasing sort_key order."""
+    elems = list(support)
+    for d in range(4):
+        monos = search_monomials(support, d)
+        box = {
+            ExponentVector(support.group, dict(zip(elems, exps)))
+            for exps in itertools.product(range(d + 1), repeat=len(elems))
+            if sum(exps) <= d
+        }
+        assert len(monos) == len(box) == math.comb(len(elems) + d, d)
+        assert set(monos) == box
+        keys = [u.sort_key() for u in monos]
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+
+
 def test_search_space_cap():
     with pytest.raises(NearRingError):
         exhaustive_search("unit", F5, support_pm1(), 4, space_cap=100)
@@ -598,6 +619,22 @@ def test_search_space_cap():
         exhaustive_search("unit", QQ, support_pm1(), 2)
     with pytest.raises(NearRingError):
         exhaustive_search("nonsense", F2, support_pm1(), 1)
+
+
+@pytest.mark.parametrize(
+    "group, degree, radius",
+    [("zd:3", 1, 9), ("zd:2", 60, 10)],
+    ids=["1160-monomials", "astronomical"],
+)
+def test_search_space_cap_exits_2_before_enumerating(capsys, group, degree, radius):
+    """The space p^C(|S|+d, d) is refused from |S| and d alone, without building a monomial."""
+    from groupca.cli import run_job
+
+    argv = ["units", "--group", group, "--field", "f2", "--degree", str(degree), "--radius", str(radius)]
+    with _wall_budget(2.0):
+        assert run_job(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: search space has 2^") and "above the cap" in err and "Traceback" not in err
 
 
 def test_idempotent_search_f2():
@@ -687,13 +724,21 @@ def search_key(result):
 
 
 def test_search_deterministic_across_workers():
-    res1 = exhaustive_search("unit", F2, support_pm1(), 2, workers=1)
-    res4 = exhaustive_search("unit", F2, support_pm1(), 2, workers=4)
-    assert search_key(res1) == search_key(res4)
-    support = ball(cyclic_group(2), 1)
-    res1 = exhaustive_search("zero_divisor", F2, support, 2, workers=1)
-    res3 = exhaustive_search("zero_divisor", F2, support, 2, workers=3)
-    assert res1.findings and search_key(res1) == search_key(res3)
+    tiny = FiniteSubset(Z, [zel(0)])  # fewer representatives and alphas than workers
+    cases = [
+        ("unit", F2, support_pm1(), 2, 4),
+        ("zero_divisor", F2, ball(cyclic_group(2), 1), 2, 3),
+        ("idempotent", F2, support_pm1(), 2, 3),
+        ("idempotent", F3, ball(cyclic_group(2), 1), 1, 2),
+        ("unit", F2, tiny, 1, 8),
+        ("zero_divisor", F2, tiny, 1, 8),
+        ("idempotent", F2, tiny, 1, 8),
+    ]
+    for kind, field, support, degree, workers in cases:
+        res1 = exhaustive_search(kind, field, support, degree, workers=1)
+        resn = exhaustive_search(kind, field, support, degree, workers=workers)
+        assert search_key(res1) == search_key(resn)
+        assert res1.findings or (kind == "zero_divisor" and support == tiny)
 
 
 def test_affine_substitution_laws():
@@ -733,6 +778,62 @@ def test_affine_substitution_laws():
         for coeffs in itertools.product(range(3), repeat=len(monos))
     }
     assert {alpha.star(phi_inv) for alpha in space} == space
+
+
+def _generic_liveness(field, monos, digits):
+    """(unit live, zero divisor live) for beta from the generic star and rank_kernel_sparse.
+
+    The columns X^u star beta over the canonical monomials u are solvable
+    against X_e when appending X_e keeps the rank, and have a nonzero
+    kernel when the rank is below their number.
+    """
+    group = monos[0].group
+    beta = NearRingElement(group, field, {u: field.from_int(c) for u, c in zip(monos, digits) if c})
+    ncols = len(monos)
+    rows = {}
+    for j, u in enumerate(monos):
+        for w, c in NearRingElement(group, field, {u: field.one()}).star(beta).terms.items():
+            rows.setdefault(w, {})[j] = c
+    ident = ExponentVector.unit(group.identity())
+    rows.setdefault(ident, {})
+    rank, _ = rank_kernel_sparse(field, [dict(r) for r in rows.values()], ncols, want_kernel=False)
+    with_b = [{**r, ncols: field.one()} if w == ident else dict(r) for w, r in rows.items()]
+    full_rank, _ = rank_kernel_sparse(field, with_b, ncols + 1, want_kernel=False)
+    return rank == full_rank, rank < ncols
+
+
+@pytest.mark.parametrize(
+    "field, support, degree, outcomes",
+    [
+        (F2, FiniteSubset(Z, [zel(n) for n in range(-2, 3)]), 2, {(False, False), (True, False)}),
+        (F3, ball(cyclic_group(3), 1), 2, {(False, False), (True, False), (False, True)}),
+    ],
+    ids=["F2-zd:1-2^21", "F3-cyclic:3"],
+)
+def test_search_liveness_matches_generic_elimination(field, support, degree, outcomes):
+    """Negatives beyond brute force: the fast path's verdict on orbit representatives.
+
+    The seeded sample holds representatives (constant digit 0, first
+    nonzero digit 1) and the betas X_g, whose unit orbits are live.
+    """
+    p = field.p
+    units = nr_mod._FastPoly("unit", field, support, degree)
+    zero_divisors = nr_mod._FastPoly("zero_divisor", field, support, degree)
+    monos = units.monomials
+    m = len(monos)
+    rng = random.Random(9)
+    sample = {p ** (m - 1 - i) for i, u in enumerate(monos) if u.degree() == 1}
+    while len(sample) < 80:
+        j = rng.randrange(m - 1)
+        sample.add(rng.randrange(p**j, 2 * p**j))
+    seen = set()
+    for index in sorted(sample):
+        digits = nr_mod._index_to_digits(index, p, m)
+        beta = [range(index, index + 1)]
+        fast = (bool(nr_mod._live_betas(units, beta)), bool(nr_mod._live_betas(zero_divisors, beta)))
+        assert fast == _generic_liveness(field, monos, digits), digits
+        seen.add(fast)
+    assert seen == outcomes  # (unit live, zero divisor live)
 
 
 def _combine(columns, coeffs, p):
