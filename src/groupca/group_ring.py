@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass
 
 from .groups import FiniteGroup, FiniteSubset, GroupElement, ZdGroup
-from .rings import TERM_CAP, ExactMatrix, RingError, TwistedPoly, power
+from .rings import TERM_CAP, ExactMatrix, RingError, TwistedPoly, frobenius, power
 
 
 class GroupRingError(ValueError):
@@ -107,9 +107,11 @@ class GroupRingElement:
         of the chain are its last squaring and its last multiply.  In
         characteristic p or with (nilpotent) matrix coefficients cancellation
         can keep the chain smaller, so only _convolve's rule applies there.
+        Scalar powers on a commutative group in characteristic p go by the
+        base-p digits of n, as polynomial powers do.
         """
-        k = len(self.coeffs)
-        if self.shape is None and self.field.characteristic == 0 and isinstance(self.group, ZdGroup) and k > 1 and n > 1:
+        k, p = len(self.coeffs), self.field.characteristic
+        if self.shape is None and p == 0 and isinstance(self.group, ZdGroup) and k > 1 and n > 1:
             widths = [max(c) - min(c) for c in zip(*(g.value for g in self.coeffs))]
 
             def size(i):
@@ -118,7 +120,20 @@ class GroupRingElement:
             top = 1 << (n.bit_length() - 1)
             if size(top // 2) ** 2 > TERM_CAP or size(n - top) * size(top) > TERM_CAP:
                 raise GroupRingError("a %d-term element to the power %d may exceed %d term products" % (k, n, TERM_CAP))
-        return power(self, n, GroupRingElement.identity(self.group, self.field, self.shape))
+        frob = (p, GroupRingElement._frobenius) if p and self.shape is None and self.group.commutative else None
+        return power(self, n, GroupRingElement.identity(self.group, self.field, self.shape), frobenius_map=frob)
+
+    def _frobenius(self):
+        """F(self) = self^p for scalar coefficients on a commutative group in characteristic p.
+
+        F(sum c g) = sum c^p g^p: the binomial cross terms vanish mod p.
+        """
+        p, one = self.field.characteristic, self.group.identity()
+        out = {}
+        for g, c in self.coeffs.items():
+            h, c = power(g, p, one), frobenius(c, 1)
+            out[h] = out[h] + c if h in out else c
+        return GroupRingElement(self.group, self.field, out)
 
     def scale(self, c):
         if self.shape is None:

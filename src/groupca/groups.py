@@ -75,6 +75,7 @@ class Group:
     """Base descriptor; concrete kinds fill in the canonical-form arithmetic."""
 
     kind = "?"
+    commutative = False  # whether g*h == h*g for all elements
 
     def identity(self) -> GroupElement:
         return GroupElement(self, self._identity_value())
@@ -98,6 +99,7 @@ class Group:
 
 class ZdGroup(Group):
     kind = "zd"
+    commutative = True
 
     def __init__(self, d: int):
         if d < 1:
@@ -170,6 +172,7 @@ class FreeGroup(Group):
         if rank > len(_LETTERS):
             raise GroupError("rank above %d not supported" % len(_LETTERS))
         self.rank = rank
+        self.commutative = rank == 1
         self._hash_seed = hash(("free", rank))
 
     def _identity_value(self):
@@ -288,6 +291,7 @@ class FiniteGroup(Group):
             gens.add(i)
             gens.add(inverses[i])
         self.generator_indices = tuple(sorted(gens))
+        self.commutative = all(table[a][b] == table[b][a] for a in range(n) for b in range(a))
         self._hash_seed = hash(("finite", table))
 
     @classmethod

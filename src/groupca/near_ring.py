@@ -19,6 +19,7 @@ calculus for bi-invariantly ordered groups is built on it.
 
 from __future__ import annotations
 
+import bisect
 import collections
 import contextlib
 import itertools
@@ -27,7 +28,7 @@ from dataclasses import dataclass, field as dc_field
 
 from .group_ring import GroupRingElement, TwistedGroupRingElement
 from .groups import FiniteSubset, GroupElement
-from .rings import TERM_CAP, PrimeField, frobenius, power, scalar_inverse
+from .rings import TERM_CAP, PrimeField, base_digits, frobenius, power, scalar_inverse
 
 
 class NearRingError(ValueError):
@@ -115,15 +116,6 @@ class ExponentVector:
         return "*".join(
             "X[%s]" % g if e == 1 else "X[%s]^%d" % (g, e) for g, e in reversed(self.items)
         )
-
-
-def _digits(n: int, p: int):
-    """Base-p digits of n, least significant first; [n] when p = 0."""
-    digits = [n % p if p else n]
-    while p and n >= p:
-        n //= p
-        digits.append(n % p)
-    return digits
 
 
 class NearRingElement:
@@ -230,14 +222,9 @@ class NearRingElement:
             raise NearRingError("negative polynomial power")
         if n > 1 and self._expansion_exceeds_cap(((self.group.identity(), n),)):
             raise TermCapExceeded("a %d-term polynomial to the power %d may exceed %d terms" % (len(self.terms), n, TERM_CAP))
-        one = NearRingElement.one(self.group, self.field)
-        digits = _digits(n, self.field.characteristic)
-        acc = power(self, digits[-1], one, NearRingElement._times)
-        for d in reversed(digits[:-1]):
-            acc = acc._frobenius()
-            if d:
-                acc = acc._times(power(self, d, one, NearRingElement._times))
-        return acc
+        p = self.field.characteristic
+        frob = (p, NearRingElement._frobenius) if p else None
+        return power(self, n, NearRingElement.one(self.group, self.field), NearRingElement._times, frob)
 
     def _frobenius(self):
         """F(self) = self^p in characteristic p: c*X^u -> c^p*X^(p*u)."""
@@ -271,7 +258,7 @@ class NearRingElement:
         """
         k = len(self.terms)
         count = 1
-        for d in [d for _, e in factors for d in _digits(e, self.field.characteristic)]:
+        for d in [d for _, e in factors for d in base_digits(e, self.field.characteristic)]:
             for i in range(1, min(k - 1, d) + 1):
                 count = count * (d + k - i) // i
                 if count > TERM_CAP:
@@ -524,12 +511,28 @@ def _trivial_unit_shape(alpha, beta):
 # where alpha |-> alpha star phi is a linear bijection of the coefficient
 # space (substituting an affine form keeps supports and degrees).  So all
 # betas of one affine orbit are live or dead together.  Phase 1 solves one
-# representative per orbit: constant digit 0 and first nonzero digit 1, plus
-# beta = 0 for the constants, which form one orbit of their own.  Phase 2
-# solves every member of the live orbits directly, in enumeration order, so
-# the findings are exactly those of a full scan.  Both phases run the same
-# solve loop.  Only associativity and left linearity are used, never the
-# theorem under test.  Idempotents are found by direct enumeration.
+# representative per orbit of nonconstant betas: constant digit 0 and first
+# nonzero digit 1 (alpha star c is constant, so no constant c is a partner).
+# Phase 2 solves every member of the live orbits directly, in enumeration
+# order, so the findings are exactly those of a full scan.  Both phases run
+# the same solve loop.  Idempotents are found by direct enumeration.
+#
+# Before any column is built, the walk skips the betas and alphas that the
+# augmentation rules out.  The map eps: X_g |-> t is a K-algebra map onto
+# K[t] with eps(shift(g, b)) = eps(b), so eps(alpha star beta) =
+# eps(alpha)(eps(beta)), composition in K[t], for every group.  On a
+# digit vector eps = sum_k s_k t^k, s_k the digit sum mod p of the
+# degree-k monomials, which the canonical order keeps in one block each.
+# deg(f o g) = deg f * deg g for g not constant, so:
+#   - alpha star beta = X_e forces deg eps(beta) = 1: s_k = 0 for k >= 2
+#     and s_1 != 0.  The set is closed under beta |-> a beta + c, so the
+#     live orbits stay whole.
+#   - alpha star alpha = alpha forces eps(alpha) to be a constant or t:
+#     s_k = 0 for k >= 2, and s_1 = 0, or s_1 = 1 and s_0 = 0.
+#   - alpha star beta = 0 only constrains alpha, so zero-divisor betas are
+#     all solved.
+# Only associativity, left linearity and this homomorphism are used, never
+# the theorem under test.
 #
 # Internals run on plain integers mod p.  A monomial is one int holding the
 # exponent of variable i in bits [i*w, (i+1)*w), so the monomial product is
@@ -575,11 +578,13 @@ class _FastPoly:
     exponent of X^u star beta or alpha star alpha exceeds d^2 for the degree
     bound d, so fields of w = bit_length(d^2) + 1 bits never carry into each
     other when monomials are added.  ``target`` is the right-hand side of
-    the search's systems: X_e for units, 0 for zero divisors.
+    the search's systems: X_e for units, 0 for zero divisors.  The digits
+    of the degree-k monomials are digits[bounds[k]:bounds[k+1]].
     """
 
     def __init__(self, kind, field, support, max_total_degree):
         group = self.group = support.group
+        self.kind = kind
         self.field = field
         self.p = field.p
         # variables of any product X^u star beta are 2-fold products g*h of
@@ -591,6 +596,8 @@ class _FastPoly:
             return sum(e << (universe.position(g) * width) for g, e in items)
 
         self.monomials = search_monomials(support, max_total_degree)
+        degrees = [u.degree() for u in self.monomials]
+        self.bounds = [bisect.bisect_left(degrees, k) for k in range(max(max_total_degree, 1) + 2)]
         self.mono_keys = [pack(u.items) for u in self.monomials]
         self.target = {pack([(group.identity(), 1)]): 1} if kind == "unit" else {}
         # shift_tables[k][i] is the packed shift by the k-th support element
@@ -606,6 +613,16 @@ class _FastPoly:
             rest = dict(u.items)
             rest[g] = e - 1
             self.factors.append((position[ExponentVector(group, rest)], elems.index(g)))
+
+    def admits(self, digits):
+        """Whether the augmentation eps = sum_k s_k t^k of the digits allows a finding of the search's kind."""
+        if self.kind == "zero_divisor":
+            return True
+        p, bounds = self.p, self.bounds
+        s0, s1, *higher = [sum(digits[a:b]) % p for a, b in zip(bounds, bounds[1:])]
+        if any(higher):
+            return False
+        return s1 != 0 if self.kind == "unit" else s1 == 0 or (s1 == 1 and s0 == 0)
 
     def mul(self, a, b):
         p = self.p
@@ -693,15 +710,15 @@ def _enumerate_solutions(particular, kernel, p, cap=100000):
         yield tuple(vec)
 
 
-def _representatives(kind, p, m):
-    """Enumeration-index ranges holding the orbit representatives, ascending.
+def _representatives(p, m):
+    """Enumeration-index ranges holding the nonconstant orbit representatives, ascending.
 
     The representative with its first nonzero digit at position m-1-j
-    (digit 1, any digits after it) has an index in [p^j, 2 p^j).  Zero
-    divisors need a nonconstant beta, so only units scan beta = 0.
+    (digit 1, any digits after it) has an index in [p^j, 2 p^j).  No
+    constant beta is a unit or zero-divisor partner, so beta = 0 is not
+    scanned.
     """
-    constants = [range(1)] if kind == "unit" else []
-    return constants + [range(p**j, 2 * p**j) for j in range(m - 1)]
+    return [range(p**j, 2 * p**j) for j in range(m - 1)]
 
 
 def _orbit(digits, p):
@@ -724,7 +741,7 @@ def _live_betas(fast, ranges):
     """
     p = fast.p
     live = []
-    for index, digits in _walk(ranges, p, len(fast.monomials)):
+    for index, digits in _walk(fast, ranges):
         solved = _solve_mod_p(fast.columns(digits), fast.target, p)
         if solved is not None and (fast.target or solved[1]):
             live.append((index, tuple(digits), solved))
@@ -735,7 +752,7 @@ def _idempotents(fast, ranges):
     """(index, digits, None) for each alpha in the ascending index ranges with alpha star alpha = alpha."""
     p = fast.p
     found = []
-    for index, digits in _walk(ranges, p, len(fast.monomials)):
+    for index, digits in _walk(fast, ranges):
         acc = {}
         for d, col in zip(digits, fast.columns(digits)):
             if d:
@@ -747,16 +764,18 @@ def _idempotents(fast, ranges):
     return found
 
 
-def _walk(ranges, p, m):
-    """(index, digits) for each index of the ascending enumeration-index ranges.
+def _walk(fast, ranges):
+    """(index, digits) for each index of the ascending enumeration-index ranges that ``fast`` admits.
 
     ``digits`` is one list per range, advanced in place from one index to
     the next; copy it to keep it.
     """
+    p, m, admits = fast.p, len(fast.monomials), fast.admits
     for r in ranges:
         digits = _index_to_digits(r.start, p, m)
         for index in r:
-            yield index, digits
+            if admits(digits):
+                yield index, digits
             _advance(digits, p)
 
 
@@ -825,7 +844,7 @@ def exhaustive_search(
         if kind == "idempotent":
             records = _run_chunks(pool, _idempotents, fast, [range(size)], nworkers)
         else:
-            live = _run_chunks(pool, _live_betas, fast, _representatives(kind, p, m), nworkers)
+            live = _run_chunks(pool, _live_betas, fast, _representatives(p, m), nworkers)
             betas = sorted(set().union(*(_orbit(digits, p) for _, digits, _ in live)))
             records = _run_chunks(pool, _live_betas, fast, [range(b, b + 1) for b in betas], nworkers)
     findings = [finding for record in records for finding in _certify(kind, fast, record)]

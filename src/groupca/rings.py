@@ -34,13 +34,33 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def power(x, n: int, one, mul=operator.mul):
+def base_digits(n: int, p: int):
+    """Base-p digits of n, least significant first; [n] when p = 0."""
+    digits = [n % p if p else n]
+    while p and n >= p:
+        n //= p
+        digits.append(n % p)
+    return digits
+
+
+def power(x, n: int, one, mul=operator.mul, frobenius_map=None):
     """x^n for n >= 0 by square-and-multiply, for any associative ``mul``; ``one`` is x^0.
 
     No squaring follows the last bit, and ``one`` is never multiplied in.
+    ``frobenius_map`` = (p, F), F(a) = a^p, goes by the base-p digits of n
+    instead: x^(q*p + d) = F(x^q) * x^d, each x^d by square-and-multiply.
     """
     if n < 0:
         raise RingError("negative power")
+    if frobenius_map is not None:
+        p, F = frobenius_map
+        digits = base_digits(n, p)
+        acc = power(x, digits[-1], one, mul)
+        for d in reversed(digits[:-1]):
+            acc = F(acc)
+            if d:
+                acc = mul(acc, power(x, d, one, mul))
+        return acc
     acc = None
     while n:
         if n & 1:

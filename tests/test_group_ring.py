@@ -17,7 +17,7 @@ from groupca.group_ring import (
     one_sided_inverse_audit,
     transported_product,
 )
-from groupca.groups import FreeGroup, ZdGroup
+from groupca.groups import FreeGroup, ZdGroup, ball
 from groupca.rings import QQ, ExactMatrix, ExtensionField, PrimeField, TwistedPoly
 
 Z = ZdGroup(1)
@@ -208,6 +208,17 @@ def test_powers_equal_repeated_products():
         ):
             n = rng.randint(0, 6)
             expected = one
+            for _ in range(n):
+                expected = expected * elem
+            assert elem ** n == expected
+    # scalar powers on commutative groups in characteristic p go by base-p
+    # digits; on cyclic groups g^p can coincide for distinct g
+    for group, field in ((Z2, gf4), (cyclic_group(3), F3), (cyclic_group(6), F2), (FreeGroup(1), PrimeField(5))):
+        support = list(ball(group, 1))
+        for _ in range(8):
+            elem = GroupRingElement(group, field, {g: field_scalar(field, rng) for g in rng.sample(support, 3)})
+            n = rng.randint(0, 40)
+            expected = GroupRingElement.identity(group, field)
             for _ in range(n):
                 expected = expected * elem
             assert elem ** n == expected

@@ -231,29 +231,34 @@ class _OverBudget(Exception):
 
 
 @contextlib.contextmanager
-def _wall_budget(seconds):
-    def expire(signum, frame):
-        raise _OverBudget("over the %g s wall budget" % seconds)
+def _cpu_budget(seconds):
+    """Raise _OverBudget once this process has used ``seconds`` of CPU time inside the block.
 
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
+    CPU time, unlike wall time, does not grow when other processes load the machine.
+    """
+
+    def expire(signum, frame):
+        raise _OverBudget("over the %g s CPU budget" % seconds)
+
+    previous = signal.signal(signal.SIGPROF, expire)
+    signal.setitimer(signal.ITIMER_PROF, seconds)
     try:
         yield
     finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
+        signal.setitimer(signal.ITIMER_PROF, 0)
+        signal.signal(signal.SIGPROF, previous)
 
 
 def test_power_size_bound_rejects_before_expanding(capsys):
     from groupca.cli import run_job
 
     argv = ["star", "--group", "zd:1", "--field", "q", "--alpha", "X[(1)]^99999", "--beta", "X[(0)] + X[(1)] + X[(2)]"]
-    with _wall_budget(2.0):
+    with _cpu_budget(2.0):
         assert run_job(argv) == 2
     assert capsys.readouterr().err.startswith("error: a 3-term polynomial to the power 99999")
     # C(29, 9) > TERM_CAP, but every exponent of (1 + X + ... + X^9)^20 fits in [0, 180]
     p = sum((NearRingElement.variable(zel(0), QQ, e) for e in range(1, 10)), NearRingElement.one(Z, QQ))
-    with _wall_budget(2.0):
+    with _cpu_budget(2.0):
         assert len((p ** 20).terms) == 181
 
 
@@ -294,7 +299,7 @@ def test_char_p_powers_go_by_base_p_digits(capsys):
     for field, n, k in cases:
         beta = " + ".join("X[(%d)]" % i for i in range(k))
         argv = ["star", "--group", "zd:1", "--field", field, "--alpha", "X[(0)]^%d" % n, "--beta", beta]
-        with _wall_budget(2.0):
+        with _cpu_budget(2.0):
             assert run_job(argv) == 0
         product = json.loads(capsys.readouterr().out)["product"]
         assert product == " + ".join("X[(%d)]^%d" % (i, n) for i in reversed(range(k)))
@@ -317,7 +322,7 @@ def test_group_ring_power_in_the_parser_is_fast(capsys):
     from groupca.cli import run_job
 
     argv = ["embed", "--group", "zd:1", "--field", "q", "--kind", "iota", "--element", "[(1)]^2000000"]
-    with _wall_budget(2.0):
+    with _cpu_budget(2.0):
         assert run_job(argv) == 0
     report = json.loads(capsys.readouterr().out)
     assert (report["element"], report["image"]) == ("[(2000000)]", "X[(2000000)]")
@@ -381,7 +386,7 @@ def test_product_size_bounds_stop_large_products_early():
     stars = ["star", "--group", "zd:1", "--field", "q", "--alpha", "X[(0)]^700*X[(1)]^700", "--beta", "X[(0)]+X[(1)]+X[(2)]"]
     embed = ["embed", "--group", "zd:1", "--field", "q", "--kind", "iota", "--element", "([(0)]+[(1)])^20000"]
     for argv in (stars, embed):
-        with _wall_budget(2.0):
+        with _cpu_budget(2.0):
             assert run_job(argv) == 2
 
 
@@ -389,11 +394,11 @@ def test_char_p_group_ring_powers_are_not_refused(capsys):
     """In characteristic p, (a+b)^(p^k) = a^(p^k) + b^(p^k) keeps the power chain small."""
     from groupca.cli import run_job
 
-    cases = [("f2", 2**20, 2), ("f2", 2**20, 3), ("f3", 3**8, 2)]
+    cases = [("f2", 2**20, 2), ("f2", 2**20, 3), ("f3", 3**8, 2), ("f3", 3**8, 3)]
     for field, n, k in cases:
         element = "(%s)^%d" % ("+".join("[(%d)]" % i for i in range(k)), n)
         argv = ["embed", "--group", "zd:1", "--field", field, "--kind", "iota", "--element", element]
-        with _wall_budget(2.0):
+        with _cpu_budget(2.0):
             assert run_job(argv) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["element"] == " + ".join(["1"] + ["[(%d)]" % (i * n) for i in range(1, k)])
@@ -631,7 +636,7 @@ def test_search_space_cap_exits_2_before_enumerating(capsys, group, degree, radi
     from groupca.cli import run_job
 
     argv = ["units", "--group", group, "--field", "f2", "--degree", str(degree), "--radius", str(radius)]
-    with _wall_budget(2.0):
+    with _cpu_budget(2.0):
         assert run_job(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: search space has 2^") and "above the cap" in err and "Traceback" not in err
@@ -719,6 +724,16 @@ def test_search_matches_brute_force_on_cyclic_groups(n, field, degree):
     assert found["unit"] and found["zero_divisor"]
 
 
+@pytest.mark.parametrize("n, field, degree", [(2, F3, 2), (3, F2, 1)])
+def test_idempotent_search_matches_brute_force_with_nontrivial_idempotents(n, field, degree):
+    # p does not divide |G| here, so K[G] has idempotents such as (1 + g)/2
+    # and 1 + g + g^2, and the search finds nonconstant ones besides X_e
+    support = ball(cyclic_group(n), 1)
+    found = assert_search_matches_brute_force("idempotent", field, support, degree)
+    ident = repr(NearRingElement.identity(support.group, field))
+    assert [a for a in found if "X" in a and a != ident]
+
+
 def search_key(result):
     return [(repr(f.alpha), repr(f.beta), f.classification) for f in result.findings]
 
@@ -780,6 +795,99 @@ def test_affine_substitution_laws():
     assert {alpha.star(phi_inv) for alpha in space} == space
 
 
+def augmentation(x):
+    """eps(x) as {k: coefficient of t^k}: eps sends X_g to t, so X^u to t^deg(u)."""
+    out = {}
+    for u, c in x.terms.items():
+        k = u.degree()
+        out[k] = out[k] + c if k in out else c
+    return {k: c for k, c in out.items() if c}
+
+
+def compose(f, g, one):
+    """f(g) for polynomials in t given as {k: coefficient of t^k}."""
+    out, g_power = {}, {0: one}
+    for k in range(max(f, default=0) + 1):
+        if k in f:
+            for i, c in g_power.items():
+                out[i] = out[i] + f[k] * c if i in out else f[k] * c
+        product = {}
+        for i, a in g_power.items():
+            for j, b in g.items():
+                product[i + j] = product[i + j] + a * b if i + j in product else a * b
+        g_power = product
+    return {k: c for k, c in out.items() if c}
+
+
+@pytest.mark.parametrize(
+    "group", [Z, Z2, FREE2, cyclic_group(3)], ids=["zd:1", "zd:2", "free:2", "cyclic:3"]
+)
+def test_augmentation_is_a_homomorphism(group):
+    """eps(alpha star beta) = eps(alpha) o eps(beta), the fact the search filters rest on."""
+    rng = random.Random(12)
+    for field in (F2, F3, F5, QQ):
+        degrees = set()
+        for _ in range(20):
+            alpha = rand_near_ring(group, field, rng, radius=1)
+            beta = rand_near_ring(group, field, rng, radius=1)
+            image = augmentation(alpha.star(beta))
+            assert image == compose(augmentation(alpha), augmentation(beta), field.one())
+            degrees.add(max(image, default=-1))
+        assert max(degrees) >= 2
+
+
+def _steered_digits(rng, monos, p):
+    """Random digits whose degree-k digit sum is 0 for k >= 2 at least three times in four.
+
+    The last digit of each degree is set to meet a drawn digit sum, so the
+    elements near the filters' boundary (eps a constant, t or at + c) are
+    common in the sample.
+    """
+    digits = [rng.randrange(p) for _ in monos]
+    last = {u.degree(): i for i, u in enumerate(monos)}
+    for k, i in last.items():
+        want = 0 if k >= 2 and rng.random() < 0.75 else rng.randrange(p)
+        rest = sum(d for j, d in enumerate(digits) if monos[j].degree() == k and j != i)
+        digits[i] = (want - rest) % p
+    return digits
+
+
+@pytest.mark.parametrize(
+    "field, support, degree",
+    [
+        (F2, support_pm1(), 2),
+        (F3, support_pm1(), 2),
+        (F5, ball(Z2, 1), 1),
+        (F3, ball(cyclic_group(3), 1), 2),
+        (F2, ball(FREE2, 1), 2),
+    ],
+    ids=["F2-zd:1", "F3-zd:1", "F5-zd:2", "F3-cyclic:3", "F2-free:2"],
+)
+def test_augmentation_filters_match_eps_of_the_element(field, support, degree):
+    """The search's digit-sum filters agree with eps computed from the public element.
+
+    Units keep exactly the betas with deg eps(beta) = 1, idempotents exactly
+    the alphas with eps(alpha) o eps(alpha) = eps(alpha), and zero divisors
+    keep every beta.
+    """
+    p = field.p
+    units, idempotents, zero_divisors = (
+        nr_mod._FastPoly(kind, field, support, degree) for kind in ("unit", "idempotent", "zero_divisor")
+    )
+    monos = units.monomials
+    rng = random.Random(13)
+    seen = set()
+    for _ in range(300):
+        digits = _steered_digits(rng, monos, p)
+        eps = augmentation(units.element(digits))
+        verdicts = (units.admits(digits), idempotents.admits(digits))
+        assert verdicts == (max(eps, default=-1) == 1, compose(eps, eps, field.one()) == eps), digits
+        assert zero_divisors.admits(digits)
+        seen.add(verdicts)
+    # (False, False) needs a term of degree >= 2 in eps
+    assert seen == {(True, True), (True, False), (False, True)} | ({(False, False)} if degree > 1 else set())
+
+
 def _generic_liveness(field, monos, digits):
     """(unit live, zero divisor live) for beta from the generic star and rank_kernel_sparse.
 
@@ -814,26 +922,49 @@ def test_search_liveness_matches_generic_elimination(field, support, degree, out
     """Negatives beyond brute force: the fast path's verdict on orbit representatives.
 
     The seeded sample holds representatives (constant digit 0, first
-    nonzero digit 1) and the betas X_g, whose unit orbits are live.
+    nonzero digit 1), the betas X_g, whose unit orbits are live, and 30
+    representatives that the unit search skips by their augmentation; the
+    generic elimination must find no unit partner for those.  A seeded
+    sample of alphas that the idempotent search skips must fail
+    alpha star alpha = alpha under the generic star.
     """
     p = field.p
     units = nr_mod._FastPoly("unit", field, support, degree)
     zero_divisors = nr_mod._FastPoly("zero_divisor", field, support, degree)
+    idempotents = nr_mod._FastPoly("idempotent", field, support, degree)
     monos = units.monomials
     m = len(monos)
     rng = random.Random(9)
+
+    def representative():
+        j = rng.randrange(m - 1)
+        return rng.randrange(p**j, 2 * p**j)
+
     sample = {p ** (m - 1 - i) for i, u in enumerate(monos) if u.degree() == 1}
     while len(sample) < 80:
-        j = rng.randrange(m - 1)
-        sample.add(rng.randrange(p**j, 2 * p**j))
+        sample.add(representative())
+    skipped = set()
+    while len(skipped) < 30:
+        index = representative()
+        if not units.admits(nr_mod._index_to_digits(index, p, m)):
+            skipped.add(index)
     seen = set()
-    for index in sorted(sample):
+    for index in sorted(sample | skipped):
         digits = nr_mod._index_to_digits(index, p, m)
         beta = [range(index, index + 1)]
         fast = (bool(nr_mod._live_betas(units, beta)), bool(nr_mod._live_betas(zero_divisors, beta)))
-        assert fast == _generic_liveness(field, monos, digits), digits
+        generic = _generic_liveness(field, monos, digits)
+        assert fast == generic, digits
+        assert units.admits(digits) or not generic[0], digits
         seen.add(fast)
     assert seen == outcomes  # (unit live, zero divisor live)
+    alphas = 0
+    while alphas < 20:
+        digits = _steered_digits(rng, monos, p)
+        if not idempotents.admits(digits):
+            alpha = idempotents.element(digits)
+            assert alpha.star(alpha) != alpha, digits
+            alphas += 1
 
 
 def _combine(columns, coeffs, p):

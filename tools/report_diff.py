@@ -5,7 +5,11 @@
 
 Builds the seed-N ``exact`` and ``kaplansky`` job lists with this
 checkout's ``perfbench/workloads.py`` and writes their input files to one
-temporary directory that both sides share.  Then it runs every job through
+temporary directory that both sides share.  Eight searches on cyclic groups
+follow them (``CYCLIC_SEARCHES``): the workloads' searches have only empty
+or trivial findings, while these find nontrivial units, idempotents and
+zero divisors, so a search that loses a finding changes the records.  That
+makes 1057 jobs for every seed.  Then it runs every job through
 ``groupca.cli.run_job`` twice, each time in one fresh interpreter: once on
 REF's ``src/`` (extracted with ``git archive``) and once on this
 checkout's ``src/``.  For each job it records the argv, the exit code,
@@ -37,6 +41,17 @@ sys.dont_write_bytecode = True  # imports from this checkout must leave no __pyc
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("exact", "kaplansky")
 SEARCH_WORKERS = 2
+# (command, group, field, degree) of searches with nontrivial findings, all at --radius 1
+CYCLIC_SEARCHES = (
+    ("units", "cyclic:2", "f2", 2),
+    ("idem", "cyclic:2", "f2", 2),
+    ("zerodiv", "cyclic:2", "f2", 2),
+    ("idem", "cyclic:2", "f3", 2),
+    ("idem", "cyclic:3", "f2", 1),
+    ("idem", "cyclic:3", "f2", 2),
+    ("units", "cyclic:3", "f3", 1),
+    ("zerodiv", "cyclic:3", "f3", 1),
+)
 
 
 def build_jobs(seed, tmp):
@@ -55,6 +70,8 @@ def build_jobs(seed, tmp):
         for fname, text in wl.files.items():
             (tmp / "jobs" / fname).write_text(text, encoding="utf-8")
         argvs.extend(job.argv for job in wl.jobs)
+    for cmd, group, field, degree in CYCLIC_SEARCHES:
+        argvs.append([cmd, "--group", group, "--field", field, "--degree", str(degree), "--radius", "1"])
     return argvs
 
 
