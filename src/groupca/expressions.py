@@ -21,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .group_ring import GroupRingElement, TwistedGroupRingElement
-from .near_ring import NearRingElement
+from .near_ring import ExponentVector, NearRingElement
 from .rings import ExtensionField, TwistedPoly
 
 
@@ -252,6 +252,8 @@ def _coeff_is_negative(c):
 def format_element(x) -> str:
     if isinstance(x, NearRingElement):
         return _format_near_ring(x)
+    if isinstance(x, ExponentVector):
+        return _format_monomial(x, {})
     if isinstance(x, GroupRingElement):
         return _format_group_ring(x)
     if isinstance(x, TwistedGroupRingElement):
@@ -268,9 +270,23 @@ def _join_terms(parts):
     return out
 
 
+def _format_monomial(u: ExponentVector, names) -> str:
+    """The monomial's text, variables in descending order; "1" when empty.
+
+    ``names`` memoises the text X[g] of the variables of one group, by g.value.
+    """
+    out = []
+    for g, e in reversed(u.items):
+        name = names.get(g.value)
+        if name is None:
+            name = names[g.value] = "X[%s]" % g
+        out.append(name if e == 1 else "%s^%d" % (name, e))
+    return "*".join(out) or "1"
+
+
 def _format_near_ring(x: NearRingElement) -> str:
-    parts = []
-    for u in sorted(x.terms, key=lambda m: m.sort_key(), reverse=True):
+    parts, names = [], {}
+    for u in sorted(x.terms, key=ExponentVector.sort_key, reverse=True):
         c = x.terms[u]
         neg = _coeff_is_negative(c)
         if neg:
@@ -279,9 +295,9 @@ def _format_near_ring(x: NearRingElement) -> str:
         if not u.items:
             parts.append((neg, ctext))
         elif ctext == "1":
-            parts.append((neg, repr(u)))
+            parts.append((neg, _format_monomial(u, names)))
         else:
-            parts.append((neg, "%s*%r" % (ctext, u)))
+            parts.append((neg, "%s*%s" % (ctext, _format_monomial(u, names))))
     return _join_terms(parts)
 
 

@@ -100,22 +100,29 @@ class GroupRingElement:
         return GroupRingElement(self.group, self.field, _convolve(self.coeffs, other.coeffs), shape=self.shape)
 
     def __pow__(self, n: int):
-        """self^n by square-and-multiply; on Q[Z^d] its largest products are checked first.
+        """self^n by square-and-multiply; on an infinite group in characteristic 0 its largest products are checked first.
 
-        With k terms, supp(self^i) lies in the box i*[lo_c, hi_c] and has at
-        most C(i+k-1, k-1) points.  Both grow with i, so the largest products
-        of the chain are its last squaring and its last multiply.  In
-        characteristic p or with (nilpotent) matrix coefficients cancellation
-        can keep the chain smaller, so only _convolve's rule applies there.
-        Scalar powers on a commutative group in characteristic p go by the
-        base-p digits of n, as polynomial powers do.
+        With k scalar terms whose supports commute pairwise, supp(self^i)
+        has at most C(i+k-1, k-1) points, and on Z^d it lies in the box
+        i*[lo_c, hi_c].  Both grow with i, so the largest products of the
+        chain are its last squaring and its last multiply.  On a finite
+        group the supports stay within the group, in characteristic p or
+        with (nilpotent) matrix coefficients cancellation can keep the chain
+        smaller, and non-commuting supports have no such count, so only
+        _convolve's rule applies there.  Scalar powers on a commutative
+        group in characteristic p go by the base-p digits of n, as
+        polynomial powers do.
         """
-        k, p = len(self.coeffs), self.field.characteristic
-        if self.shape is None and p == 0 and isinstance(self.group, ZdGroup) and k > 1 and n > 1:
-            widths = [max(c) - min(c) for c in zip(*(g.value for g in self.coeffs))]
+        k, p, group = len(self.coeffs), self.field.characteristic, self.group
+        if (
+            self.shape is None and p == 0 and k > 1 and n > 1 and not isinstance(group, FiniteGroup)
+            and (group.commutative or all(g * h == h * g for g, h in itertools.combinations(self.coeffs, 2)))
+        ):
+            widths = [max(c) - min(c) for c in zip(*(g.value for g in self.coeffs))] if isinstance(group, ZdGroup) else None
 
             def size(i):
-                return min(math.comb(i + k - 1, k - 1), math.prod(i * w + 1 for w in widths))
+                count = math.comb(i + k - 1, k - 1)
+                return count if widths is None else min(count, math.prod(i * w + 1 for w in widths))
 
             top = 1 << (n.bit_length() - 1)
             if size(top // 2) ** 2 > TERM_CAP or size(n - top) * size(top) > TERM_CAP:

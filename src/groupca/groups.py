@@ -461,8 +461,9 @@ class BallPlan:
     vertex as dict lookups in the graph's step maps, so checking every
     vertex multiplies no group elements.  On the induced edges the copy is
     then a homomorphism, so its inverse is one exactly when no outside edge
-    of an image vertex lands back in the image.  ``ball_plan`` keeps one
-    plan per (group, r, labels tuple) for the life of the process.
+    of an image vertex lands back in the image.  ``ball_plan`` keeps the
+    BALL_PLAN_CACHE most recently used plans, one per (group, r, labels
+    tuple); one pass of the ``exact`` benchmark workload uses 17.
     """
 
     __slots__ = ("labels", "elements", "index", "edges", "outside")
@@ -500,7 +501,8 @@ class BallPlan:
         return len(self.elements)
 
 
-ball_plan = functools.cache(BallPlan)
+BALL_PLAN_CACHE = 32
+ball_plan = functools.lru_cache(maxsize=BALL_PLAN_CACHE)(BallPlan)
 
 
 def ball(group, radius: int, gens=None) -> FiniteSubset:

@@ -15,6 +15,14 @@ left only; right distributivity genuinely fails.
 Exponent maps carry their own convolution (u*v)(g) = sum_h u(h) v(h^-1 g),
 under which supports multiply and total degrees multiply; the leading-term
 calculus for bi-invariantly ordered groups is built on it.
+
+Canonical form, which the private ``_trusted`` constructors rely on: a
+monomial's ``items`` are sorted by the group order of their elements (its
+``_sort_key``) and hold no zero exponent; a polynomial's ``terms`` hold no
+zero coefficient.  The public constructors validate their input and then
+canonicalise it; the sums, products, shifts and scalings of canonical
+operands are built through ``_trusted``, which skips the validation but
+canonicalises the same way.
 """
 
 from __future__ import annotations
@@ -25,10 +33,11 @@ import contextlib
 import itertools
 import math
 from dataclasses import dataclass, field as dc_field
+from operator import itemgetter
 
 from .group_ring import GroupRingElement, TwistedGroupRingElement
 from .groups import FiniteSubset, GroupElement
-from .rings import TERM_CAP, PrimeField, base_digits, frobenius, power, scalar_inverse
+from .rings import TERM_CAP, WORK_CAP, PrimeField, base_digits, frobenius, power, scalar_inverse
 
 
 class NearRingError(ValueError):
@@ -36,7 +45,8 @@ class NearRingError(ValueError):
 
 
 class TermCapExceeded(NearRingError):
-    """Raised before a product, power or substitution whose size bound exceeds TERM_CAP."""
+    """Raised before a product, power or substitution whose size bound exceeds TERM_CAP,
+    or a power whose chain may form more than WORK_CAP term products."""
 
 
 class ExponentVector:
@@ -52,10 +62,23 @@ class ExponentVector:
             e = int(e)
             if e < 0:
                 raise NearRingError("negative exponent")
-            if e:
-                clean[g] = e
+            clean[g] = e
+        self._canonicalise(group, clean)
+
+    @classmethod
+    def _trusted(cls, group, exponents):
+        """From a dict {element of group: int exponent >= 0}, without validating it."""
+        self = object.__new__(cls)
+        self._canonicalise(group, exponents)
+        return self
+
+    def _canonicalise(self, group, exponents):
+        items = list(filter(itemgetter(1), exponents.items()))
+        if len(items) > 1:
+            key = group._sort_key
+            items.sort(key=lambda kv: key(kv[0].value))
         self.group = group
-        self.items = tuple(sorted(clean.items(), key=lambda kv: kv[0].sort_key()))
+        self.items = tuple(items)
         self._hash = hash((group._hash_seed, self.items))
 
     @classmethod
@@ -80,10 +103,14 @@ class ExponentVector:
 
     def add(self, other: "ExponentVector") -> "ExponentVector":
         """Pointwise sum: the monomial product X^u * X^v = X^(u+v)."""
+        if not other.items:
+            return self
+        if not self.items:
+            return other
         out = dict(self.items)
         for g, e in other.items:
             out[g] = out.get(g, 0) + e
-        return ExponentVector(self.group, out)
+        return ExponentVector._trusted(self.group, out)
 
     def convolve(self, other: "ExponentVector") -> "ExponentVector":
         """(u*v)(g) = sum_h u(h) v(h^-1 g); supports multiply, degrees multiply."""
@@ -92,14 +119,15 @@ class ExponentVector:
             for h, f in other.items:
                 t = g * h
                 out[t] = out.get(t, 0) + e * f
-        return ExponentVector(self.group, out)
+        return ExponentVector._trusted(self.group, out)
 
     def translate(self, g: GroupElement) -> "ExponentVector":
         """Relabel by left multiplication: (g.u)(h) = u(g^-1 h)."""
-        return ExponentVector(self.group, {g * h: e for h, e in self.items})
+        return ExponentVector._trusted(self.group, {g * h: e for h, e in self.items})
 
     def sort_key(self):
-        return (self.degree(), tuple((g.sort_key(), e) for g, e in self.items))
+        key = self.group._sort_key
+        return (self.degree(), tuple([(key(g.value), e) for g, e in self.items]))
 
     def __eq__(self, other):
         if not isinstance(other, ExponentVector):
@@ -110,12 +138,9 @@ class ExponentVector:
         return self._hash
 
     def __repr__(self):
-        """The monomial's text, variables in descending order; "1" when empty."""
-        if not self.items:
-            return "1"
-        return "*".join(
-            "X[%s]" % g if e == 1 else "X[%s]^%d" % (g, e) for g, e in reversed(self.items)
-        )
+        from .expressions import format_element  # expressions imports this module
+
+        return format_element(self)
 
 
 class NearRingElement:
@@ -124,15 +149,22 @@ class NearRingElement:
     __slots__ = ("group", "field", "terms")
 
     def __init__(self, group, field, terms):
-        clean = {}
-        for u, c in terms.items():
+        for u in terms:
             if not isinstance(u, ExponentVector) or u.group != group:
                 raise NearRingError("monomial outside the group")
-            if c:
-                clean[u] = c
+        self._canonicalise(group, field, terms)
+
+    @classmethod
+    def _trusted(cls, group, field, terms):
+        """From a dict {monomial over group: coefficient in field}, without validating it."""
+        self = object.__new__(cls)
+        self._canonicalise(group, field, terms)
+        return self
+
+    def _canonicalise(self, group, field, terms):
         self.group = group
         self.field = field
-        self.terms = clean
+        self.terms = {u: c for u, c in terms.items() if c}
 
     # -- constructors -------------------------------------------------
 
@@ -171,16 +203,16 @@ class NearRingElement:
         out = dict(self.terms)
         for u, c in other.terms.items():
             out[u] = out[u] + c if u in out else c
-        return NearRingElement(self.group, self.field, out)
+        return NearRingElement._trusted(self.group, self.field, out)
 
     def __neg__(self):
-        return NearRingElement(self.group, self.field, {u: -c for u, c in self.terms.items()})
+        return NearRingElement._trusted(self.group, self.field, {u: -c for u, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, c):
-        return NearRingElement(self.group, self.field, {u: v * c for u, v in self.terms.items()})
+        return NearRingElement._trusted(self.group, self.field, {u: v * c for u, v in self.terms.items()})
 
     def __mul__(self, other):
         """Ordinary commutative polynomial product (exponents add pointwise).
@@ -201,15 +233,15 @@ class NearRingElement:
     def _times(self, other):
         """self * other without the size check."""
         out = {}
+        get, others = out.get, other.terms.items()
         for u, a in self.terms.items():
-            for v, b in other.terms.items():
-                w = u.add(v)
+            add = u.add
+            for v, b in others:
+                w = add(v)
                 c = a * b
-                if w in out:
-                    out[w] = out[w] + c
-                else:
-                    out[w] = c
-        return NearRingElement(self.group, self.field, out)
+                prev = get(w)
+                out[w] = c if prev is None else prev + c
+        return NearRingElement._trusted(self.group, self.field, out)
 
     def __pow__(self, n: int):
         """self^n; in characteristic p by base-p digits, a^(q*p + d) = F(a^q) * a^d.
@@ -220,19 +252,49 @@ class NearRingElement:
         """
         if n < 0:
             raise NearRingError("negative polynomial power")
-        if n > 1 and self._expansion_exceeds_cap(((self.group.identity(), n),)):
-            raise TermCapExceeded("a %d-term polynomial to the power %d may exceed %d terms" % (len(self.terms), n, TERM_CAP))
         p = self.field.characteristic
+        if n > 1 and len(self.terms) > 1:
+            # the chain forms at most 2*bitlen(n) products, or 2*bitlen(p-1) per base-p digit, each of at
+            # most size(n)^2 <= count^2 term products; the exact checks run only when that may exceed a cap
+            chain = 2 * (len(base_digits(n, p)) * (p - 1).bit_length() if p else n.bit_length())
+            count = self._multinomial_bound([n])
+            if count > TERM_CAP or chain * count**2 > WORK_CAP:
+                self._check_power(n)
         frob = (p, NearRingElement._frobenius) if p else None
         return power(self, n, NearRingElement.one(self.group, self.field), NearRingElement._times, frob)
 
+    def _check_power(self, n: int):
+        """Refuse self^n when size(n) exceeds TERM_CAP or its chain's work exceeds WORK_CAP.
+
+        size(i) is the smaller of the multinomial and the box bound of
+        self^i.  The work is the sum of size(i) * size(j) over the products
+        a^i * a^j of the chain, found by running ``power``'s own chain on
+        the exponents.
+        """
+        k, p, one = len(self.terms), self.field.characteristic, self.group.identity()
+
+        def size(i):
+            return min(self._multinomial_bound([i]), self._box_bound([(one, i)]))
+
+        if size(n) > TERM_CAP:
+            raise TermCapExceeded("a %d-term polynomial to the power %d may exceed %d terms" % (k, n, TERM_CAP))
+        work = []
+
+        def mul(i, j):
+            work.append(size(i) * size(j))
+            return i + j
+
+        power(1, n, 0, mul, (p, lambda i: i * p) if p else None)
+        if sum(work) > WORK_CAP:
+            raise TermCapExceeded("a %d-term polynomial to the power %d may need more than %d term products" % (k, n, WORK_CAP))
+
     def _frobenius(self):
         """F(self) = self^p in characteristic p: c*X^u -> c^p*X^(p*u)."""
-        p = self.field.characteristic
-        return NearRingElement(
-            self.group,
+        p, group = self.field.characteristic, self.group
+        return NearRingElement._trusted(
+            group,
             self.field,
-            {ExponentVector(self.group, {g: p * e for g, e in u.items}): frobenius(c, 1) for u, c in self.terms.items()},
+            {ExponentVector._trusted(group, {g: p * e for g, e in u.items}): frobenius(c, 1) for u, c in self.terms.items()},
         )
 
     def _top_exponents(self):
@@ -243,35 +305,35 @@ class NearRingElement:
                 top[g] = max(e, top.get(g, 0))
         return top
 
-    def _expansion_exceeds_cap(self, factors) -> bool:
-        """Whether the product of shift(g, self)^e over (g, e) in ``factors`` may exceed TERM_CAP terms.
+    def _multinomial_bound(self, exponents) -> int:
+        """prod_e C(e+k-1, k-1) over ``exponents`` for the k terms of self; computed only until it exceeds TERM_CAP.
 
-        With k terms in self and m_h the largest exponent of X_h, the
-        product has at most min(prod_e C(e+k-1, k-1), prod_x (sum_g e *
-        m_{g^-1 x} + 1)) terms: the multinomial count of its products, and
-        the box of exponent vectors that fit, since shift(g, .) moves the
-        exponent of X_h to X_{g*h}.  self^n is the factor (identity, n).  In
+        The product of shift(g, self)^e over pairs (g, e) has at most this
+        many terms, the multinomial count of its products.  In
         characteristic p the count of a power is taken per base-p digit d_i
         of e, prod_i C(d_i+k-1, k-1), since a^e = prod_i F^i(a^(d_i)) and F
-        is injective on monomials.  The count is computed only until it
-        exceeds the cap; C(d+k-1, i) grows with i up to i = min(k-1, d).
+        is injective on monomials.  C(d+k-1, i) grows with i up to
+        i = min(k-1, d).
         """
-        k = len(self.terms)
-        count = 1
-        for d in [d for _, e in factors for d in base_digits(e, self.field.characteristic)]:
+        k, count = len(self.terms), 1
+        for d in [d for e in exponents for d in base_digits(e, self.field.characteristic)]:
             for i in range(1, min(k - 1, d) + 1):
                 count = count * (d + k - i) // i
                 if count > TERM_CAP:
-                    break
-            if count > TERM_CAP:
-                break
-        else:
-            return False
+                    return count
+        return count
+
+    def _box_bound(self, factors) -> int:
+        """prod_x (sum_g e * m_{g^-1 x} + 1) over (g, e) in ``factors``, m_h the largest exponent of X_h in self.
+
+        The exponent vectors of the product of shift(g, self)^e fit in this
+        box, since shift(g, .) moves the exponent of X_h to X_{g*h}.
+        """
         top, sides = self._top_exponents(), {}
         for g, e in factors:
             for h, m in top.items():
                 sides[g * h] = sides.get(g * h, 0) + e * m
-        return math.prod(side + 1 for side in sides.values()) > TERM_CAP
+        return math.prod(side + 1 for side in sides.values())
 
     def __bool__(self):
         return bool(self.terms)
@@ -288,9 +350,7 @@ class NearRingElement:
 
     def shift(self, g: GroupElement) -> "NearRingElement":
         """Monomial-wise relabeling X_h -> X_{g*h}; a group action fixing constants."""
-        return NearRingElement(
-            self.group, self.field, {u.translate(g): c for u, c in self.terms.items()}
-        )
+        return NearRingElement._trusted(self.group, self.field, {u.translate(g): c for u, c in self.terms.items()})
 
     def support_elements(self) -> FiniteSubset:
         """Union of the supports of all monomials (the memory set of the induced map)."""
@@ -314,11 +374,14 @@ class NearRingElement:
     def star(self, other: "NearRingElement") -> "NearRingElement":
         """Substitution product: replace X_g in self by shift(g, other)."""
         self._compat(other)
-        out = NearRingElement.zero(self.group, self.field)
-        shifted = {}
+        out, shifted = {}, {}
         for u, c in self.terms.items():
-            # a single factor is checked by __pow__
-            if len(u.items) > 1 and other._expansion_exceeds_cap(u.items):
+            # a single factor is checked by __pow__; the box is formed only when the count exceeds the cap
+            if (
+                len(u.items) > 1
+                and other._multinomial_bound(e for _, e in u.items) > TERM_CAP
+                and other._box_bound(u.items) > TERM_CAP
+            ):
                 raise TermCapExceeded(
                     "substituting a %d-term polynomial into %r may exceed %d terms" % (len(other.terms), u, TERM_CAP)
                 )
@@ -330,13 +393,21 @@ class NearRingElement:
                 prod = factor if prod is None else prod * factor
             if prod is None:
                 prod = NearRingElement.one(self.group, self.field)
-            out = out + prod.scale(c)
-        return out
+            _accumulate(out, prod, c)
+        return NearRingElement._trusted(self.group, self.field, out)
 
     def __repr__(self):
         from .expressions import format_element  # expressions imports this module
 
         return format_element(self)
+
+
+def _accumulate(out, a: NearRingElement, c):
+    """out += c * a, in place, on a dict of terms that may hold zero coefficients."""
+    for u, v in a.terms.items():
+        x = v * c
+        prev = out.get(u)
+        out[u] = x if prev is None else prev + x
 
 
 def star(a: NearRingElement, b: NearRingElement) -> NearRingElement:
@@ -356,13 +427,13 @@ def polynomial_apply(coeffs, a: NearRingElement) -> NearRingElement:
     coeffs = list(coeffs)
     if not coeffs:
         raise NearRingError("empty coefficient list")
-    out = NearRingElement.constant(a.group, a.field, coeffs[0])
+    out = {ExponentVector.empty(a.group): coeffs[0]}
     power = None
     for n, c in enumerate(coeffs[1:], start=1):
         power = a if n == 1 else a.star(power)
         if c:
-            out = out + power.scale(c)
-    return out
+            _accumulate(out, power, c)
+    return NearRingElement._trusted(a.group, a.field, out)
 
 
 # ---------------------------------------------------------------------------
@@ -383,14 +454,9 @@ def embed_twisted(a: TwistedGroupRingElement) -> NearRingElement:
     p = field.characteristic
     if p == 0:
         raise NearRingError("twisted embedding needs positive characteristic")
-    out = NearRingElement.zero(a.group, field)
-    for g, poly in a.coeffs.items():
-        terms = {}
-        for k, c in enumerate(poly.coeffs):
-            if c:
-                terms[ExponentVector.unit(g, p**k)] = c
-        out = out + NearRingElement(a.group, field, terms)
-    return out
+    # distinct (g, k) give distinct monomials X_g^(p^k), so no two terms add up
+    terms = {ExponentVector.unit(g, p**k): c for g, poly in a.coeffs.items() for k, c in enumerate(poly.coeffs)}
+    return NearRingElement(a.group, field, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -567,7 +633,7 @@ def search_monomials(support: FiniteSubset, max_total_degree: int):
         for d in range(max_total_degree + 1)
         for combo in itertools.combinations_with_replacement(support, d)
     ]
-    monos.sort(key=lambda u: u.sort_key())
+    monos.sort(key=ExponentVector.sort_key)
     return monos
 
 

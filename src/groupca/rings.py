@@ -21,6 +21,7 @@ class RingError(ValueError):
 
 
 TERM_CAP = 10**6  # size bound of polynomial and group-ring products, checked before forming them
+WORK_CAP = 10**6  # term products of one polynomial power's chain, checked before it starts
 
 
 def _is_prime(n: int) -> bool:

@@ -66,6 +66,28 @@ def test_product_size_check(monkeypatch):
     assert not nilpotent**8
 
 
+def test_power_size_check_on_commuting_supports(monkeypatch):
+    """Off Z^d a power is checked up front when its support commutes pairwise, by C(i+k-1, k-1) alone."""
+    monkeypatch.setattr(gr_mod, "TERM_CAP", 10)
+    free = FreeGroup(2)
+    a, b = free.parse_element("a"), free.parse_element("b")
+    one_plus_a = GroupRingElement(free, QQ, {free.identity(): QQ.one(), a: QQ.one()})
+    assert len((one_plus_a**5).coeffs) == 6
+    for n in (6, 8):
+        with pytest.raises(GroupRingError, match="to the power"):
+            one_plus_a**n
+    a_plus_a2 = GroupRingElement(free, QQ, {a: QQ.one(), a * a: QQ.one()})
+    with pytest.raises(GroupRingError, match="to the power"):
+        a_plus_a2**6
+    # a and b do not commute: (a + b)^6 stops at the product rule, 4 * 4 > 10
+    a_plus_b = GroupRingElement(free, QQ, {a: QQ.one(), b: QQ.one()})
+    with pytest.raises(GroupRingError, match="a product of 4 and 4 terms"):
+        a_plus_b**6
+    # on a finite group the supports stay within the group: 3 * 3 products only
+    c3 = cyclic_group(3)
+    assert len((GroupRingElement(c3, QQ, {c3.element(0): QQ.one(), c3.element(1): QQ.one()}) ** 8).coeffs) == 3
+
+
 def test_torsion_zero_divisor_f2():
     z2 = cyclic_group(2)
     one_plus_g = GroupRingElement(z2, F2, {z2.element(0): F2.one(), z2.element(1): F2.one()})

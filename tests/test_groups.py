@@ -3,6 +3,7 @@ import random
 import pytest
 
 from groupca.groups import (
+    BALL_PLAN_CACHE,
     FiniteGroup,
     FiniteSubset,
     FreeGroup,
@@ -12,6 +13,7 @@ from groupca.groups import (
     UndecidableOrderError,
     ZdGroup,
     ball,
+    ball_plan,
     box_window,
     default_order,
     folner_box,
@@ -86,6 +88,19 @@ def test_ball_nesting():
     smaller = set(ball(F2, 1))
     bigger = set(ball(F2, 2))
     assert smaller <= bigger
+
+
+def test_ball_plan_cache_keeps_at_most_its_cap():
+    """Plans of many radii leave at most BALL_PLAN_CACHE cached, and the most recent ones are reused."""
+    radii = range(3 * BALL_PLAN_CACHE)
+    for r in radii:
+        assert len(ball(Z, r)) == 2 * r + 1
+        assert ball_plan.cache_info().currsize <= BALL_PLAN_CACHE
+    gens = tuple(Z.generators())
+    hits = ball_plan.cache_info().hits
+    recent = [ball_plan(Z, r, gens) for r in radii[-BALL_PLAN_CACHE:]]
+    assert ball_plan.cache_info().hits == hits + BALL_PLAN_CACHE
+    assert all(len(plan) == 2 * r + 1 for plan, r in zip(recent, radii[-BALL_PLAN_CACHE:]))
 
 
 def test_subset_calculus_examples():

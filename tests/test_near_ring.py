@@ -9,7 +9,15 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from support import cyclic_group, field_scalar, rand_exponent_vector, rand_group_ring, rand_near_ring, solve_reduced
+from support import (
+    cyclic_group,
+    field_scalar,
+    rand_exponent_vector,
+    rand_group_element,
+    rand_group_ring,
+    rand_near_ring,
+    solve_reduced,
+)
 
 import groupca.near_ring as nr_mod
 from groupca.group_ring import GroupRingElement, TwistedGroupRingElement
@@ -116,12 +124,16 @@ def test_shift_is_group_action():
 # -- star ----------------------------------------------------------------
 
 
-def to_sympy(a: NearRingElement):
+def to_sympy(a: NearRingElement, g=None):
+    """a as a sympy expression over Z or Q, one symbol per variable, named by the group element's text.
+
+    With g given, each X_h is written as X_{g*h}: the shift of a by g, formed here and not by ``shift``.
+    """
     expr = 0
     for u, c in a.terms.items():
         term = sympy.Rational(c) if isinstance(c, Fraction) else sympy.Integer(c.v)
-        for g, e in u.items:
-            term *= sympy.Symbol("x_%d" % g.value[0]) ** e
+        for h, e in u.items:
+            term *= sympy.Symbol("X[%s]" % (h if g is None else g * h)) ** e
         expr += term
     return sympy.expand(expr)
 
@@ -132,7 +144,7 @@ def sympy_star(a: NearRingElement, b: NearRingElement):
     for u, c in a.terms.items():
         term = sympy.Rational(c) if isinstance(c, Fraction) else sympy.Integer(c.v)
         for g, e in u.items:
-            term *= to_sympy(shift(g, b)) ** e
+            term *= to_sympy(b, g) ** e
         expr += term
     return sympy.expand(expr)
 
@@ -173,11 +185,22 @@ def test_constant_minus_and_star_one_is_zero():
 
 
 def test_star_against_sympy_oracle():
+    """star agrees with sympy's substitution over Z, Z^2 and the free group of rank 2, over Q and F5.
+
+    Over F5 the oracle expands over Z and reduces mod 5 through sympy.Poly.
+    """
     rng = random.Random(4)
-    for _ in range(60):
-        a = rand_near_ring(Z, QQ, rng, radius=1, max_degree=3)
-        b = rand_near_ring(Z, QQ, rng, radius=1, max_degree=2)
-        assert to_sympy(star(a, b)) == sympy_star(a, b)
+    for group, field, draws in ((Z, QQ, 60), (Z2, QQ, 25), (FREE2, QQ, 25), (Z2, F5, 25), (FREE2, F5, 25), (Z, F5, 25)):
+        p = field.characteristic
+        for _ in range(draws):
+            a = rand_near_ring(group, field, rng, radius=1, max_degree=3)
+            b = rand_near_ring(group, field, rng, radius=1, max_degree=2)
+            got, want = to_sympy(star(a, b)), sympy_star(a, b)
+            if not p:
+                assert got == want
+                continue
+            gens = sorted(got.free_symbols | want.free_symbols, key=str) or [sympy.Symbol("t")]
+            assert sympy.Poly(got, *gens, modulus=p) == sympy.Poly(want, *gens, modulus=p)
 
 
 def test_star_left_distributive_right_fails():
@@ -291,6 +314,89 @@ def test_power_size_bound_matches_its_formula(monkeypatch):
                     assert bound <= cap and size <= bound
 
 
+def _chain_pairs(n, p):
+    """(i, j) for each product a^i * a^j that a^n forms: square-and-multiply over the bits of n
+    and, in characteristic p, a^(q*p + d) = F(a^q) * a^d over the base-p digits, most significant first."""
+
+    def binary(n):
+        pairs, acc, x = [], 0, 1
+        while n:
+            if n & 1:
+                if acc:
+                    pairs.append((acc, x))
+                acc += x
+            n >>= 1
+            if n:
+                pairs.append((x, x))
+                x *= 2
+        return pairs
+
+    if not p:
+        return binary(n)
+    top, *rest = sympy.ntheory.digits(n, p)[1:]
+    pairs, acc = binary(top), top
+    for d in rest:
+        acc *= p
+        if d:
+            pairs += binary(d) + [(acc, d)]
+            acc += d
+    return pairs
+
+
+def test_power_work_bound_matches_its_formula(monkeypatch):
+    """a^n raises for its work exactly when sum size(i) * size(j) over the chain's products a^i * a^j exceeds WORK_CAP.
+
+    size(i) = min(C, prod_g (i*m_g + 1)) is the size bound of a^i, C as in the size-bound test above.
+    """
+    raised = kept = 0
+    for field in (QQ, F2, F3, F5):
+        rng = random.Random(12)
+        p = field.characteristic
+        for cap in (50, 400, 3000):
+            monkeypatch.setattr(nr_mod, "WORK_CAP", cap)
+            for _ in range(40):
+                a = NearRingElement(Z, field, {rand_exponent_vector(Z, rng, radius=1): field.one() for _ in range(rng.randint(2, 5))})
+                n = rng.randint(2, 12) if field is QQ else rng.randint(2, 60)
+                k, top = len(a.terms), _top_exponents(a)
+
+                def size(i):
+                    digits = [i] if not p else sympy.ntheory.digits(i, p)[1:]
+                    multinomial = math.prod(math.comb(d + k - 1, k - 1) for d in digits)
+                    return min(multinomial, math.prod(i * m + 1 for m in top.values()))
+
+                pairs = _chain_pairs(n, p)
+                # the count under which __pow__ skips the replay
+                assert len(pairs) <= 2 * (len(sympy.ntheory.digits(n, p)[1:]) * (p - 1).bit_length() if p else n.bit_length())
+                work = sum(size(i) * size(j) for i, j in pairs)
+                try:
+                    a**n
+                except TermCapExceeded as exc:
+                    assert work > cap and "term products" in str(exc)
+                    raised += 1
+                else:
+                    assert work <= cap
+                    kept += 1
+    assert raised and kept
+
+
+def test_power_work_bound_stops_long_chains_early(capsys):
+    """Powers whose result fits TERM_CAP but whose chain is long exit 2 well under 2 s."""
+    from groupca.cli import run_job
+
+    stars = ["star", "--group", "zd:1", "--field", "q", "--alpha", "X[(0)]^700", "--beta", "X[(0)]+X[(1)]+X[(2)]"]
+    embeds = [
+        ["embed", "--group", "free:1", "--field", "q", "--kind", "iota", "--element", "([1]+[a])^20000"],
+        ["embed", "--group", "free:2", "--field", "q", "--kind", "iota", "--element", "([a]+[a^-1])^20000"],
+    ]
+    with _cpu_budget(2.0):
+        assert run_job(stars) == 2
+    assert capsys.readouterr().err.startswith("error: a 3-term polynomial to the power 700 may need more than")
+    for argv in embeds:
+        with _cpu_budget(2.0):
+            assert run_job(argv) == 2
+        assert capsys.readouterr().err.startswith("error: a 2-term element to the power 20000 may exceed")
+
+
 def test_char_p_powers_go_by_base_p_digits(capsys):
     """X[(0)]^(p^k) star a sum of variables is the sum of their p^k-th powers, in well under 2 s."""
     from groupca.cli import run_job
@@ -402,6 +508,46 @@ def test_char_p_group_ring_powers_are_not_refused(capsys):
             assert run_job(argv) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["element"] == " + ".join(["1"] + ["[(%d)]" % (i * n) for i in range(1, k)])
+
+
+@pytest.mark.parametrize("group", [Z, Z2, FREE2, cyclic_group(3)], ids=["zd:1", "zd:2", "free:2", "cyclic:3"])
+def test_trusted_constructors_match_the_validating_ones(group):
+    """Monomials and polynomials built by add, translate, convolve, _times, shift (and the other
+    trusted paths) equal the same data rebuilt through the public, validating constructors."""
+    rng = random.Random(13)
+
+    def check_monomial(u):
+        v = ExponentVector(group, dict(reversed(u.items)))
+        assert u.items == v.items and hash(u) == hash(v) and u == v and u.sort_key() == v.sort_key()
+
+    def check_poly(a):
+        b = NearRingElement(group, a.field, {ExponentVector(group, dict(u.items)): c for u, c in a.terms.items()})
+        assert a == b and all(a.terms.values())
+        for u in a.terms:
+            check_monomial(u)
+
+    for field in (QQ, F5):
+        for _ in range(60):
+            u, v = (rand_exponent_vector(group, rng, radius=2, max_degree=4, max_support=3) for _ in range(2))
+            g = rand_group_element(group, rng)
+            for w in (u.add(v), u.translate(g), u.convolve(v), v.add(u)):
+                check_monomial(w)
+            a, b = (rand_near_ring(group, field, rng, radius=1, max_degree=3, max_terms=4) for _ in range(2))
+            for c in (a._times(b), a.shift(g), a.scale(field_scalar(field, rng)), a + b, -a, star(a, b), a**3):
+                check_poly(c)
+            assert not a.scale(field.zero()).terms
+    foreign = ZdGroup(3).element((1, 0, 0))
+    g = group.identity()
+    with pytest.raises(NearRingError, match="negative exponent"):
+        ExponentVector(group, {g: -1})
+    with pytest.raises(NearRingError, match="outside the group"):
+        ExponentVector(group, {foreign: 1})
+    with pytest.raises(NearRingError, match="outside the group"):
+        NearRingElement(group, QQ, {ExponentVector(foreign.group, {foreign: 1}): QQ.one()})
+    assert ExponentVector(group, {g: 0}).items == ()
+    assert NearRingElement(group, F5, {ExponentVector.unit(g): F5.zero(), ExponentVector.empty(group): F5.one()}).terms == {
+        ExponentVector.empty(group): F5.one()
+    }
 
 
 # -- embeddings ----------------------------------------------------------
