@@ -252,8 +252,6 @@ def _coeff_is_negative(c):
 def format_element(x) -> str:
     if isinstance(x, NearRingElement):
         return _format_near_ring(x)
-    if isinstance(x, ExponentVector):
-        return _format_monomial(x, {})
     if isinstance(x, GroupRingElement):
         return _format_group_ring(x)
     if isinstance(x, TwistedGroupRingElement):
@@ -270,20 +268,6 @@ def _join_terms(parts):
     return out
 
 
-def _format_monomial(u: ExponentVector, names) -> str:
-    """The monomial's text, variables in descending order; "1" when empty.
-
-    ``names`` memoises the text X[g] of the variables of one group, by g.value.
-    """
-    out = []
-    for g, e in reversed(u.items):
-        name = names.get(g.value)
-        if name is None:
-            name = names[g.value] = "X[%s]" % g
-        out.append(name if e == 1 else "%s^%d" % (name, e))
-    return "*".join(out) or "1"
-
-
 def _format_near_ring(x: NearRingElement) -> str:
     parts, names = [], {}
     for u in sorted(x.terms, key=ExponentVector.sort_key, reverse=True):
@@ -295,9 +279,9 @@ def _format_near_ring(x: NearRingElement) -> str:
         if not u.items:
             parts.append((neg, ctext))
         elif ctext == "1":
-            parts.append((neg, _format_monomial(u, names)))
+            parts.append((neg, u.text(names)))
         else:
-            parts.append((neg, "%s*%s" % (ctext, _format_monomial(u, names))))
+            parts.append((neg, "%s*%s" % (ctext, u.text(names))))
     return _join_terms(parts)
 
 

@@ -14,8 +14,8 @@ import math
 import random
 from dataclasses import dataclass
 
-from .groups import FiniteGroup, FiniteSubset, GroupElement, ZdGroup
-from .rings import TERM_CAP, ExactMatrix, RingError, TwistedPoly, frobenius, power
+from .groups import FiniteGroup, FiniteSubset, FreeGroup, GroupElement, ZdGroup
+from .rings import TERM_CAP, ExactMatrix, RingError, TwistedPoly, chain_products, frobenius, power
 
 
 class GroupRingError(ValueError):
@@ -100,32 +100,32 @@ class GroupRingElement:
         return GroupRingElement(self.group, self.field, _convolve(self.coeffs, other.coeffs), shape=self.shape)
 
     def __pow__(self, n: int):
-        """self^n by square-and-multiply; on an infinite group in characteristic 0 its largest products are checked first.
+        """self^n by square-and-multiply; on Q[Z^d] and Q[F_r] _convolve's rule is checked for the whole chain first.
 
-        With k scalar terms whose supports commute pairwise, supp(self^i)
-        has at most C(i+k-1, k-1) points, and on Z^d it lies in the box
-        i*[lo_c, hi_c].  Both grow with i, so the largest products of the
-        chain are its last squaring and its last multiply.  On a finite
-        group the supports stay within the group, in characteristic p or
-        with (nilpotent) matrix coefficients cancellation can keep the chain
-        smaller, and non-commuting supports have no such count, so only
-        _convolve's rule applies there.  Scalar powers on a commutative
-        group in characteristic p go by the base-p digits of n, as
-        polynomial powers do.
+        On Z^d, supp(self^i) lies in the box i*[lo_c, hi_c] and has at most
+        C(i+k-1, k-1) points for k terms.  Two commuting terms of a free
+        group are powers of one word, so supp(self^i) has i + 1 points; for
+        three or more the count is far above the support, so only
+        _convolve's rule applies, as it does in characteristic p or with
+        (nilpotent) matrix coefficients, where cancellation can keep the
+        chain smaller.  Scalar powers on a commutative group in
+        characteristic p go by the base-p digits of n, as polynomial powers
+        do.
         """
         k, p, group = len(self.coeffs), self.field.characteristic, self.group
-        if (
-            self.shape is None and p == 0 and k > 1 and n > 1 and not isinstance(group, FiniteGroup)
-            and (group.commutative or all(g * h == h * g for g, h in itertools.combinations(self.coeffs, 2)))
-        ):
-            widths = [max(c) - min(c) for c in zip(*(g.value for g in self.coeffs))] if isinstance(group, ZdGroup) else None
+        widths = None
+        if self.shape is None and p == 0 and k > 1 and n > 1:
+            if isinstance(group, ZdGroup):
+                widths = [max(c) - min(c) for c in zip(*(g.value for g in self.coeffs))]
+            elif isinstance(group, FreeGroup) and k == 2:
+                g, h = self.coeffs
+                widths = [1] if g * h == h * g else None  # so that size(i) = C(i+1, 1) = i + 1
+        if widths is not None:
 
             def size(i):
-                count = math.comb(i + k - 1, k - 1)
-                return count if widths is None else min(count, math.prod(i * w + 1 for w in widths))
+                return min(math.comb(i + k - 1, k - 1), math.prod(i * w + 1 for w in widths))
 
-            top = 1 << (n.bit_length() - 1)
-            if size(top // 2) ** 2 > TERM_CAP or size(n - top) * size(top) > TERM_CAP:
+            if max(chain_products(n, size)) > TERM_CAP:
                 raise GroupRingError("a %d-term element to the power %d may exceed %d term products" % (k, n, TERM_CAP))
         frob = (p, GroupRingElement._frobenius) if p and self.shape is None and self.group.commutative else None
         return power(self, n, GroupRingElement.identity(self.group, self.field, self.shape), frobenius_map=frob)

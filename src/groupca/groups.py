@@ -40,7 +40,7 @@ class GroupElement:
     def __mul__(self, other):
         if not isinstance(other, GroupElement):
             return NotImplemented
-        if other.group != self.group:
+        if other.group is not self.group and other.group != self.group:
             raise GroupError("elements from different group descriptors")
         return GroupElement(self.group, self.group._mul(self.value, other.value))
 
@@ -56,7 +56,7 @@ class GroupElement:
     def __eq__(self, other):
         if not isinstance(other, GroupElement):
             return NotImplemented
-        return self.group == other.group and self.value == other.value
+        return self.value == other.value and (self.group is other.group or self.group == other.group)
 
     def __hash__(self):
         return self._hash

@@ -16,13 +16,11 @@ Exponent maps carry their own convolution (u*v)(g) = sum_h u(h) v(h^-1 g),
 under which supports multiply and total degrees multiply; the leading-term
 calculus for bi-invariantly ordered groups is built on it.
 
-Canonical form, which the private ``_trusted`` constructors rely on: a
-monomial's ``items`` are sorted by the group order of their elements (its
-``_sort_key``) and hold no zero exponent; a polynomial's ``terms`` hold no
-zero coefficient.  The public constructors validate their input and then
-canonicalise it; the sums, products, shifts and scalings of canonical
-operands are built through ``_trusted``, which skips the validation but
-canonicalises the same way.
+Canonical form: a monomial's ``items`` are sorted by its group's
+``_sort_key`` and hold no zero exponent; a polynomial's ``terms`` hold no
+zero coefficient.  The public constructors validate and then call
+``_canonicalise``; results built from canonical operands go through
+``_trusted``, which skips the validation only.
 """
 
 from __future__ import annotations
@@ -30,6 +28,7 @@ from __future__ import annotations
 import bisect
 import collections
 import contextlib
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field as dc_field
@@ -37,7 +36,7 @@ from operator import itemgetter
 
 from .group_ring import GroupRingElement, TwistedGroupRingElement
 from .groups import FiniteSubset, GroupElement
-from .rings import TERM_CAP, WORK_CAP, PrimeField, base_digits, frobenius, power, scalar_inverse
+from .rings import TERM_CAP, WORK_CAP, PrimeField, base_digits, chain_products, frobenius, power, scalar_inverse
 
 
 class NearRingError(ValueError):
@@ -45,8 +44,14 @@ class NearRingError(ValueError):
 
 
 class TermCapExceeded(NearRingError):
-    """Raised before a product, power or substitution whose size bound exceeds TERM_CAP,
-    or a power whose chain may form more than WORK_CAP term products."""
+    """Raised before a product, power or substitution may exceed TERM_CAP terms, or a power WORK_CAP term products."""
+
+
+def _trusted(cls, *args):
+    """An instance of cls from trusted data: __init__'s validation is skipped, its _canonicalise is not."""
+    self = object.__new__(cls)
+    self._canonicalise(*args)
+    return self
 
 
 class ExponentVector:
@@ -65,12 +70,7 @@ class ExponentVector:
             clean[g] = e
         self._canonicalise(group, clean)
 
-    @classmethod
-    def _trusted(cls, group, exponents):
-        """From a dict {element of group: int exponent >= 0}, without validating it."""
-        self = object.__new__(cls)
-        self._canonicalise(group, exponents)
-        return self
+    _trusted = classmethod(_trusted)  # from a dict {element of group: int exponent >= 0}
 
     def _canonicalise(self, group, exponents):
         items = list(filter(itemgetter(1), exponents.items()))
@@ -103,10 +103,8 @@ class ExponentVector:
 
     def add(self, other: "ExponentVector") -> "ExponentVector":
         """Pointwise sum: the monomial product X^u * X^v = X^(u+v)."""
-        if not other.items:
-            return self
-        if not self.items:
-            return other
+        if not (self.items and other.items):  # X^0 = 1
+            return other if other.items else self
         out = dict(self.items)
         for g, e in other.items:
             out[g] = out.get(g, 0) + e
@@ -138,9 +136,20 @@ class ExponentVector:
         return self._hash
 
     def __repr__(self):
-        from .expressions import format_element  # expressions imports this module
+        return self.text({})
 
-        return format_element(self)
+    def text(self, names) -> str:
+        """The monomial's text, variables in descending order; "1" when empty.
+
+        ``names`` memoises the text X[g] of each variable by g.value, across calls.
+        """
+        out = []
+        for g, e in reversed(self.items):
+            name = names.get(g.value)
+            if name is None:
+                name = names[g.value] = "X[%s]" % g
+            out.append(name if e == 1 else "%s^%d" % (name, e))
+        return "*".join(out) or "1"
 
 
 class NearRingElement:
@@ -154,12 +163,7 @@ class NearRingElement:
                 raise NearRingError("monomial outside the group")
         self._canonicalise(group, field, terms)
 
-    @classmethod
-    def _trusted(cls, group, field, terms):
-        """From a dict {monomial over group: coefficient in field}, without validating it."""
-        self = object.__new__(cls)
-        self._canonicalise(group, field, terms)
-        return self
+    _trusted = classmethod(_trusted)  # from a dict {monomial over group: coefficient in field}
 
     def _canonicalise(self, group, field, terms):
         self.group = group
@@ -233,14 +237,11 @@ class NearRingElement:
     def _times(self, other):
         """self * other without the size check."""
         out = {}
-        get, others = out.get, other.terms.items()
         for u, a in self.terms.items():
-            add = u.add
-            for v, b in others:
-                w = add(v)
+            for v, b in other.terms.items():
+                w = u.add(v)
                 c = a * b
-                prev = get(w)
-                out[w] = c if prev is None else prev + c
+                out[w] = out[w] + c if w in out else c
         return NearRingElement._trusted(self.group, self.field, out)
 
     def __pow__(self, n: int):
@@ -252,40 +253,28 @@ class NearRingElement:
         """
         if n < 0:
             raise NearRingError("negative polynomial power")
-        p = self.field.characteristic
         if n > 1 and len(self.terms) > 1:
-            # the chain forms at most 2*bitlen(n) products, or 2*bitlen(p-1) per base-p digit, each of at
-            # most size(n)^2 <= count^2 term products; the exact checks run only when that may exceed a cap
-            chain = 2 * (len(base_digits(n, p)) * (p - 1).bit_length() if p else n.bit_length())
-            count = self._multinomial_bound([n])
-            if count > TERM_CAP or chain * count**2 > WORK_CAP:
-                self._check_power(n)
+            self._check_power(n)
+        p = self.field.characteristic
         frob = (p, NearRingElement._frobenius) if p else None
         return power(self, n, NearRingElement.one(self.group, self.field), NearRingElement._times, frob)
 
     def _check_power(self, n: int):
-        """Refuse self^n when size(n) exceeds TERM_CAP or its chain's work exceeds WORK_CAP.
+        """Refuse self^n when size(n) exceeds TERM_CAP or its chain's term products exceed WORK_CAP.
 
-        size(i) is the smaller of the multinomial and the box bound of
-        self^i.  The work is the sum of size(i) * size(j) over the products
-        a^i * a^j of the chain, found by running ``power``'s own chain on
-        the exponents.
+        size(i) = min(multinomial count, box prod_g (i*m_g + 1)) bounds the
+        terms of self^i, so the chain's product a^i * a^j forms at most
+        size(i) * size(j) term products.
         """
-        k, p, one = len(self.terms), self.field.characteristic, self.group.identity()
+        k, p, top = len(self.terms), self.field.characteristic, self._top_exponents().values()
 
+        @functools.cache
         def size(i):
-            return min(self._multinomial_bound([i]), self._box_bound([(one, i)]))
+            return min(self._multinomial_bound([i]), math.prod(i * m + 1 for m in top))
 
         if size(n) > TERM_CAP:
             raise TermCapExceeded("a %d-term polynomial to the power %d may exceed %d terms" % (k, n, TERM_CAP))
-        work = []
-
-        def mul(i, j):
-            work.append(size(i) * size(j))
-            return i + j
-
-        power(1, n, 0, mul, (p, lambda i: i * p) if p else None)
-        if sum(work) > WORK_CAP:
+        if sum(chain_products(n, size, p)) > WORK_CAP:
             raise TermCapExceeded("a %d-term polynomial to the power %d may need more than %d term products" % (k, n, WORK_CAP))
 
     def _frobenius(self):
@@ -306,14 +295,12 @@ class NearRingElement:
         return top
 
     def _multinomial_bound(self, exponents) -> int:
-        """prod_e C(e+k-1, k-1) over ``exponents`` for the k terms of self; computed only until it exceeds TERM_CAP.
+        """prod_e C(e+k-1, k-1) over ``exponents``, k = len(self.terms); computed only until it exceeds TERM_CAP.
 
-        The product of shift(g, self)^e over pairs (g, e) has at most this
-        many terms, the multinomial count of its products.  In
-        characteristic p the count of a power is taken per base-p digit d_i
-        of e, prod_i C(d_i+k-1, k-1), since a^e = prod_i F^i(a^(d_i)) and F
-        is injective on monomials.  C(d+k-1, i) grows with i up to
-        i = min(k-1, d).
+        It counts the products that form prod_(g, e) shift(g, self)^e.  In
+        characteristic p it is taken per base-p digit d_i of e, since
+        a^e = prod_i F^i(a^(d_i)) and F is injective on monomials.
+        C(d+k-1, i) grows with i up to i = min(k-1, d).
         """
         k, count = len(self.terms), 1
         for d in [d for e in exponents for d in base_digits(e, self.field.characteristic)]:
@@ -326,8 +313,7 @@ class NearRingElement:
     def _box_bound(self, factors) -> int:
         """prod_x (sum_g e * m_{g^-1 x} + 1) over (g, e) in ``factors``, m_h the largest exponent of X_h in self.
 
-        The exponent vectors of the product of shift(g, self)^e fit in this
-        box, since shift(g, .) moves the exponent of X_h to X_{g*h}.
+        The exponents of prod shift(g, self)^e fit in this box: shift(g, .) moves X_h to X_{g*h}.
         """
         top, sides = self._top_exponents(), {}
         for g, e in factors:
@@ -405,9 +391,7 @@ class NearRingElement:
 def _accumulate(out, a: NearRingElement, c):
     """out += c * a, in place, on a dict of terms that may hold zero coefficients."""
     for u, v in a.terms.items():
-        x = v * c
-        prev = out.get(u)
-        out[u] = x if prev is None else prev + x
+        out[u] = out[u] + v * c if u in out else v * c
 
 
 def star(a: NearRingElement, b: NearRingElement) -> NearRingElement:

@@ -20,8 +20,8 @@ class RingError(ValueError):
     pass
 
 
-TERM_CAP = 10**6  # size bound of polynomial and group-ring products, checked before forming them
-WORK_CAP = 10**6  # term products of one polynomial power's chain, checked before it starts
+TERM_CAP = 10**6  # size bound of one polynomial or group-ring product, checked before forming it
+WORK_CAP = 10**6  # term products of a whole polynomial power chain, checked before it starts
 
 
 def _is_prime(n: int) -> bool:
@@ -70,6 +70,21 @@ def power(x, n: int, one, mul=operator.mul, frobenius_map=None):
         if n:
             x = mul(x, x)
     return one if acc is None else acc
+
+
+def chain_products(n: int, size, p: int = 0) -> list:
+    """size(i) * size(j) for each product x^i * x^j that ``power`` forms for x^n, found by running its chain on exponents.
+
+    ``p`` > 0 runs the chain by base-p digits; a Frobenius step forms no product.
+    """
+    products = []
+
+    def mul(i, j):
+        products.append(size(i) * size(j))
+        return i + j
+
+    power(1, n, 0, mul, (p, lambda i: i * p) if p else None)
+    return products
 
 
 # ---------------------------------------------------------------------------

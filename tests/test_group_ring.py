@@ -67,7 +67,7 @@ def test_product_size_check(monkeypatch):
 
 
 def test_power_size_check_on_commuting_supports(monkeypatch):
-    """Off Z^d a power is checked up front when its support commutes pairwise, by C(i+k-1, k-1) alone."""
+    """On a free group a two-term power is checked up front when its terms commute, by i + 1."""
     monkeypatch.setattr(gr_mod, "TERM_CAP", 10)
     free = FreeGroup(2)
     a, b = free.parse_element("a"), free.parse_element("b")
@@ -83,6 +83,13 @@ def test_power_size_check_on_commuting_supports(monkeypatch):
     a_plus_b = GroupRingElement(free, QQ, {a: QQ.one(), b: QQ.one()})
     with pytest.raises(GroupRingError, match="a product of 4 and 4 terms"):
         a_plus_b**6
+    # three commuting terms are not checked up front: C(i+2, 2) is far above the 2i + 1 of the support
+    monkeypatch.setattr(gr_mod, "TERM_CAP", 10**6)
+    free1 = FreeGroup(1)
+    x = free1.parse_element("a")
+    one_x_x2 = GroupRingElement(free1, QQ, {free1.identity(): QQ.one(), x: QQ.one(), x * x: QQ.one()})
+    assert len((one_x_x2**100).coeffs) == 201
+    monkeypatch.setattr(gr_mod, "TERM_CAP", 10)
     # on a finite group the supports stay within the group: 3 * 3 products only
     c3 = cyclic_group(3)
     assert len((GroupRingElement(c3, QQ, {c3.element(0): QQ.one(), c3.element(1): QQ.one()}) ** 8).coeffs) == 3
