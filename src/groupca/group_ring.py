@@ -103,23 +103,25 @@ class GroupRingElement:
         """self^n by square-and-multiply; on Q[Z^d] and Q[F_r] _convolve's rule is checked for the whole chain first.
 
         On Z^d, supp(self^i) lies in the box i*[lo_c, hi_c] and has at most
-        C(i+k-1, k-1) points for k terms.  Two commuting terms of a free
-        group are powers of one word, so supp(self^i) has i + 1 points; for
-        three or more the count is far above the support, so only
-        _convolve's rule applies, as it does in characteristic p or with
-        (nilpotent) matrix coefficients, where cancellation can keep the
-        chain smaller.  Scalar powers on a commutative group in
-        characteristic p go by the base-p digits of n, as polynomial powers
-        do.
+        C(i+k-1, k-1) points for k terms.  Pairwise commuting terms of a
+        free group are powers w^e of their common root word w, so on Z^1's
+        box supp(self^i) has at most i*(max e - min e) + 1 points.  Terms
+        that do not commute are left to _convolve's rule, as are powers in
+        characteristic p or with (nilpotent) matrix coefficients, where
+        cancellation can keep the chain smaller.  Scalar powers on a
+        commutative group in characteristic p go by the base-p digits of n,
+        as polynomial powers do.
         """
         k, p, group = len(self.coeffs), self.field.characteristic, self.group
         widths = None
         if self.shape is None and p == 0 and k > 1 and n > 1:
             if isinstance(group, ZdGroup):
                 widths = [max(c) - min(c) for c in zip(*(g.value for g in self.coeffs))]
-            elif isinstance(group, FreeGroup) and k == 2:
-                g, h = self.coeffs
-                widths = [1] if g * h == h * g else None  # so that size(i) = C(i+1, 1) = i + 1
+            elif isinstance(group, FreeGroup):
+                roots = [group.root(g) for g in self.coeffs]
+                if len({w for w, e in roots if e}) == 1:
+                    exponents = [e for _, e in roots]
+                    widths = [max(exponents) - min(exponents)]
         if widths is not None:
 
             def size(i):

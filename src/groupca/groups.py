@@ -200,6 +200,23 @@ class FreeGroup(Group):
     def _sort_key(self, a):
         return (len(a), a)
 
+    def root(self, e):
+        """(w, m) with e = w^m and w not a proper power, w the lesser word of w and w^-1; (1, 0) for e = 1.
+
+        Two elements of a free group commute exactly when one is 1 or their roots are equal.
+        """
+        v = e.value
+        if not v:
+            return e, 0
+        i = 0
+        while v[i] == -v[len(v) - 1 - i]:  # v = u * core * u^-1, core cyclically reduced
+            i += 1
+        core = v[i : len(v) - i]
+        period = next(p for p in range(1, len(core) + 1) if len(core) % p == 0 and core == core[:p] * (len(core) // p))
+        w = v[:i] + core[:period] + self._inv(v[:i])
+        m = len(core) // period
+        return (GroupElement(self, w), m) if w <= self._inv(w) else (GroupElement(self, self._inv(w)), -m)
+
     def generators(self):
         gens = []
         for i in range(1, self.rank + 1):

@@ -161,23 +161,39 @@ def preinjectivity_check(ca: CellularAutomaton, r_max: int = 8) -> PreInjectivit
     zero, i.e. a pre-injectivity failure; for linear automata the converse
     holds as well, so a kernel-free result certifies every configuration
     pair differing only inside the tested windows.
+
+    Kernels only grow along the chain: a configuration supported in W with
+    image 0 is also supported in every W' containing W, and the chain's
+    windows are nested.  So r = 0 is probed first, then r = r_max, which
+    settles a kernel-free chain; only when r_max has a kernel are the
+    radii 1, 2, ... scanned for the first one.  The witness is kernel[0]
+    of that first window, as a scan from r = 0 would find it.
     """
     rule = _require_linear(ca)
-    group = ca.group
     n = rule.n
-    for r in range(r_max + 1):
-        window = chain_window(group, r)
+
+    def supported_kernel(r):
+        window = chain_window(ca.group, r)
         wm = window_matrix(ca, "supported", window)
-        _, kernel = rank_kernel_sparse(wm.field, wm.matrix_rows, wm.ncols, want_kernel=True)
-        if kernel:
-            vec = kernel[0]
-            values = {}
-            for g in window:
-                base = window.position(g) * n
-                values[g] = tuple(vec[base + j] for j in range(n))
-            witness = Pattern(window, values)
-            return PreInjectivityReport("not_pre_injective", r_max, witness, r)
-    return PreInjectivityReport("kernel_free_up_to", r_max)
+        return window, rank_kernel_sparse(wm.field, wm.matrix_rows, wm.ncols, want_kernel=True)[1]
+
+    r = 0
+    window, kernel = supported_kernel(0)
+    if not kernel and r_max > 0:
+        top = supported_kernel(r_max)
+        if top[1]:
+            for r in range(1, r_max + 1):
+                window, kernel = top if r == r_max else supported_kernel(r)
+                if kernel:
+                    break
+    if not kernel:
+        return PreInjectivityReport("kernel_free_up_to", r_max)
+    vec = kernel[0]
+    values = {}
+    for g in window:
+        base = window.position(g) * n
+        values[g] = tuple(vec[base + j] for j in range(n))
+    return PreInjectivityReport("not_pre_injective", r_max, Pattern(window, values), r)
 
 
 @dataclass

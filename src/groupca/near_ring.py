@@ -44,7 +44,7 @@ class NearRingError(ValueError):
 
 
 class TermCapExceeded(NearRingError):
-    """Raised before a product, power or substitution may exceed TERM_CAP terms, or a power WORK_CAP term products."""
+    """Raised before a product, power or substitution may exceed TERM_CAP terms, or a product or power WORK_CAP term products."""
 
 
 def _trusted(cls, *args):
@@ -221,17 +221,19 @@ class NearRingElement:
     def __mul__(self, other):
         """Ordinary commutative polynomial product (exponents add pointwise).
 
-        Refused when min(|a|*|b|, prod_g (m_g(a) + m_g(b) + 1)) exceeds
-        TERM_CAP, m_g being the largest exponent of X_g in a factor: the
-        product has at most that many terms.
+        Refused when its |a|*|b| term products exceed WORK_CAP, or when
+        min(|a|*|b|, prod_g (m_g(a) + m_g(b) + 1)) exceeds TERM_CAP, m_g
+        being the largest exponent of X_g in a factor: the product has at
+        most that many terms.
         """
         self._compat(other)
-        if len(self.terms) * len(other.terms) > TERM_CAP:
+        k, m = len(self.terms), len(other.terms)
+        if k * m > WORK_CAP:
+            raise TermCapExceeded("a product of %d and %d terms needs more than %d term products" % (k, m, WORK_CAP))
+        if k * m > TERM_CAP:
             a, b = self._top_exponents(), other._top_exponents()
             if math.prod(a.get(g, 0) + b.get(g, 0) + 1 for g in a.keys() | b.keys()) > TERM_CAP:
-                raise TermCapExceeded(
-                    "a product of %d and %d terms may exceed %d terms" % (len(self.terms), len(other.terms), TERM_CAP)
-                )
+                raise TermCapExceeded("a product of %d and %d terms may exceed %d terms" % (k, m, TERM_CAP))
         return self._times(other)
 
     def _times(self, other):

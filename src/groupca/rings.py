@@ -21,7 +21,7 @@ class RingError(ValueError):
 
 
 TERM_CAP = 10**6  # size bound of one polynomial or group-ring product, checked before forming it
-WORK_CAP = 10**6  # term products of a whole polynomial power chain, checked before it starts
+WORK_CAP = 10**6  # term products of one polynomial product or power chain, checked before it starts
 
 
 def _is_prime(n: int) -> bool:

@@ -2,8 +2,9 @@
 
 from fractions import Fraction
 
-from groupca.ca import CellularAutomaton, LinearRule
+from groupca.ca import CellularAutomaton, LinearRule, Pattern
 from groupca.groups import FiniteGroup, FreeGroup, ZdGroup, ball
+from groupca.linear_ca import PreInjectivityReport, chain_window, window_matrix
 from groupca.near_ring import ExponentVector, NearRingElement
 from groupca.rings import QQ, ExactMatrix, PrimeField, rank_kernel_sparse, scalar_inverse
 
@@ -130,6 +131,23 @@ def rank_kernel_reference(field, rows, ncols, want_kernel=True):
                 vec[pcol] = -v
         kernel.append(tuple(vec))
     return rank, kernel
+
+
+def preinjectivity_reference(ca, r_max):
+    """preinjectivity_check as a plain scan r = 0, 1, ..., r_max, for differential tests.
+
+    Every supported window is eliminated in order until the first one with
+    a kernel; its kernel[0] is the witness.
+    """
+    n = ca.rule.n
+    for r in range(r_max + 1):
+        window = chain_window(ca.group, r)
+        wm = window_matrix(ca, "supported", window)
+        _, kernel = rank_kernel_sparse(wm.field, wm.matrix_rows, wm.ncols, want_kernel=True)
+        if kernel:
+            values = {g: tuple(kernel[0][window.position(g) * n + j] for j in range(n)) for g in window}
+            return PreInjectivityReport("not_pre_injective", r_max, Pattern(window, values), r)
+    return PreInjectivityReport("kernel_free_up_to", r_max)
 
 
 def solve_reduced(field, rows, rhs, ncols):

@@ -67,7 +67,7 @@ def test_product_size_check(monkeypatch):
 
 
 def test_power_size_check_on_commuting_supports(monkeypatch):
-    """On a free group a two-term power is checked up front when its terms commute, by i + 1."""
+    """On a free group a power is checked up front when its terms commute, by Z^1's box on the exponents of their root word."""
     monkeypatch.setattr(gr_mod, "TERM_CAP", 10)
     free = FreeGroup(2)
     a, b = free.parse_element("a"), free.parse_element("b")
@@ -83,11 +83,14 @@ def test_power_size_check_on_commuting_supports(monkeypatch):
     a_plus_b = GroupRingElement(free, QQ, {a: QQ.one(), b: QQ.one()})
     with pytest.raises(GroupRingError, match="a product of 4 and 4 terms"):
         a_plus_b**6
-    # three commuting terms are not checked up front: C(i+2, 2) is far above the 2i + 1 of the support
-    monkeypatch.setattr(gr_mod, "TERM_CAP", 10**6)
+    # three commuting terms: (1 + x + x^2)^i has 2i + 1 terms, so x^3's chain needs 3 * 3, then 3 * 5 > 10
     free1 = FreeGroup(1)
     x = free1.parse_element("a")
     one_x_x2 = GroupRingElement(free1, QQ, {free1.identity(): QQ.one(), x: QQ.one(), x * x: QQ.one()})
+    assert len((one_x_x2**2).coeffs) == 5
+    with pytest.raises(GroupRingError, match="3-term element to the power 3"):
+        one_x_x2**3
+    monkeypatch.setattr(gr_mod, "TERM_CAP", 10**6)
     assert len((one_x_x2**100).coeffs) == 201
     monkeypatch.setattr(gr_mod, "TERM_CAP", 10)
     # on a finite group the supports stay within the group: 3 * 3 products only

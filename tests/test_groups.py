@@ -21,6 +21,7 @@ from groupca.groups import (
     subset_calculus,
     word_distance,
 )
+from groupca.rings import power
 
 Z = ZdGroup(1)
 Z2 = ZdGroup(2)
@@ -55,6 +56,26 @@ def test_inverse_examples():
 def test_free_words_stay_reduced():
     w = F2.element((1, 2, -2, -1, 1))
     assert w.value == (1,)
+
+
+def test_free_root_words():
+    """e = w^m for root(e) = (w, m); two elements commute exactly when one is 1 or their roots agree."""
+    assert F2.root(F2.identity()) == (F2.identity(), 0)
+    # b^-1 (ab)^3 b = (b^-1 a b^2)^3, and b^-1 b^-1 a^-1 b is the lesser word of the root and its inverse
+    assert F2.root(F2.parse_element("b^-1*a*b*a*b*a*b^2")) == (F2.parse_element("b^-2*a^-1*b"), -3)
+    assert F2.root(F2.parse_element("a^3")) == (F2.parse_element("a^-1"), -3)
+    def pw(g, m):
+        return power(g if m >= 0 else g.inverse(), abs(m), F2.identity())
+
+    elements = list(ball(F2, 2))
+    elements += [pw(g, m) for g in elements[1:] for m in (2, 3)]
+    roots = {g: F2.root(g) for g in elements}
+    for g, (w, m) in roots.items():
+        assert pw(w, m) == g and (m == 0 or F2.root(w) == (w, 1))
+    for g in elements:
+        for h in elements:
+            commute = g * h == h * g
+            assert commute == (not roots[g][1] or not roots[h][1] or roots[g][0] == roots[h][0]), (g, h)
 
 
 def test_ball_examples():

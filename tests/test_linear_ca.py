@@ -3,7 +3,15 @@ from fractions import Fraction
 
 import pytest
 
-from support import fixture_suite, pair_sigma, rank_kernel_reference, z_fixtures, z2_fixtures
+from support import (
+    fixture_suite,
+    free2,
+    pair_sigma,
+    preinjectivity_reference,
+    rank_kernel_reference,
+    z_fixtures,
+    z2_fixtures,
+)
 
 from groupca.ca import CAError, CellularAutomaton, LinearRule, Pattern, ca_from_polynomial, compose, group_ring_of
 from groupca.groups import FiniteSubset, ZdGroup, ball
@@ -197,6 +205,54 @@ def test_non_homothety_one_cell_automaton():
     assert inv_symbol == ExactMatrix.from_ints(QQ, [[1, -1], [0, 1]])
     diag = m.rows[0][0]
     assert m != ExactMatrix.identity(QQ, 2).scale(diag)
+
+
+def _probe_rules():
+    """The fixture suite plus rules off Z^d and with a first kernel at r = 1.
+
+    The symbol [[1, g], [1, g]] maps x to x_1(h) + x_2(h*g) in both
+    components, so x_2(1) = 1, x_1(g^-1) = -1 is a kernel vector on the
+    radius-1 window and none fits in {1}.
+    """
+    mat = lambda rows: ExactMatrix.from_ints(QQ, rows)
+    F = free2()
+    a = F.parse_element("a")
+    rules = dict(fixture_suite())
+    for name, group, g in (("z", Z, zel(1)), ("free2", F, a)):
+        symbol = {group.identity(): mat([[1, 0], [1, 0]]), g: mat([[0, 1], [0, 1]])}
+        rules[name + "/rank1_first_kernel_r1"] = CellularAutomaton(group, LinearRule(2, QQ, symbol))
+    rules["free2/one_minus_a"] = CellularAutomaton(F, LinearRule(1, QQ, {F.identity(): mat([[1]]), a: mat([[-1]])}))
+    return rules
+
+
+def test_preinjectivity_probe_matches_the_plain_scan():
+    """The probes r = 0, r = r_max and the scan give the plain scan's report, witness included."""
+    first_kernels = {}
+    for name, ca in _probe_rules().items():
+        for r_max in range(5):
+            got, want = preinjectivity_check(ca, r_max), preinjectivity_reference(ca, r_max)
+            assert (got.verdict, got.r_max, got.witness_radius) == (want.verdict, want.r_max, want.witness_radius), name
+            if want.witness is None:
+                assert got.witness is None, name
+            else:
+                domain = list(want.witness.domain)
+                assert list(got.witness.domain) == domain, name
+                assert [got.witness[g] for g in domain] == [want.witness[g] for g in domain], name
+        first_kernels[name] = want.witness_radius
+    # every branch runs: a kernel at 0, none up to 4, and a first kernel found by the scan
+    assert first_kernels["z2/zero"] == 0 and first_kernels["free2/one_minus_a"] is None
+    assert first_kernels["z/rank1_first_kernel_r1"] == first_kernels["free2/rank1_first_kernel_r1"] == 1
+
+
+def test_finite_support_kernels_grow_along_the_chain():
+    """A nonzero kernel of the supported window at r stays nonzero at r + 1."""
+    for name, ca in _probe_rules().items():
+        had_kernel = False
+        for r in range(5):
+            wm = window_matrix(ca, "supported", chain_window(ca.group, r))
+            _, kernel = rank_kernel_sparse(wm.field, wm.matrix_rows, wm.ncols, want_kernel=True)
+            assert bool(kernel) or not had_kernel, (name, r)
+            had_kernel = bool(kernel)
 
 
 def test_compose_identity_neutral():

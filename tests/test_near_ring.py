@@ -382,16 +382,23 @@ def test_power_work_bound_stops_long_chains_early(capsys):
 
     stars = ["star", "--group", "zd:1", "--field", "q", "--alpha", "X[(0)]^700", "--beta", "X[(0)]+X[(1)]+X[(2)]"]
     embeds = [
-        ["embed", "--group", "free:1", "--field", "q", "--kind", "iota", "--element", "([1]+[a])^20000"],
-        ["embed", "--group", "free:2", "--field", "q", "--kind", "iota", "--element", "([a]+[a^-1])^20000"],
+        ("([1]+[a])^20000", 1, 2),
+        ("([a]+[a^-1])^20000", 2, 2),
+        ("([1]+[a]+[a^2])^20000", 1, 3),  # powers of the root word a, with exponents 0, 1, 2
+        ("([b*a*b^-1]+[b*a^-2*b^-1]+[b*a^3*b^-1])^20000", 2, 3),  # powers of b*a*b^-1
     ]
     with _cpu_budget(2.0):
         assert run_job(stars) == 2
     assert capsys.readouterr().err.startswith("error: a 3-term polynomial to the power 700 may need more than")
-    for argv in embeds:
+    for element, rank, k in embeds:
+        argv = ["embed", "--group", "free:%d" % rank, "--field", "q", "--kind", "iota", "--element", element]
         with _cpu_budget(2.0):
             assert run_job(argv) == 2
-        assert capsys.readouterr().err.startswith("error: a 2-term element to the power 20000 may exceed")
+        assert capsys.readouterr().err.startswith("error: a %d-term element to the power 20000 may exceed" % k)
+    argv = ["embed", "--group", "free:1", "--field", "q", "--kind", "iota", "--element", "([1]+[a]+[a^2])^100"]
+    with _cpu_budget(2.0):
+        assert run_job(argv) == 0
+    assert json.loads(capsys.readouterr().out)["element"].count(" + ") == 200
 
 
 def test_char_p_powers_go_by_base_p_digits(capsys):
@@ -440,7 +447,7 @@ def _top_exponents(p):
 
 
 def test_product_size_bound_matches_its_formula(monkeypatch):
-    """a * b raises exactly when min(|a|*|b|, prod_g (m_g(a) + m_g(b) + 1)) exceeds the cap."""
+    """a * b raises exactly when min(|a|*|b|, prod_g (m_g(a) + m_g(b) + 1)) exceeds TERM_CAP, or |a|*|b| exceeds WORK_CAP."""
     rng = random.Random(8)
     for cap in (3, 20, 150):
         monkeypatch.setattr(nr_mod, "TERM_CAP", cap)
@@ -455,6 +462,21 @@ def test_product_size_bound_matches_its_formula(monkeypatch):
                 assert bound > cap
             else:
                 assert bound <= cap and size <= bound
+    # and for its work exactly when |a|*|b| exceeds WORK_CAP, whatever the box
+    monkeypatch.setattr(nr_mod, "TERM_CAP", 10**6)
+    raised = 0
+    for cap in (3, 20, 150):
+        monkeypatch.setattr(nr_mod, "WORK_CAP", cap)
+        for _ in range(150):
+            a, b = (rand_near_ring(Z, QQ, rng, radius=1, max_degree=4, max_terms=16) for _ in range(2))
+            try:
+                a * b
+            except TermCapExceeded as exc:
+                assert len(a.terms) * len(b.terms) > cap and "term products" in str(exc)
+                raised += 1
+            else:
+                assert len(a.terms) * len(b.terms) <= cap
+    assert raised
 
 
 def test_star_size_bound_matches_its_formula(monkeypatch):
@@ -482,8 +504,8 @@ def test_star_size_bound_matches_its_formula(monkeypatch):
                 assert bound <= cap and size <= bound
 
 
-def test_product_size_bounds_stop_large_products_early():
-    """Products whose factors each pass their own size bound exit 2 well under 2 s."""
+def test_product_size_bounds_stop_large_products_early(capsys):
+    """Products whose factors each pass their own size bound, or that need too many term products, exit 2 well under 2 s."""
     from groupca.cli import run_job
 
     stars = ["star", "--group", "zd:1", "--field", "q", "--alpha", "X[(0)]^700*X[(1)]^700", "--beta", "X[(0)]+X[(1)]+X[(2)]"]
@@ -491,6 +513,13 @@ def test_product_size_bounds_stop_large_products_early():
     for argv in (stars, embed):
         with _cpu_budget(2.0):
             assert run_job(argv) == 2
+    # (P)*(P) has at most 2401 terms, but forms 1200 * 1200 term products
+    p = " + ".join("X[(0)]^%d" % e for e in range(1, 1201))
+    square = ["star", "--group", "zd:1", "--field", "q", "--alpha", "(%s)*(%s)" % (p, p), "--beta", "X[(0)]"]
+    capsys.readouterr()
+    with _cpu_budget(2.0):
+        assert run_job(square) == 2
+    assert capsys.readouterr().err == "error: a product of 1200 and 1200 terms needs more than 1000000 term products\n"
 
 
 def test_char_p_group_ring_powers_are_not_refused(capsys):
