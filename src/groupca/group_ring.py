@@ -104,8 +104,8 @@ class GroupRingElement:
 
         On Z^d, supp(self^i) lies in the box i*[lo_c, hi_c] and has at most
         C(i+k-1, k-1) points for k terms.  Pairwise commuting terms of a
-        free group are powers w^e of their common root word w, so on Z^1's
-        box supp(self^i) has at most i*(max e - min e) + 1 points.  Terms
+        free group are powers w^e of their common root word w, so, as on
+        Z^1, supp(self^i) has at most i*(max e - min e) + 1 points.  Terms
         that do not commute are left to _convolve's rule, as are powers in
         characteristic p or with (nilpotent) matrix coefficients, where
         cancellation can keep the chain smaller.  Scalar powers on a

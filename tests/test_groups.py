@@ -64,6 +64,7 @@ def test_free_root_words():
     # b^-1 (ab)^3 b = (b^-1 a b^2)^3, and b^-1 b^-1 a^-1 b is the lesser word of the root and its inverse
     assert F2.root(F2.parse_element("b^-1*a*b*a*b*a*b^2")) == (F2.parse_element("b^-2*a^-1*b"), -3)
     assert F2.root(F2.parse_element("a^3")) == (F2.parse_element("a^-1"), -3)
+
     def pw(g, m):
         return power(g if m >= 0 else g.inverse(), abs(m), F2.identity())
 
