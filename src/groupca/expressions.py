@@ -120,18 +120,17 @@ class _Parser:
         return value
 
     def expr(self):
-        sign = 1
-        if self.peek() in ("+", "-"):
-            if self.next()[0] == "-":
-                sign = -1
-        acc = self.term()
-        if sign < 0:
-            acc = -acc
-        while self.peek() in ("+", "-"):
-            op = self.next()[0]
+        """The sum of the signed terms, added pairwise: a long sum is not copied once per term."""
+        terms = []
+        op = self.next()[0] if self.peek() in ("+", "-") else "+"
+        while op:
             t = self.term()
-            acc = acc + t if op == "+" else acc - t
-        return acc
+            terms.append(-t if op == "-" else t)
+            op = self.next()[0] if self.peek() in ("+", "-") else None
+        while len(terms) > 1:
+            odd = terms[-1:] if len(terms) % 2 else []
+            terms = [a + b for a, b in zip(terms[::2], terms[1::2])] + odd
+        return terms[0]
 
     def term(self):
         acc = self.factor()

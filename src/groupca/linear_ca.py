@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .ca import CAError, CellularAutomaton, LinearRule, Pattern, compose, group_ring_of
 from .groups import FiniteSubset, ZdGroup, ball, box_window, folner_box, subset_calculus
-from .rings import ExactMatrix, rank_kernel_sparse
+from .rings import Echelon, ExactMatrix, rank_kernel_sparse
 
 
 def _require_linear(ca: CellularAutomaton):
@@ -231,9 +231,10 @@ def find_left_inverse(ca: CellularAutomaton, r_max: int) -> LeftInverseReport:
 
     For each radius r, looks for a block row vector h with h * W = P where
     W is the plus-mode window matrix on the ball and P projects onto the
-    identity block; h then reads off the inverse's symbol.  Free variables
-    are set to zero, and the result is verified by composing back to the
-    identity symbol.
+    identity block: each row of h holds the coordinates of a row of P in
+    the rows of W, and h then reads off the inverse's symbol.  Free
+    variables (rows of W in the span of the rows before them) are zero, and
+    the result is verified by composing back to the identity symbol.
     """
     rule = _require_linear(ca)
     group = ca.group
@@ -243,31 +244,18 @@ def find_left_inverse(ca: CellularAutomaton, r_max: int) -> LeftInverseReport:
         wm = window_matrix(ca, "plus", window)
         if group.identity() not in wm.in_domain:
             continue
-        # transpose the system: W^T h^T = P^T, one RHS column per output row
-        aug = [dict() for _ in range(wm.ncols)]
-        for i, row in enumerate(wm.matrix_rows):
-            for j, v in row.items():
-                aug[j][i] = v
+        echelon = Echelon(coordinates=True)
+        for row in wm.matrix_rows:
+            echelon.add(row)
         id_base = wm.in_domain.position(group.identity()) * n
-        ncols = wm.nrows
-        for k in range(n):
-            # RHS column k: 1 at row id_base+k
-            aug[id_base + k][ncols + k] = wm.field.one()
-        rank_kernel_sparse(wm.field, aug, ncols)
-        leads = [(min(row), row) for row in aug if row]
-        if any(col >= ncols for col, _ in leads):
+        sol = [echelon.solve({id_base + k: wm.field.one()}) for k in range(n)]
+        if None in sol:
             continue  # projection rows outside the row space
         zero = wm.field.zero()
-        sol = [[zero] * (n * len(window)) for _ in range(n)]
-        for col, row in leads:
-            for k in range(n):
-                v = row.get(ncols + k)
-                if v:
-                    sol[k][col] = v
         symbol = {}
         for g in window:
             base = window.position(g) * n
-            m = ExactMatrix(wm.field, [[sol[i][base + j] for j in range(n)] for i in range(n)])
+            m = ExactMatrix(wm.field, [[sol[i].get(base + j, zero) for j in range(n)] for i in range(n)])
             if m:
                 symbol[g] = m
         inverse = CellularAutomaton(group, LinearRule(n, wm.field, symbol))

@@ -36,7 +36,7 @@ from operator import itemgetter
 
 from .group_ring import GroupRingElement, TwistedGroupRingElement
 from .groups import FiniteSubset, GroupElement
-from .rings import TERM_CAP, WORK_CAP, PrimeField, base_digits, chain_products, frobenius, power, scalar_inverse
+from .rings import TERM_CAP, WORK_CAP, Echelon, PrimeField, base_digits, chain_products, frobenius, power, scalar_inverse
 
 
 class NearRingError(ValueError):
@@ -702,61 +702,20 @@ class _FastPoly:
         )
 
 
-def _solve_mod_p(columns, target, p):
-    """Solve sum_i x_i col_i = target over F_p; return (particular, kernel basis) or None.
-
-    ``columns`` and ``target`` are dict polynomials.  Each column is reduced
-    against the independent columns before it, keeping its coordinates in
-    them: a column in their span gives the kernel vector e_j - coordinates,
-    and the target's coordinates give the particular solution.  These are
-    the answers of the reduced echelon form (free variables zero, one kernel
-    vector per non-pivot column), whatever pivots the reduction picks.
-    """
-    basis = []  # (pivot monomial, vector with pivot coefficient 1, its coordinates)
-
-    def reduce(vec, coords):
-        for key, b, b_coords in basis:
-            c = vec.get(key)
-            if c:
-                for m, x in b.items():
-                    y = (vec.get(m, 0) - c * x) % p
-                    if y:
-                        vec[m] = y
-                    else:
-                        del vec[m]
-                for i, x in b_coords.items():
-                    coords[i] = (coords.get(i, 0) - c * x) % p
-
-    ncols = len(columns)
-    kernel = []
-    for j, col in enumerate(columns):
-        vec, coords = dict(col), {j: 1}
-        reduce(vec, coords)
-        if vec:
-            key = next(iter(vec))
-            inv = pow(vec[key], p - 2, p)
-            basis.append(
-                (key, {m: x * inv % p for m, x in vec.items()}, {i: x * inv % p for i, x in coords.items()})
-            )
-        else:
-            kernel.append([coords.get(i, 0) for i in range(ncols)])
-    vec, coords = dict(target), {}
-    reduce(vec, coords)
-    if vec:
-        return None  # inconsistent
-    return [(-coords.get(i, 0)) % p for i in range(ncols)], kernel
-
-
-def _enumerate_solutions(particular, kernel, p, cap=100000):
-    if len(kernel) == 0:
-        yield tuple(particular)
-        return
+def _enumerate_solutions(solution, kernel, m, p, cap=100000):
+    """Each solution in m digits: ``solution`` plus a combination of e_j + y, (j, y) in ``kernel``."""
     count = p ** len(kernel)
     if count > cap:
         raise NearRingError("solution space too large to enumerate (%d)" % count)
-    for combo in itertools.product(range(p), repeat=len(kernel)):
-        vec = list(particular)
-        for c, kv in zip(combo, kernel):
+    particular = [solution.get(i, 0) for i in range(m)]
+    basis = []
+    for j, y in kernel:
+        vec = [y.get(i, 0) for i in range(m)]
+        vec[j] = 1
+        basis.append(vec)
+    for combo in itertools.product(range(p), repeat=len(basis)):
+        vec = particular
+        for c, kv in zip(combo, basis):
             if c:
                 vec = [(a + c * b) % p for a, b in zip(vec, kv)]
         yield tuple(vec)
@@ -785,7 +744,7 @@ def _orbit(digits, p):
 
 
 def _live_betas(fast, ranges):
-    """(index, digits, (particular, kernel)) for each live beta in the ascending index ranges.
+    """(index, digits, (solution, kernel, m)) for each live beta in the ascending index ranges.
 
     A beta is live when alpha star beta = target has a nonzero solution
     alpha: any solution when the target is X_e, a nonzero kernel when it
@@ -794,9 +753,12 @@ def _live_betas(fast, ranges):
     p = fast.p
     live = []
     for index, digits in _walk(fast, ranges):
-        solved = _solve_mod_p(fast.columns(digits), fast.target, p)
-        if solved is not None and (fast.target or solved[1]):
-            live.append((index, tuple(digits), solved))
+        echelon = Echelon(p, coordinates=True)
+        for column in fast.columns(digits):
+            echelon.add(column)
+        solution = echelon.solve(fast.target)
+        if solution is not None and (fast.target or echelon.kernel):
+            live.append((index, tuple(digits), (solution, echelon.kernel, echelon.size)))
     return live
 
 

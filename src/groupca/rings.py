@@ -3,16 +3,16 @@
 Scalars come in three flavours: arbitrary-precision rationals (plain
 ``fractions.Fraction``), prime fields F_p, and small extension fields
 GF(p^k) in a fixed polynomial basis.  On top of those sit dense exact
-matrices with a deterministic rank/kernel routine and Frobenius-twisted
-polynomials (t*a = a^p*t).
+matrices, one span solver (``Echelon``) for every rank, kernel and linear
+system, and Frobenius-twisted polynomials (t*a = a^p*t).
 
 No floating point is used anywhere; every operation is exact.
 """
 
 from __future__ import annotations
 
+import heapq
 import operator
-from collections import defaultdict
 from fractions import Fraction
 
 
@@ -621,78 +621,128 @@ class ExactMatrix:
         return "ExactMatrix(%dx%d over %r)" % (self.nrows, self.ncols, self.field)
 
 
-def rank_kernel_sparse(field, rows, ncols, want_kernel=True):
-    """Gauss-Jordan elimination on sparse rows (dicts col->nonzero scalar).
+class Echelon:
+    """The span of vectors added one at a time: its rank, kernel and solutions, exactly.
 
-    Pivot rule: first nonzero column, smallest surviving row index.  The
-    kernel basis vectors come out in reduced echelon form, one per free
-    column, in ascending column order.  Mutates ``rows``.
-
-    Pivots are taken in columns below ``ncols`` only; entries at columns
-    >= ``ncols`` (right-hand sides) are carried through every row
-    operation.  With ``want_kernel`` the rows end fully reduced: a nonzero
-    row's smallest column is its pivot, which holds 1 and is zero in every
-    other row, and a nonzero row whose smallest column is >= ``ncols``
-    has no pivot (an inconsistent right-hand side).
-
-    Pivots and target rows are read from ``index``, which maps each column
-    to the rows that are nonzero there: row ``i`` is in ``index[c]``
-    exactly when ``rows[i].get(c)`` is nonzero.  It is built once from the
-    input and updated wherever fill-in makes an entry nonzero or
-    cancellation makes it zero, so the cost follows the nonzeros, not
-    rows x columns.  The pivot rule and every row operation are those of a
-    scan over the rows in row order (each target row depends only on
-    itself and the pivot row, so the order targets are visited in does
-    not matter), and the reduced rows and the kernel are the scan's.
+    A vector is a dict {orderable key: scalar}, zero entries ignored, and is
+    never mutated.  Scalars are field elements, or ints in range(p) given a
+    prime ``p``.  A vector is reduced against the basis in ascending key
+    order until its smallest key is no pivot (it joins the basis, scaled to
+    1 there) or it vanishes.  With ``coordinates``, basis vectors keep their
+    coordinates in the vectors added, numbered from 0, and a dependent v_j
+    appends (j, y) to ``kernel``, v_j + sum y_i v_i = 0.  Only independent
+    vectors get coordinates, so they are the reduced-echelon answers with
+    free variables zero, whatever the pivots.
     """
-    zero, one = field.zero(), field.one()
-    index = defaultdict(set)
-    for i, row in enumerate(rows):
-        for c, v in row.items():
-            if v:
-                index[c].add(i)
-    live = set(range(len(rows)))
-    pivots = {}  # col -> row index
-    for col in range(ncols):
-        hits = [i for i in index.get(col, ()) if i in live]
-        if not hits:
-            continue
-        pivot_row = min(hits)
-        live.remove(pivot_row)
-        pivots[col] = pivot_row
-        prow = rows[pivot_row]
-        inv = scalar_inverse(prow[col])
-        for j, v in list(prow.items()):
-            prow[j] = v * inv
-        prow[col] = one
-        targets = index[col] if want_kernel else hits
-        # a copy: eliminating row i removes it from index[col]
-        for i in [i for i in targets if i != pivot_row]:
-            ri = rows[i]
-            f = ri[col]
-            for j, v in prow.items():
-                nv = ri.get(j, zero) - f * v
-                if nv:
-                    ri[j] = nv
-                    index[j].add(i)
-                elif j in ri:
-                    del ri[j]
-                    index[j].discard(i)
-    rank = len(pivots)
-    if not want_kernel:
-        return rank, []
-    # After full reduction only pivot rows are nonzero below ncols.
-    pivot_col = {i: c for c, i in pivots.items()}
+
+    def __init__(self, p=None, coordinates=False):
+        self.p = p
+        self.coordinates = coordinates
+        self.size = 0  # vectors added
+        self.kernel = []
+        self._basis = {}  # pivot -> (the basis vector without its pivot, its coordinates)
+
+    @property
+    def rank(self) -> int:
+        return len(self._basis)
+
+    def add(self, vector) -> bool:
+        """Add ``vector``; True when it is independent of the vectors added before."""
+        j, p = self.size, self.p
+        self.size += 1
+        vec = dict(vector) if all(vector.values()) else {k: c for k, c in vector.items() if c}
+        coords = {} if self.coordinates else None
+        key = self._reduce(vec, coords)
+        if key is None:
+            if coords is not None:
+                self.kernel.append((j, coords))
+            return False
+        c = vec.pop(key)
+        inv = pow(c, -1, p) if p else scalar_inverse(c)
+        if coords is not None:
+            coords = self._scaled(coords, inv)
+            coords[j] = inv
+        self._basis[key] = (self._scaled(vec, inv), coords)
+        return True
+
+    def solve(self, target):
+        """Coordinates {i: x_i}, free variables zero, with target = sum x_i v_i; None outside the span."""
+        coords = {}
+        if self._reduce({k: c for k, c in target.items() if c}, coords) is not None:
+            return None
+        return self._scaled(coords, -1)
+
+    def _scaled(self, d, c):
+        if c == 1:
+            return d
+        p = self.p
+        return {k: x * c % p for k, x in d.items()} if p else {k: x * c for k, x in d.items()}
+
+    def _reduce(self, vec, coords):
+        """Reduce ``vec`` in place, and ``coords`` alike unless it is None.
+
+        Returns the first key of ``vec`` that is not a pivot, None when
+        ``vec`` vanishes.  The basis vector of pivot k has no key below k,
+        so each key of ``vec`` is met once, in ascending order.
+        """
+        p, basis = self.p, self._basis
+        heap = list(vec)
+        heapq.heapify(heap)
+        while heap:
+            key = heapq.heappop(heap)
+            if key not in vec:
+                continue  # cancelled, or pushed twice
+            if key not in basis:
+                return key
+            c = vec.pop(key)
+            tail, tail_coords = basis[key]
+            for k, x in tail.items():
+                if k in vec:
+                    y = (vec[k] - c * x) % p if p else vec[k] - c * x
+                    if y:
+                        vec[k] = y
+                    else:
+                        del vec[k]
+                else:
+                    vec[k] = -c * x % p if p else -c * x
+                    heapq.heappush(heap, k)
+            if coords is not None:
+                for i, x in tail_coords.items():
+                    y = (coords.get(i, 0) - c * x) % p if p else coords.get(i, 0) - c * x
+                    if y:
+                        coords[i] = y
+                    else:
+                        del coords[i]
+        return None
+
+
+def rank_kernel_sparse(field, rows, ncols, want_kernel=True):
+    """Rank of the sparse rows (dicts col -> scalar) and, with ``want_kernel``, a kernel basis.
+
+    Columns >= ``ncols`` are ignored and ``rows`` are not mutated.  The
+    basis is the reduced-echelon one: e_j + y for each column j that
+    depends on those before it, in ascending j.  Over F_p it runs on ints.
+    """
+    p = field.p if isinstance(field, PrimeField) else None
+    if want_kernel:  # the columns, {row index: entry}
+        vectors = [{} for _ in range(ncols)]
+        for i, row in enumerate(rows):
+            for j, v in row.items():
+                if j < ncols:
+                    vectors[j][i] = v.v if p else v
+    else:
+        vectors = ({j: v.v if p else v for j, v in row.items() if j < ncols} for row in rows)
+    echelon = Echelon(p, coordinates=want_kernel)
+    for vec in vectors:
+        echelon.add(vec)
     kernel = []
-    for col in range(ncols):
-        if col in pivots:
-            continue
-        vec = [zero] * ncols
-        vec[col] = one
-        for i in index.get(col, ()):
-            vec[pivot_col[i]] = -rows[i][col]
+    for j, y in echelon.kernel:
+        vec = [field.zero()] * ncols
+        for i, c in y.items():
+            vec[i] = field.from_int(c) if p else c
+        vec[j] = field.one()
         kernel.append(tuple(vec))
-    return rank, kernel
+    return echelon.rank, kernel
 
 
 def scalar_inverse(x):

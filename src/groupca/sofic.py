@@ -381,9 +381,7 @@ def graph_ca_rank_audit(graph: LabeledGraph, ca, r: int, left_inverse=None) -> R
         return rows
 
     forward_rows = transported_rows(rule.symbol, v2, pos1)
-    transported_rank, _ = rank_kernel_sparse(
-        rule.field, [dict(r_) for r_ in forward_rows], n * len(v1), want_kernel=False
-    )
+    transported_rank, _ = rank_kernel_sparse(rule.field, forward_rows, n * len(v1), want_kernel=False)
     report = RankAuditReport(
         transported_rank=transported_rank, n_dim=n, v_r=len(v1), v_2r=len(v2), v_3r=len(v3)
     )

@@ -2,9 +2,9 @@
 
 from fractions import Fraction
 
-from groupca.ca import CellularAutomaton, LinearRule, Pattern
+from groupca.ca import CellularAutomaton, LinearRule, Pattern, compose, group_ring_of
 from groupca.groups import FiniteGroup, FreeGroup, ZdGroup, ball
-from groupca.linear_ca import PreInjectivityReport, chain_window, window_matrix
+from groupca.linear_ca import LeftInverseReport, PreInjectivityReport, chain_window, window_matrix
 from groupca.near_ring import ExponentVector, NearRingElement
 from groupca.rings import QQ, ExactMatrix, PrimeField, rank_kernel_sparse, scalar_inverse
 
@@ -151,18 +151,17 @@ def preinjectivity_reference(ca, r_max):
 
 
 def solve_reduced(field, rows, rhs, ncols):
-    """Solve A x = b with one rank_kernel_sparse pass over [A | b].
+    """Solve A x = b with one rank_kernel_reference pass over [A | b].
 
     ``rows`` are the sparse rows of A and ``rhs`` the entries of b.  The
-    answer is read from the reduced rows as find_left_inverse reads it:
-    free variables zero, None when a row's smallest column is the
-    right-hand side.
+    answer is read from the fully reduced rows: free variables zero, None
+    when a row's smallest column is the right-hand side.
     """
     aug = [dict(row) for row in rows]
     for row, v in zip(aug, rhs):
         if v:
             row[ncols] = v
-    rank_kernel_sparse(field, aug, ncols)
+    rank_kernel_reference(field, aug, ncols)
     x = [field.zero()] * ncols
     for row in aug:
         if row:
@@ -171,6 +170,42 @@ def solve_reduced(field, rows, rhs, ncols):
                 return None
             x[lead] = row.get(ncols, field.zero())
     return x
+
+
+def left_inverse_reference(ca, r_max):
+    """find_left_inverse on the transposed system, for differential tests.
+
+    h * W = P becomes W^T h^T = P^T: for each row k of P, the transpose of
+    the plus-mode window matrix W, augmented with column k of P^T, is
+    reduced by rank_kernel_reference and row k of h read from it.
+    """
+    group, n = ca.group, ca.rule.n
+    for r in range(r_max + 1):
+        window = chain_window(group, r)
+        wm = window_matrix(ca, "plus", window)
+        if group.identity() not in wm.in_domain:
+            continue
+        transposed = [{} for _ in range(wm.ncols)]
+        for i, row in enumerate(wm.matrix_rows):
+            for j, v in row.items():
+                transposed[j][i] = v
+        id_base = wm.in_domain.position(group.identity()) * n
+        sol = []
+        for k in range(n):
+            rhs = [wm.field.one() if j == id_base + k else wm.field.zero() for j in range(wm.ncols)]
+            sol.append(solve_reduced(wm.field, transposed, rhs, wm.nrows))
+        if None in sol:
+            continue
+        symbol = {}
+        for g in window:
+            base = window.position(g) * n
+            m = ExactMatrix(wm.field, [[sol[i][base + j] for j in range(n)] for i in range(n)])
+            if m:
+                symbol[g] = m
+        inverse = CellularAutomaton(group, LinearRule(n, wm.field, symbol))
+        if group_ring_of(compose(inverse, ca)).is_identity():
+            return LeftInverseReport(True, r, inverse, r_max)
+    return LeftInverseReport(False, r_max=r_max)
 
 
 # ---------------------------------------------------------------------------

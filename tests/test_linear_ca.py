@@ -6,6 +6,7 @@ import pytest
 from support import (
     fixture_suite,
     free2,
+    left_inverse_reference,
     pair_sigma,
     preinjectivity_reference,
     rank_kernel_reference,
@@ -26,7 +27,7 @@ from groupca.linear_ca import (
     window_matrix,
 )
 from groupca.near_ring import NearRingElement
-from groupca.rings import QQ, ExactMatrix, rank_kernel_sparse
+from groupca.rings import QQ, ExactMatrix, ExtensionField, rank_kernel_sparse
 
 Z = ZdGroup(1)
 Z2 = ZdGroup(2)
@@ -194,6 +195,28 @@ def test_find_left_inverse_diff_never():
     assert not report.found
 
 
+def test_find_left_inverse_matches_the_transposed_system():
+    """Solving each projection row in the rows of W gives the inverse that
+    reducing the transposed, augmented system gives, field by field, on the
+    fixture suite and a GF(4) rule on the free group, r_max = 0..4."""
+    F = free2()
+    a = F.parse_element("a")
+    gf4 = ExtensionField(2, 2)
+    rules = dict(fixture_suite())
+    rules["free2/w_shift_gf4"] = CellularAutomaton(F, LinearRule(1, gf4, {a: ExactMatrix(gf4, [[gf4.gen()]])}))
+    found = 0
+    for name, ca in rules.items():
+        for r_max in range(5):
+            got, want = find_left_inverse(ca, r_max), left_inverse_reference(ca, r_max)
+            assert (got.found, got.radius, got.r_max) == (want.found, want.radius, want.r_max), name
+            if want.found:
+                g, w = got.inverse, want.inverse
+                assert (g.group, g.rule.n, g.rule.field) == (w.group, w.rule.n, w.rule.field), name
+                assert list(g.rule.symbol.items()) == list(w.rule.symbol.items()), name
+                found += 1
+    assert found == 26
+
+
 def test_non_homothety_one_cell_automaton():
     # an invertible matrix at the identity that is not a scalar multiple of
     # the identity: invertible at radius 0, yet not an affine shift
@@ -310,7 +333,8 @@ def test_supported_mode_covers_inverse_side():
 
 def test_window_eliminations_match_reference_scan():
     """rank_kernel_sparse against the plain scan on the fixture rules' window
-    matrices, r <= 4, in every mode and both want_kernel modes."""
+    matrices, r <= 4, in every mode and both want_kernel modes; the rows
+    stay unchanged."""
     checked = 0
     for ca in list(z_fixtures().values()) + list(z2_fixtures().values()):
         for r in range(5):
@@ -320,10 +344,9 @@ def test_window_eliminations_match_reference_scan():
                     continue
                 wm = window_matrix(ca, mode, window)
                 for want_kernel in (True, False):
-                    fast = [dict(row) for row in wm.matrix_rows]
-                    slow = [dict(row) for row in wm.matrix_rows]
-                    got = rank_kernel_sparse(wm.field, fast, wm.ncols, want_kernel)
-                    assert got == rank_kernel_reference(wm.field, slow, wm.ncols, want_kernel)
-                    assert fast == slow
+                    before = [dict(row) for row in wm.matrix_rows]
+                    got = rank_kernel_sparse(wm.field, wm.matrix_rows, wm.ncols, want_kernel)
+                    assert got == rank_kernel_reference(wm.field, [dict(row) for row in before], wm.ncols, want_kernel)
+                    assert wm.matrix_rows == before
                     checked += 1
     assert checked == 2 * 5 * (3 * 10 - 1)

@@ -16,7 +16,6 @@ from support import (
     rand_group_element,
     rand_group_ring,
     rand_near_ring,
-    solve_reduced,
 )
 
 import groupca.near_ring as nr_mod
@@ -436,6 +435,27 @@ def test_group_ring_power_in_the_parser_is_fast(capsys):
         assert run_job(argv) == 0
     report = json.loads(capsys.readouterr().out)
     assert (report["element"], report["image"]) == ("[(2000000)]", "X[(2000000)]")
+
+
+def test_long_sums_parse_in_near_linear_time():
+    """An n-term sum is added pairwise, not by copying the growing sum n times, and equals the term-by-term sum."""
+    from groupca.expressions import parse_element
+
+    n = 4800
+    with _cpu_budget(2.0):
+        a = parse_element(" + ".join("X[(0)]^%d" % i for i in range(1, n + 1)), Z, QQ)
+    assert a.terms == {ExponentVector(Z, {zel(0): i}): 1 for i in range(1, n + 1)}
+    with _cpu_budget(2.0):
+        b = parse_element(" + ".join("[(%d)]" % i for i in range(n)), Z, QQ)
+    assert b == GroupRingElement(Z, QQ, {zel(i): Fraction(1) for i in range(n)})
+    rng = random.Random(4)
+    for kind, atom in (("near_ring", "X[(%d)]"), ("group_ring", "[(%d)]")):
+        for count in range(1, 12):
+            terms = ["%s%d*%s" % (rng.choice("+-"), rng.randint(1, 3), atom % rng.randint(-2, 2)) for _ in range(count)]
+            acc = parse_element(terms[0], Z, QQ, kind)
+            for t in terms[1:]:
+                acc = acc + parse_element(t[1:], Z, QQ, kind) if t[0] == "+" else acc - parse_element(t[1:], Z, QQ, kind)
+            assert parse_element(" ".join(terms), Z, QQ, kind) == acc, terms
 
 
 def _top_exponents(p):
@@ -1137,50 +1157,6 @@ def test_search_liveness_matches_generic_elimination(field, support, degree, out
             alpha = idempotents.element(digits)
             assert alpha.star(alpha) != alpha, digits
             alphas += 1
-
-
-def _combine(columns, coeffs, p):
-    out = {}
-    for col, c in zip(columns, coeffs):
-        for m, x in col.items():
-            out[m] = (out.get(m, 0) + c * x) % p
-    return {m: x for m, x in out.items() if x}
-
-
-@pytest.mark.parametrize("p", [2, 3, 5, 7])
-def test_solve_mod_p_matches_generic_elimination(p):
-    """The search kernel's plain-int solver against rank_kernel_sparse over F_p."""
-    field = PrimeField(p)
-    rng = random.Random(p)
-    seen = {True: 0, False: 0}
-    for _ in range(750):
-        keys = rng.sample(range(100), rng.randint(1, 6))
-        columns = []
-        for _ in range(rng.randint(1, 7)):
-            if columns and rng.random() < 0.3:  # forced dependent column
-                col = _combine(columns, [rng.randrange(p) for _ in columns], p)
-            else:
-                col = {m: rng.randrange(1, p) for m in rng.sample(keys, len(keys)) if rng.random() < 0.5}
-            columns.append(col)
-        if rng.random() < 0.5:
-            target = _combine(columns, [rng.randrange(p) for _ in columns], p)
-        else:
-            target = {m: rng.randrange(1, p) for m in keys if rng.random() < 0.5}
-        ncols = len(columns)
-        rows = [{j: field.from_int(col[m]) for j, col in enumerate(columns) if m in col} for m in keys]
-        rhs = [field.from_int(target.get(m, 0)) for m in keys]
-        rank, basis = rank_kernel_sparse(field, [dict(r) for r in rows], ncols)
-        with_b = [{**row, ncols: v} if v else row for row, v in zip(rows, rhs)]
-        full_rank, _ = rank_kernel_sparse(field, with_b, ncols + 1, want_kernel=False)
-        got = nr_mod._solve_mod_p(columns, target, p)
-        x = solve_reduced(field, rows, rhs, ncols)
-        assert (got is None) == (x is None) == (rank < full_rank)
-        seen[got is None] += 1
-        if got is not None:
-            particular, kernel = got
-            assert kernel == [[v.v for v in vec] for vec in basis]
-            assert particular == [v.v for v in x]
-    assert min(seen.values()) > 150
 
 
 def test_finding_dataclass_shape():

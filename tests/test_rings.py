@@ -9,6 +9,7 @@ from support import field_scalar, rank_kernel_reference, solve_reduced
 from groupca.rings import (
     _IRREDUCIBLE,
     QQ,
+    Echelon,
     ExactMatrix,
     ExtensionField,
     PrimeField,
@@ -185,50 +186,95 @@ def test_rank_against_second_elimination_order():
             assert m.rank() == _alt_rank_span(field, m)
 
 
-def _rank(field, rows, ncols):
-    return rank_kernel_sparse(field, [dict(r) for r in rows], ncols, want_kernel=False)[0]
+def _dense(field, coords, size, p):
+    """A sparse Echelon answer {i: scalar} as a tuple of field elements."""
+    vec = [field.zero()] * size
+    for i, c in coords.items():
+        vec[i] = field.from_int(c) if p else c
+    return tuple(vec)
 
 
-def test_right_hand_sides_ride_through_elimination():
-    """[A | B] reduced with ncols = A's width: pivots stay in A, the rows end
-    fully reduced, and reading them solves exactly the consistent systems."""
-    rng = random.Random(13)
-    seen = {True: 0, False: 0}
-    for field in (QQ, F5, GF4):
-        for _ in range(150):
-            nr, nc, nb = rng.randint(1, 6), rng.randint(1, 6), rng.randint(1, 2)
-            rows = [{j: field_scalar(field, rng) for j in range(nc) if rng.random() < 0.6} for _ in range(nr)]
-            rows = [{j: v for j, v in row.items() if v} for row in rows]
-            rhs = []
-            for _ in range(nb):
-                if rng.random() < 0.5:  # in the column space of A
-                    x0 = [field_scalar(field, rng) for _ in range(nc)]
-                    rhs.append([sum((v * x0[j] for j, v in row.items()), field.zero()) for row in rows])
-                else:
-                    rhs.append([field_scalar(field, rng) for _ in range(nr)])
-            aug = [dict(row) for row in rows]
-            for k, b in enumerate(rhs):
-                for row, v in zip(aug, b):
-                    if v:
-                        row[nc + k] = v
-            full_rank = _rank(field, aug, nc + nb)
-            rank, _ = rank_kernel_sparse(field, aug, nc)
-            leads = [(min(row), i) for i, row in enumerate(aug) if row]
-            pivots = [(col, i) for col, i in leads if col < nc]
-            assert len(pivots) == rank == _rank(field, rows, nc)
-            for col, i in pivots:
-                assert aug[i][col] == field.one()
-                assert all(not row.get(col) for h, row in enumerate(aug) if h != i)
-            inconsistent = len(leads) > len(pivots)
-            assert inconsistent == (rank < full_rank)
-            seen[inconsistent] += 1
-            for b in rhs:
-                x = solve_reduced(field, rows, b, nc)
-                with_b = [{**row, nc: v} if v else row for row, v in zip(rows, b)]
-                assert (x is None) == (rank < _rank(field, with_b, nc + 1))
-                if x is not None:
-                    assert [sum((v * x[j] for j, v in row.items()), field.zero()) for row in rows] == b
-    assert min(seen.values()) > 100
+@pytest.mark.parametrize(
+    "field, ints",
+    [(QQ, False), (GF4, False)] + [(PrimeField(p), ints) for p in (2, 3, 5, 7) for ints in (False, True)],
+    ids=lambda x: repr(x) if not isinstance(x, bool) else ("ints" if x else "elements"),
+)
+def test_echelon_matches_reference(field, ints):
+    """Echelon against the plain scan of the matrix whose columns are the added vectors.
+
+    The vectors have non-contiguous int keys, explicit zeros, and empty,
+    repeated and dependent members.  The rank, the kernel (e_j + y for each
+    dependent vector j), and solve on consistent and inconsistent targets
+    must be the reference's, over field elements and, for F_p, over ints in
+    range(p); no input dict is mutated.
+    """
+    p = field.p if ints else None
+    scalar = (lambda v: v.v) if ints else (lambda v: v)
+    rng = random.Random(31)
+    seen = {"explicit_zero": 0, "empty": 0, "repeated": 0, "kernel": 0, "consistent": 0, "inconsistent": 0}
+    for _ in range(150):
+        keys = rng.sample(range(-20, 80), rng.randint(0, 8))
+        vectors = []
+        for _ in range(rng.randint(0, 8)):
+            shape = rng.random()
+            if vectors and shape < 0.15:
+                vec = dict(rng.choice(vectors))
+            elif vectors and shape < 0.3:
+                vec = {}
+                for other in vectors:
+                    c = field_scalar(field, rng)
+                    for k, v in other.items():
+                        vec[k] = vec.get(k, field.zero()) + c * v
+            elif shape < 0.4:
+                vec = {}
+            else:
+                vec = {k: field_scalar(field, rng) for k in keys if rng.random() < 0.6}
+            vectors.append(vec)
+        m = len(vectors)
+        if rng.random() < 0.5:
+            target = {k: field_scalar(field, rng) for k in keys}
+        else:
+            target = {}
+            for vec in vectors:
+                c = field_scalar(field, rng)
+                for k, v in vec.items():
+                    target[k] = target.get(k, field.zero()) + c * v
+        rows = [{j: vec[k] for j, vec in enumerate(vectors) if vec.get(k)} for k in sorted(keys)]
+        rhs = [target.get(k, field.zero()) for k in sorted(keys)]
+        rank, kernel = rank_kernel_reference(field, [dict(r) for r in rows], m)
+        x = solve_reduced(field, rows, rhs, m)
+        seen["explicit_zero"] += any(not v for vec in vectors for v in vec.values())
+        seen["empty"] += any(not vec for vec in vectors)
+        seen["repeated"] += len({tuple(sorted(vec.items())) for vec in vectors}) < m
+        seen["kernel"] += bool(kernel)
+        seen["consistent" if x is not None else "inconsistent"] += 1
+
+        args = [{k: scalar(v) for k, v in vec.items()} for vec in vectors]
+        target_arg = {k: scalar(v) for k, v in target.items()}
+        snapshot = [dict(a) for a in args], dict(target_arg)
+        echelon, plain = Echelon(p, coordinates=True), Echelon(p)
+        independent = [echelon.add(a) for a in args]
+        assert [plain.add(a) for a in args] == independent
+        assert echelon.rank == plain.rank == sum(independent) == rank
+        assert echelon.size == m
+        got_kernel = []
+        for j, coords in echelon.kernel:
+            assert not independent[j] and all(i < j and independent[i] for i in coords)
+            vec = list(_dense(field, coords, m, p))
+            vec[j] = field.one()
+            got_kernel.append(tuple(vec))
+        assert got_kernel == kernel
+        solution = echelon.solve(target_arg)
+        assert (solution is None) == (x is None)
+        if solution is not None:
+            assert all(independent[i] for i in solution)
+            assert _dense(field, solution, m, p) == tuple(x)
+        rows_echelon = Echelon(p)
+        for row in rows:
+            rows_echelon.add({j: scalar(v) for j, v in row.items()})
+        assert rows_echelon.rank == rank
+        assert (args, target_arg) == snapshot
+    assert min(seen.values()) > 30, seen
 
 
 def _random_sparse_rows(field, rng, nrows, width):
@@ -250,8 +296,8 @@ def _random_sparse_rows(field, rng, nrows, width):
 
 
 def test_rank_kernel_matches_reference_scan():
-    """The column index finds the pivots and targets the plain scan finds:
-    same rank, same kernel and the same reduced rows."""
+    """rank_kernel_sparse gives the plain scan's rank and kernel, ignores
+    entries at columns >= ncols, and leaves its rows unchanged."""
     rng = random.Random(29)
     seen = {"explicit_zero": 0, "empty": 0, "repeated": 0, "rhs": 0, "kernel": 0}
     for field in (QQ, F2, F3, F5, GF4):
@@ -263,10 +309,10 @@ def test_rank_kernel_matches_reference_scan():
             seen["repeated"] += len({tuple(sorted(row.items())) for row in rows}) < len(rows)
             seen["rhs"] += any(j >= nc for row in rows for j in row)
             for want_kernel in (True, False):
-                fast, slow = [dict(r) for r in rows], [dict(r) for r in rows]
-                got = rank_kernel_sparse(field, fast, nc, want_kernel)
-                assert got == rank_kernel_reference(field, slow, nc, want_kernel)
-                assert fast == slow
+                before = [dict(r) for r in rows]
+                got = rank_kernel_sparse(field, rows, nc, want_kernel)
+                assert got == rank_kernel_reference(field, [dict(r) for r in rows], nc, want_kernel)
+                assert rows == before
                 seen["kernel"] += bool(got[1])
     assert min(seen.values()) > 50, seen
 

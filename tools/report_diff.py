@@ -5,11 +5,14 @@
 
 Builds the seed-N ``exact`` and ``kaplansky`` job lists with this
 checkout's ``perfbench/workloads.py`` and writes their input files to one
-temporary directory that both sides share.  Eight searches on cyclic groups
-follow them (``CYCLIC_SEARCHES``): the workloads' searches have only empty
-or trivial findings, while these find nontrivial units, idempotents and
-zero divisors, so a search that loses a finding changes the records.  That
-makes 1057 jobs for every seed.  Then it runs every job through
+temporary directory that both sides share.  A ``ca-invert --radius 3``
+job follows for each of the 17 rule files of the ``exact`` list, whose
+workload inverts only one rule, so that left-inverse synthesis is compared
+over Q, F3 and GF(4), on Z and Z^2, with and without an inverse.  Eight
+searches on cyclic groups come last (``CYCLIC_SEARCHES``): the workloads'
+searches have only empty or trivial findings, while these find nontrivial
+units, idempotents and zero divisors, so a search that loses a finding
+changes the records.  That makes 1074 jobs for every seed.  Then it runs every job through
 ``groupca.cli.run_job`` twice, each time in one fresh interpreter: once on
 REF's ``src/`` (extracted with ``git archive``) and once on this
 checkout's ``src/``.  For each job it records the argv, the exit code,
@@ -70,6 +73,9 @@ def build_jobs(seed, tmp):
         for fname, text in wl.files.items():
             (tmp / "jobs" / fname).write_text(text, encoding="utf-8")
         argvs.extend(job.argv for job in wl.jobs)
+        if name == "exact":
+            rules = sorted(fname for fname in wl.files if fname.endswith(".json"))
+            argvs.extend(["ca-invert", "--rule", "jobs/" + fname, "--radius", "3"] for fname in rules)
     for cmd, group, field, degree in CYCLIC_SEARCHES:
         argvs.append([cmd, "--group", group, "--field", field, "--degree", str(degree), "--radius", "1"])
     return argvs
