@@ -478,7 +478,8 @@ class BallPlan:
     vertex as dict lookups in the graph's step maps, so checking every
     vertex multiplies no group elements.  On the induced edges the copy is
     then a homomorphism, so its inverse is one exactly when no outside edge
-    of an image vertex lands back in the image.  ``ball_plan`` keeps the
+    of an image vertex lands back in the image.  A ball of more than
+    BALL_CAP elements is refused during the walk.  ``ball_plan`` keeps the
     BALL_PLAN_CACHE most recently used plans, one per (group, r, labels
     tuple); one pass of the ``exact`` benchmark workload uses 17.
     """
@@ -505,6 +506,8 @@ class BallPlan:
                         outside.append((i, k))
                         continue
                     j = index[h] = len(elements)
+                    if j >= BALL_CAP:
+                        raise GroupError("a radius-%d ball has more than %d elements" % (r, BALL_CAP))
                     elements.append(h)
                     depth.append(d + 1)
                 edges.append((i, k, j))
@@ -519,6 +522,7 @@ class BallPlan:
 
 
 BALL_PLAN_CACHE = 32
+BALL_CAP = 1 << 16  # most elements of one ball plan; the workloads' largest has 1 457
 ball_plan = functools.lru_cache(maxsize=BALL_PLAN_CACHE)(BallPlan)
 
 

@@ -8,8 +8,9 @@ synthesis by solving a linear system per radius, and a consistency report
 tying the three verdicts together.
 
 All verdicts are window-bounded semi-decisions: a negative verdict carries
-a finite witness, a positive one only certifies the windows actually
-checked.
+a finite witness, a positive one certifies the chain's windows up to
+r_max.  Each audit walks the chain once (``_walk_chain``) for a property
+that persists from a window to every larger one.
 """
 
 from __future__ import annotations
@@ -42,18 +43,7 @@ class WindowMatrix:
     ncols: int
     in_domain: FiniteSubset
     out_domain: FiniteSubset
-    n: int
     field: object
-
-    def to_exact(self) -> ExactMatrix:
-        z = self.field.zero()
-        rows = []
-        for r in self.matrix_rows:
-            row = [z] * self.ncols
-            for j, v in r.items():
-                row[j] = v
-            rows.append(row)
-        return ExactMatrix(self.field, rows)
 
 
 def block_rows(blocks, n: int) -> list:
@@ -111,7 +101,6 @@ def window_matrix(ca: CellularAutomaton, mode: str, window: FiniteSubset) -> Win
         ncols=n * len(in_domain),
         in_domain=in_domain,
         out_domain=out_domain,
-        n=n,
         field=rule.field,
     )
 
@@ -146,6 +135,20 @@ def mdim_estimate(ca: CellularAutomaton, i_max: int) -> MdimReport:
     return MdimReport(sequence=seq, estimate=max(tail), i_max=i_max)
 
 
+def _walk_chain(probe, r_max: int):
+    """The first non-None ``probe(r)`` for r = 0..r_max, or None.
+
+    The property probed must persist along the nested window chain, so r = 0
+    is tried, then r_max, and 1 .. r_max-1 are scanned only when r_max has it.
+    """
+    first = probe(0) if r_max >= 0 else None
+    if first is not None or r_max <= 0:
+        return first
+    top = probe(r_max)
+    # map is lazy: the scan stops at the first radius with the property
+    return top and next(filter(None, map(probe, range(1, r_max))), top)
+
+
 @dataclass
 class PreInjectivityReport:
     verdict: str  # "not_pre_injective" | "kernel_free_up_to"
@@ -162,38 +165,22 @@ def preinjectivity_check(ca: CellularAutomaton, r_max: int = 8) -> PreInjectivit
     holds as well, so a kernel-free result certifies every configuration
     pair differing only inside the tested windows.
 
-    Kernels only grow along the chain: a configuration supported in W with
-    image 0 is also supported in every W' containing W, and the chain's
-    windows are nested.  So r = 0 is probed first, then r = r_max, which
-    settles a kernel-free chain; only when r_max has a kernel are the
-    radii 1, 2, ... scanned for the first one.  The witness is kernel[0]
-    of that first window, as a scan from r = 0 would find it.
+    Kernels persist along the chain: a configuration supported in W with
+    image 0 is also supported in every W' containing W.  The witness is
+    kernel[0] of the first window with a kernel.
     """
-    rule = _require_linear(ca)
-    n = rule.n
+    n = _require_linear(ca).n
 
-    def supported_kernel(r):
+    def witness(r):
         window = chain_window(ca.group, r)
         wm = window_matrix(ca, "supported", window)
-        return window, rank_kernel_sparse(wm.field, wm.matrix_rows, wm.ncols, want_kernel=True)[1]
+        kernel = rank_kernel_sparse(wm.field, wm.matrix_rows, wm.ncols, want_kernel=True)[1]
+        if not kernel:
+            return None
+        values = {g: tuple(kernel[0][window.position(g) * n + j] for j in range(n)) for g in window}
+        return PreInjectivityReport("not_pre_injective", r_max, Pattern(window, values), r)
 
-    r = 0
-    window, kernel = supported_kernel(0)
-    if not kernel and r_max > 0:
-        top = supported_kernel(r_max)
-        if top[1]:
-            for r in range(1, r_max + 1):
-                window, kernel = top if r == r_max else supported_kernel(r)
-                if kernel:
-                    break
-    if not kernel:
-        return PreInjectivityReport("kernel_free_up_to", r_max)
-    vec = kernel[0]
-    values = {}
-    for g in window:
-        base = window.position(g) * n
-        values[g] = tuple(vec[base + j] for j in range(n))
-    return PreInjectivityReport("not_pre_injective", r_max, Pattern(window, values), r)
+    return _walk_chain(witness, r_max) or PreInjectivityReport("kernel_free_up_to", r_max)
 
 
 @dataclass
@@ -206,16 +193,20 @@ class SurjectivityReport:
 
 
 def surjectivity_check(ca: CellularAutomaton, r_max: int = 8) -> SurjectivityReport:
-    """Full-rank test of every window restriction along the window chain."""
-    rule = _require_linear(ca)
-    group = ca.group
-    for r in range(r_max + 1):
-        window = chain_window(group, r)
-        rank = gamma_dim(ca, window)
-        full = rule.n * len(window)
-        if rank < full:
-            return SurjectivityReport("not_surjective", r_max, window, rank, full)
-    return SurjectivityReport("full_rank_up_to", r_max)
+    """Full-rank test of the window restrictions along the window chain.
+
+    Rank deficiency persists along the chain: outputs on W read only inputs
+    on W*M, so a full-rank plus window on W' containing W also reaches every
+    pattern on W.  The first rank-deficient window is reported.
+    """
+    n = _require_linear(ca).n
+
+    def deficient(r):
+        window = chain_window(ca.group, r)
+        rank, full = gamma_dim(ca, window), n * len(window)
+        return SurjectivityReport("not_surjective", r_max, window, rank, full) if rank < full else None
+
+    return _walk_chain(deficient, r_max) or SurjectivityReport("full_rank_up_to", r_max)
 
 
 @dataclass
@@ -229,41 +220,47 @@ class LeftInverseReport:
 def find_left_inverse(ca: CellularAutomaton, r_max: int) -> LeftInverseReport:
     """Synthesize a left inverse with memory in a ball, if one exists.
 
-    For each radius r, looks for a block row vector h with h * W = P where
-    W is the plus-mode window matrix on the ball and P projects onto the
+    For radius r, looks for a block row vector h with h * W = P where W is
+    the plus-mode window matrix on the ball and P projects onto the
     identity block: each row of h holds the coordinates of a row of P in
     the rows of W, and h then reads off the inverse's symbol.  Free
-    variables (rows of W in the span of the rows before them) are zero, and
-    the result is verified by composing back to the identity symbol.
+    variables (rows of W in the span of the rows before them) are zero.
+
+    Solvability persists along the chain: an inverse with memory in B(r),
+    padded with zeros, solves the system on B(r+1).  A solved h * W = P
+    makes the composite exactly the identity, so the composition check
+    fails only through a fault in the elimination, and raises.
     """
     rule = _require_linear(ca)
-    group = ca.group
-    n = rule.n
-    for r in range(r_max + 1):
+    group, field, n = ca.group, rule.field, rule.n
+
+    def solution(r):
         window = chain_window(group, r)
         wm = window_matrix(ca, "plus", window)
         if group.identity() not in wm.in_domain:
-            continue
+            return None
         echelon = Echelon(coordinates=True)
         for row in wm.matrix_rows:
             echelon.add(row)
         id_base = wm.in_domain.position(group.identity()) * n
-        sol = [echelon.solve({id_base + k: wm.field.one()}) for k in range(n)]
-        if None in sol:
-            continue  # projection rows outside the row space
-        zero = wm.field.zero()
-        symbol = {}
-        for g in window:
-            base = window.position(g) * n
-            m = ExactMatrix(wm.field, [[sol[i].get(base + j, zero) for j in range(n)] for i in range(n)])
-            if m:
-                symbol[g] = m
-        inverse = CellularAutomaton(group, LinearRule(n, wm.field, symbol))
-        check = group_ring_of(compose(inverse, ca))
-        if not check.is_identity():
-            continue
-        return LeftInverseReport(True, r, inverse, r_max)
-    return LeftInverseReport(False, r_max=r_max)
+        sol = [echelon.solve({id_base + k: field.one()}) for k in range(n)]
+        return None if None in sol else (r, window, sol)  # None: projection rows outside the row space
+
+    found = _walk_chain(solution, r_max)
+    if found is None:
+        return LeftInverseReport(False, r_max=r_max)
+    r, window, sol = found
+    zero = field.zero()
+    symbol = {}
+    for g in window:
+        base = window.position(g) * n
+        m = ExactMatrix(field, [[sol[i].get(base + j, zero) for j in range(n)] for i in range(n)])
+        if m:
+            symbol[g] = m
+    inverse = CellularAutomaton(group, LinearRule(n, field, symbol))
+    if not group_ring_of(compose(inverse, ca)).is_identity():
+        raise CAError("a solved window system at radius %d did not compose to the identity" % r)
+    return LeftInverseReport(True, r, inverse, r_max)
 
 
 @dataclass

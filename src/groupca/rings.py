@@ -461,6 +461,8 @@ def field_from_spec(spec: str):
         return QQ
     if spec.startswith("gf"):
         q = int(spec[2:])
+        if q < 2:
+            raise RingError("field size must be at least 2 (got %d)" % q)
         for p in (2, 3, 5):
             k = 0
             m = q
@@ -476,7 +478,7 @@ def field_from_spec(spec: str):
 
 
 def frobenius(a, n: int):
-    """n-fold Frobenius power a^(p^n); rejects characteristic 0."""
+    """n-fold Frobenius power a^(p^n), with n mod k on GF(p^k); rejects characteristic 0."""
     if n < 0:
         raise RingError("negative Frobenius power")
     if isinstance(a, Fraction):
@@ -484,7 +486,7 @@ def frobenius(a, n: int):
     if isinstance(a, FpElement):
         return a  # fixed by x -> x^p
     if isinstance(a, ExtElement):
-        return a ** (a.field.p**n)
+        return a ** (a.field.p ** (n % a.field.k))
     raise RingError("not a scalar: %r" % (a,))
 
 
@@ -817,7 +819,6 @@ class TwistedPoly:
         self._compat(other)
         if not self or not other:
             return TwistedPoly.zero(self.field)
-        p = self.field.characteristic
         z = self.field.zero()
         out = [z] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
@@ -826,7 +827,7 @@ class TwistedPoly:
             for j, b in enumerate(other.coeffs):
                 if not b:
                     continue
-                out[i + j] = out[i + j] + a * b ** (p**i)
+                out[i + j] = out[i + j] + a * frobenius(b, i)
         return TwistedPoly(self.field, out)
 
     def __eq__(self, other):

@@ -1,12 +1,37 @@
-"""Shared randomized generators and the linear fixture suite."""
+"""Shared randomized generators, references, CPU budgets and the linear fixture suite."""
 
+import contextlib
+import signal
 from fractions import Fraction
 
 from groupca.ca import CellularAutomaton, LinearRule, Pattern, compose, group_ring_of
 from groupca.groups import FiniteGroup, FreeGroup, ZdGroup, ball
-from groupca.linear_ca import LeftInverseReport, PreInjectivityReport, chain_window, window_matrix
+from groupca.linear_ca import LeftInverseReport, PreInjectivityReport, SurjectivityReport, chain_window, window_matrix
 from groupca.near_ring import ExponentVector, NearRingElement
 from groupca.rings import QQ, ExactMatrix, PrimeField, rank_kernel_sparse, scalar_inverse
+
+
+class OverBudget(Exception):
+    """Not an input error, so run_job does not turn it into exit 2."""
+
+
+@contextlib.contextmanager
+def cpu_budget(seconds):
+    """Raise OverBudget once this process has used ``seconds`` of CPU time inside the block.
+
+    CPU time, unlike wall time, does not grow when other processes load the machine.
+    """
+
+    def expire(signum, frame):
+        raise OverBudget("over the %g s CPU budget" % seconds)
+
+    previous = signal.signal(signal.SIGPROF, expire)
+    signal.setitimer(signal.ITIMER_PROF, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_PROF, 0)
+        signal.signal(signal.SIGPROF, previous)
 
 
 def rand_group_element(group, rng, radius=2):
@@ -148,6 +173,22 @@ def preinjectivity_reference(ca, r_max):
             values = {g: tuple(kernel[0][window.position(g) * n + j] for j in range(n)) for g in window}
             return PreInjectivityReport("not_pre_injective", r_max, Pattern(window, values), r)
     return PreInjectivityReport("kernel_free_up_to", r_max)
+
+
+def surjectivity_reference(ca, r_max):
+    """surjectivity_check as a plain scan r = 0, 1, ..., r_max, for differential tests.
+
+    Every plus window is ranked by rank_kernel_reference in order until the
+    first rank-deficient one, which is reported.
+    """
+    n = ca.rule.n
+    for r in range(r_max + 1):
+        window = chain_window(ca.group, r)
+        wm = window_matrix(ca, "plus", window)
+        rank, _ = rank_kernel_reference(wm.field, [dict(row) for row in wm.matrix_rows], wm.ncols, want_kernel=False)
+        if rank < n * len(window):
+            return SurjectivityReport("not_surjective", r_max, window, rank, n * len(window))
+    return SurjectivityReport("full_rank_up_to", r_max)
 
 
 def solve_reduced(field, rows, rhs, ncols):

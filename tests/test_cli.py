@@ -5,7 +5,7 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from support import pair_sigma, z_fixtures
+from support import cpu_budget, pair_sigma, z_fixtures
 
 from groupca.ca import rule_to_json
 from groupca.cli import run_job
@@ -279,6 +279,27 @@ def test_input_errors_exit_2(tmp_path):
     assert run_job(["sofic-check", "--group", "zd:1", "--graph", "cycle:10", "--radius", "3", "--epsilon", "7"]) == 2
     assert run_job(["units", "--group", "zd:1", "--field", "f2", "--degree", "0", "--radius", "1"]) == 2
     assert run_job(["mdim", "--rule", str(tmp_path / "x.json"), "--imax", "-3"]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["star", "--group", "zd:1", "--field", "gf0", "--alpha", "X[(0)]", "--beta", "X[(0)]"], "field size"),
+        (["units", "--group", "zd:1", "--field", "f2", "--degree", "1", "--radius", "100000000"], "65536 elements"),
+        (["sofic-check", "--group", "zd:1", "--graph", "cycle:5", "--radius", "99999999", "--epsilon", "1/2"], "65536 elements"),
+    ],
+)
+def test_unbounded_inputs_exit_2_at_once(capsys, argv, message):
+    """A field of size 0 and balls past groups.BALL_CAP are input errors, refused within 2 s of CPU."""
+    with cpu_budget(2.0):
+        assert run_job(argv) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_twisted_power_reduces_the_frobenius_exponent(capsys):
+    with cpu_budget(2.0):
+        assert run_job(["embed", "--group", "zd:1", "--field", "gf4", "--kind", "j", "--element", "(w+t)^3000*[(1)]"]) == 0
+    assert json.loads(capsys.readouterr().out)["command"] == "embed"
 
 
 def test_malformed_rule_files_exit_2(tmp_path):

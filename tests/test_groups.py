@@ -2,8 +2,10 @@ import random
 
 import pytest
 
+import groupca.groups as groups_mod
 from groupca.groups import (
     BALL_PLAN_CACHE,
+    BallPlan,
     FiniteGroup,
     FiniteSubset,
     FreeGroup,
@@ -123,6 +125,19 @@ def test_ball_plan_cache_keeps_at_most_its_cap():
     recent = [ball_plan(Z, r, gens) for r in radii[-BALL_PLAN_CACHE:]]
     assert ball_plan.cache_info().hits == hits + BALL_PLAN_CACHE
     assert all(len(plan) == 2 * r + 1 for plan, r in zip(recent, radii[-BALL_PLAN_CACHE:]))
+
+
+def test_ball_plan_refuses_more_than_its_cap(monkeypatch):
+    """A ball of exactly BALL_CAP elements is built; one element more is a GroupError."""
+    assert groups_mod.BALL_CAP >= 1457  # the largest plan the benchmark workloads build
+    monkeypatch.setattr(groups_mod, "BALL_CAP", 13)
+    gens = tuple(Z2.generators())
+    assert len(BallPlan(Z2, 2, gens)) == 13
+    with pytest.raises(GroupError, match="radius-3 ball has more than 13 elements"):
+        BallPlan(Z2, 3, gens)
+    assert len(BallPlan(F2, 1, tuple(F2.generators()))) == 5
+    with pytest.raises(GroupError):
+        BallPlan(F2, 2, tuple(F2.generators()))
 
 
 def test_subset_calculus_examples():

@@ -10,12 +10,14 @@ from support import (
     pair_sigma,
     preinjectivity_reference,
     rank_kernel_reference,
+    surjectivity_reference,
     z_fixtures,
     z2_fixtures,
 )
 
 from groupca.ca import CAError, CellularAutomaton, LinearRule, Pattern, ca_from_polynomial, compose, group_ring_of
 from groupca.groups import FiniteSubset, ZdGroup, ball
+import groupca.linear_ca as lca_mod
 from groupca.linear_ca import (
     chain_window,
     find_left_inverse,
@@ -46,8 +48,7 @@ def test_window_matrix_banded_example():
     window = fsub(0, 1, 2, 3)
     wm = window_matrix(diff, "plus", window)
     assert (wm.nrows, wm.ncols) == (4, 5)
-    dense = wm.to_exact()
-    assert dense.rank() == 4
+    assert rank_kernel_sparse(wm.field, wm.matrix_rows, wm.ncols, want_kernel=False)[0] == 4
     assert gamma_dim(diff, window) == 4
 
 
@@ -55,7 +56,7 @@ def test_window_matrix_identity_is_restriction():
     ident = z_fixtures()["identity"]
     window = fsub(-1, 0, 1, 2, 3)
     wm = window_matrix(ident, "plus", window)
-    assert wm.to_exact().rank() == len(window)
+    assert rank_kernel_sparse(wm.field, wm.matrix_rows, wm.ncols, want_kernel=False)[0] == len(window)
 
 
 def test_window_matrix_minus_shape():
@@ -79,7 +80,7 @@ def test_window_matrix_applies_like_the_automaton():
             flat = []
             for g in wm.in_domain:
                 flat.extend(vals[g])
-            out_flat = wm.to_exact().apply(flat)
+            out_flat = [sum((v * flat[j] for j, v in row.items()), rule.field.zero()) for row in wm.matrix_rows]
             if len(wm.in_domain) == 0:
                 continue
             pattern = Pattern(wm.in_domain, vals)
@@ -195,28 +196,6 @@ def test_find_left_inverse_diff_never():
     assert not report.found
 
 
-def test_find_left_inverse_matches_the_transposed_system():
-    """Solving each projection row in the rows of W gives the inverse that
-    reducing the transposed, augmented system gives, field by field, on the
-    fixture suite and a GF(4) rule on the free group, r_max = 0..4."""
-    F = free2()
-    a = F.parse_element("a")
-    gf4 = ExtensionField(2, 2)
-    rules = dict(fixture_suite())
-    rules["free2/w_shift_gf4"] = CellularAutomaton(F, LinearRule(1, gf4, {a: ExactMatrix(gf4, [[gf4.gen()]])}))
-    found = 0
-    for name, ca in rules.items():
-        for r_max in range(5):
-            got, want = find_left_inverse(ca, r_max), left_inverse_reference(ca, r_max)
-            assert (got.found, got.radius, got.r_max) == (want.found, want.radius, want.r_max), name
-            if want.found:
-                g, w = got.inverse, want.inverse
-                assert (g.group, g.rule.n, g.rule.field) == (w.group, w.rule.n, w.rule.field), name
-                assert list(g.rule.symbol.items()) == list(w.rule.symbol.items()), name
-                found += 1
-    assert found == 26
-
-
 def test_non_homothety_one_cell_automaton():
     # an invertible matrix at the identity that is not a scalar multiple of
     # the identity: invertible at radius 0, yet not an affine shift
@@ -230,28 +209,34 @@ def test_non_homothety_one_cell_automaton():
     assert m != ExactMatrix.identity(QQ, 2).scale(diag)
 
 
-def _probe_rules():
-    """The fixture suite plus rules off Z^d and with a first kernel at r = 1.
+def _chain_rules():
+    """The fixture suite plus rules on the free:2 ball chain and with a first kernel at r = 1.
 
     The symbol [[1, g], [1, g]] maps x to x_1(h) + x_2(h*g) in both
     components, so x_2(1) = 1, x_1(g^-1) = -1 is a kernel vector on the
-    radius-1 window and none fits in {1}.
+    radius-1 window and none fits in {1}.  free2/rank1_2x2 copies
+    z/rank1_2x2 along a, so its first rank-deficient window is the
+    radius-1 ball; free2/w_shift_gf4 has a left inverse of radius 1.
     """
     mat = lambda rows: ExactMatrix.from_ints(QQ, rows)
     F = free2()
     a = F.parse_element("a")
+    gf4 = ExtensionField(2, 2)
     rules = dict(fixture_suite())
     for name, group, g in (("z", Z, zel(1)), ("free2", F, a)):
         symbol = {group.identity(): mat([[1, 0], [1, 0]]), g: mat([[0, 1], [0, 1]])}
         rules[name + "/rank1_first_kernel_r1"] = CellularAutomaton(group, LinearRule(2, QQ, symbol))
     rules["free2/one_minus_a"] = CellularAutomaton(F, LinearRule(1, QQ, {F.identity(): mat([[1]]), a: mat([[-1]])}))
+    rules["free2/w_shift_gf4"] = CellularAutomaton(F, LinearRule(1, gf4, {a: ExactMatrix(gf4, [[gf4.gen()]])}))
+    rank1 = {F.identity(): mat([[1, 0], [0, 0]]), a: mat([[0, 1], [1, 0]]), a * a: mat([[0, 0], [0, 1]])}
+    rules["free2/rank1_2x2"] = CellularAutomaton(F, LinearRule(2, QQ, rank1))
     return rules
 
 
 def test_preinjectivity_probe_matches_the_plain_scan():
     """The probes r = 0, r = r_max and the scan give the plain scan's report, witness included."""
     first_kernels = {}
-    for name, ca in _probe_rules().items():
+    for name, ca in _chain_rules().items():
         for r_max in range(5):
             got, want = preinjectivity_check(ca, r_max), preinjectivity_reference(ca, r_max)
             assert (got.verdict, got.r_max, got.witness_radius) == (want.verdict, want.r_max, want.witness_radius), name
@@ -267,15 +252,96 @@ def test_preinjectivity_probe_matches_the_plain_scan():
     assert first_kernels["z/rank1_first_kernel_r1"] == first_kernels["free2/rank1_first_kernel_r1"] == 1
 
 
+def test_surjectivity_probe_matches_the_plain_scan():
+    """The probes r = 0, r = r_max and the scan give the plain scan's report: window, rank and full."""
+    first_deficient = {}
+    for name, ca in _chain_rules().items():
+        for r_max in range(5):
+            got, want = surjectivity_check(ca, r_max), surjectivity_reference(ca, r_max)
+            assert (got.verdict, got.r_max, got.rank, got.full) == (want.verdict, want.r_max, want.rank, want.full), name
+            assert (got.window is None) == (want.window is None), name
+            if want.window is not None:
+                assert list(got.window) == list(want.window), name
+        first_deficient[name] = None if want.window is None else len(want.window)
+    # every branch runs: deficient at 0, full rank up to 4, and a first deficiency found by the scan
+    assert first_deficient["z2/zero"] == 1 and first_deficient["free2/one_minus_a"] is None
+    assert first_deficient["z/rank1_2x2"] == 3 and first_deficient["free2/rank1_2x2"] == 5
+
+
+def test_find_left_inverse_matches_the_transposed_system():
+    """Solving each projection row in the rows of W gives the inverse that
+    reducing the transposed, augmented system gives, field by field, on the
+    chain rules, r_max = 0..4: radius, found and the inverse's symbol."""
+    found = 0
+    radii = {}
+    for name, ca in _chain_rules().items():
+        for r_max in range(5):
+            got, want = find_left_inverse(ca, r_max), left_inverse_reference(ca, r_max)
+            assert (got.found, got.radius, got.r_max) == (want.found, want.radius, want.r_max), name
+            if want.found:
+                g, w = got.inverse, want.inverse
+                assert (g.group, g.rule.n, g.rule.field) == (w.group, w.rule.n, w.rule.field), name
+                assert list(g.rule.symbol.items()) == list(w.rule.symbol.items()), name
+                found += 1
+        radii[name] = want.radius
+    assert found == 26
+    # inverses at radius 0 and, found by the scan below r_max = 4, at radius 1
+    assert radii["z/identity"] == 0 and radii["z/shift"] == radii["free2/w_shift_gf4"] == 1
+
+
 def test_finite_support_kernels_grow_along_the_chain():
     """A nonzero kernel of the supported window at r stays nonzero at r + 1."""
-    for name, ca in _probe_rules().items():
+    for name, ca in _chain_rules().items():
         had_kernel = False
         for r in range(5):
             wm = window_matrix(ca, "supported", chain_window(ca.group, r))
             _, kernel = rank_kernel_sparse(wm.field, wm.matrix_rows, wm.ncols, want_kernel=True)
             assert bool(kernel) or not had_kernel, (name, r)
             had_kernel = bool(kernel)
+
+
+def test_rank_deficiency_persists_along_the_chain():
+    """A rank-deficient plus window at r stays rank-deficient at r + 1."""
+    for name, ca in _chain_rules().items():
+        was_deficient = False
+        for r in range(5):
+            window = chain_window(ca.group, r)
+            deficient = gamma_dim(ca, window) < ca.rule.n * len(window)
+            assert deficient or not was_deficient, (name, r)
+            was_deficient = deficient
+
+
+def test_left_inverse_solves_the_larger_windows():
+    """An inverse with memory in the radius-r window, padded with zeros,
+    solves h * W = P on the windows of radius r + 1 and r + 2."""
+    checked = 0
+    for name, ca in _chain_rules().items():
+        report = find_left_inverse(ca, 2)
+        if not report.found:
+            continue
+        n, field, symbol = ca.rule.n, ca.rule.field, report.inverse.rule.symbol
+        for r in (report.radius + 1, report.radius + 2):
+            window = chain_window(ca.group, r)
+            wm = window_matrix(ca, "plus", window)
+            id_base = wm.in_domain.position(ca.group.identity()) * n
+            for k in range(n):
+                hw = {}
+                for g, m in symbol.items():
+                    base = window.position(g) * n
+                    for i in range(n):
+                        for col, v in wm.matrix_rows[base + i].items():
+                            hw[col] = hw.get(col, field.zero()) + m.rows[k][i] * v
+                assert {col: v for col, v in hw.items() if v} == {id_base + k: field.one()}, (name, r, k)
+                checked += 1
+    assert checked == 14
+
+
+def test_find_left_inverse_raises_when_the_composite_is_not_the_identity(monkeypatch):
+    """A solved window system composes to the identity; a composite that does not is a fault, not a larger radius."""
+    shift = z_fixtures()["shift"]
+    monkeypatch.setattr(lca_mod, "compose", lambda inverse, ca: ca)
+    with pytest.raises(CAError, match="did not compose to the identity"):
+        find_left_inverse(shift, 3)
 
 
 def test_compose_identity_neutral():
@@ -327,8 +393,8 @@ def test_supported_mode_covers_inverse_side():
     diff = z_fixtures()["diff"]
     wm = window_matrix(diff, "supported", fsub(0))
     assert {e.value[0] for e in wm.out_domain} == {-1, 0, 1}
-    rank, kernel = wm.to_exact().rank_kernel()
-    assert kernel == []
+    rank, kernel = rank_kernel_sparse(wm.field, wm.matrix_rows, wm.ncols, want_kernel=True)
+    assert (rank, kernel) == (wm.ncols, [])
 
 
 def test_window_eliminations_match_reference_scan():

@@ -1,15 +1,14 @@
-import contextlib
 import itertools
 import json
 import math
 import random
-import signal
 from fractions import Fraction
 
 import pytest
 import sympy
 
 from support import (
+    cpu_budget,
     cyclic_group,
     field_scalar,
     rand_exponent_vector,
@@ -248,39 +247,16 @@ def test_term_cap_guard(monkeypatch):
         star(big ** 3, big)
 
 
-class _OverBudget(Exception):
-    """Not an input error, so run_job does not turn it into exit 2."""
-
-
-@contextlib.contextmanager
-def _cpu_budget(seconds):
-    """Raise _OverBudget once this process has used ``seconds`` of CPU time inside the block.
-
-    CPU time, unlike wall time, does not grow when other processes load the machine.
-    """
-
-    def expire(signum, frame):
-        raise _OverBudget("over the %g s CPU budget" % seconds)
-
-    previous = signal.signal(signal.SIGPROF, expire)
-    signal.setitimer(signal.ITIMER_PROF, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_PROF, 0)
-        signal.signal(signal.SIGPROF, previous)
-
-
 def test_power_size_bound_rejects_before_expanding(capsys):
     from groupca.cli import run_job
 
     argv = ["star", "--group", "zd:1", "--field", "q", "--alpha", "X[(1)]^99999", "--beta", "X[(0)] + X[(1)] + X[(2)]"]
-    with _cpu_budget(2.0):
+    with cpu_budget(2.0):
         assert run_job(argv) == 2
     assert capsys.readouterr().err.startswith("error: a 3-term polynomial to the power 99999")
     # C(29, 9) > TERM_CAP, but every exponent of (1 + X + ... + X^9)^20 fits in [0, 180]
     p = sum((NearRingElement.variable(zel(0), QQ, e) for e in range(1, 10)), NearRingElement.one(Z, QQ))
-    with _cpu_budget(2.0):
+    with cpu_budget(2.0):
         assert len((p ** 20).terms) == 181
 
 
@@ -386,16 +362,16 @@ def test_power_work_bound_stops_long_chains_early(capsys):
         ("([1]+[a]+[a^2])^20000", 1, 3),  # powers of the root word a, with exponents 0, 1, 2
         ("([b*a*b^-1]+[b*a^-2*b^-1]+[b*a^3*b^-1])^20000", 2, 3),  # powers of b*a*b^-1
     ]
-    with _cpu_budget(2.0):
+    with cpu_budget(2.0):
         assert run_job(stars) == 2
     assert capsys.readouterr().err.startswith("error: a 3-term polynomial to the power 700 may need more than")
     for element, rank, k in embeds:
         argv = ["embed", "--group", "free:%d" % rank, "--field", "q", "--kind", "iota", "--element", element]
-        with _cpu_budget(2.0):
+        with cpu_budget(2.0):
             assert run_job(argv) == 2
         assert capsys.readouterr().err.startswith("error: a %d-term element to the power 20000 may exceed" % k)
     argv = ["embed", "--group", "free:1", "--field", "q", "--kind", "iota", "--element", "([1]+[a]+[a^2])^100"]
-    with _cpu_budget(2.0):
+    with cpu_budget(2.0):
         assert run_job(argv) == 0
     assert json.loads(capsys.readouterr().out)["element"].count(" + ") == 200
 
@@ -408,7 +384,7 @@ def test_char_p_powers_go_by_base_p_digits(capsys):
     for field, n, k in cases:
         beta = " + ".join("X[(%d)]" % i for i in range(k))
         argv = ["star", "--group", "zd:1", "--field", field, "--alpha", "X[(0)]^%d" % n, "--beta", beta]
-        with _cpu_budget(2.0):
+        with cpu_budget(2.0):
             assert run_job(argv) == 0
         product = json.loads(capsys.readouterr().out)["product"]
         assert product == " + ".join("X[(%d)]^%d" % (i, n) for i in reversed(range(k)))
@@ -431,7 +407,7 @@ def test_group_ring_power_in_the_parser_is_fast(capsys):
     from groupca.cli import run_job
 
     argv = ["embed", "--group", "zd:1", "--field", "q", "--kind", "iota", "--element", "[(1)]^2000000"]
-    with _cpu_budget(2.0):
+    with cpu_budget(2.0):
         assert run_job(argv) == 0
     report = json.loads(capsys.readouterr().out)
     assert (report["element"], report["image"]) == ("[(2000000)]", "X[(2000000)]")
@@ -442,10 +418,10 @@ def test_long_sums_parse_in_near_linear_time():
     from groupca.expressions import parse_element
 
     n = 4800
-    with _cpu_budget(2.0):
+    with cpu_budget(2.0):
         a = parse_element(" + ".join("X[(0)]^%d" % i for i in range(1, n + 1)), Z, QQ)
     assert a.terms == {ExponentVector(Z, {zel(0): i}): 1 for i in range(1, n + 1)}
-    with _cpu_budget(2.0):
+    with cpu_budget(2.0):
         b = parse_element(" + ".join("[(%d)]" % i for i in range(n)), Z, QQ)
     assert b == GroupRingElement(Z, QQ, {zel(i): Fraction(1) for i in range(n)})
     rng = random.Random(4)
@@ -531,13 +507,13 @@ def test_product_size_bounds_stop_large_products_early(capsys):
     stars = ["star", "--group", "zd:1", "--field", "q", "--alpha", "X[(0)]^700*X[(1)]^700", "--beta", "X[(0)]+X[(1)]+X[(2)]"]
     embed = ["embed", "--group", "zd:1", "--field", "q", "--kind", "iota", "--element", "([(0)]+[(1)])^20000"]
     for argv in (stars, embed):
-        with _cpu_budget(2.0):
+        with cpu_budget(2.0):
             assert run_job(argv) == 2
     # (P)*(P) has at most 2401 terms, but forms 1200 * 1200 term products
     p = " + ".join("X[(0)]^%d" % e for e in range(1, 1201))
     square = ["star", "--group", "zd:1", "--field", "q", "--alpha", "(%s)*(%s)" % (p, p), "--beta", "X[(0)]"]
     capsys.readouterr()
-    with _cpu_budget(2.0):
+    with cpu_budget(2.0):
         assert run_job(square) == 2
     assert capsys.readouterr().err == "error: a product of 1200 and 1200 terms needs more than 1000000 term products\n"
 
@@ -550,7 +526,7 @@ def test_char_p_group_ring_powers_are_not_refused(capsys):
     for field, n, k in cases:
         element = "(%s)^%d" % ("+".join("[(%d)]" % i for i in range(k)), n)
         argv = ["embed", "--group", "zd:1", "--field", field, "--kind", "iota", "--element", element]
-        with _cpu_budget(2.0):
+        with cpu_budget(2.0):
             assert run_job(argv) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["element"] == " + ".join(["1"] + ["[(%d)]" % (i * n) for i in range(1, k)])
@@ -828,7 +804,7 @@ def test_search_space_cap_exits_2_before_enumerating(capsys, group, degree, radi
     from groupca.cli import run_job
 
     argv = ["units", "--group", group, "--field", "f2", "--degree", str(degree), "--radius", str(radius)]
-    with _cpu_budget(2.0):
+    with cpu_budget(2.0):
         assert run_job(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: search space has 2^") and "above the cap" in err and "Traceback" not in err

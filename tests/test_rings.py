@@ -85,6 +85,15 @@ def test_frobenius_examples():
         frobenius(Fraction(1, 2), 1)
 
 
+def test_frobenius_is_the_p_power_map_iterated():
+    """frobenius(a, n) == a ** (p**n) for every a and n <= 2k + 1, though n is reduced mod k."""
+    for field, k in ((F3, 1), (F5, 1), (GF4, 2), (ExtensionField(2, 3), 3), (ExtensionField(3, 2), 2)):
+        p = field.characteristic
+        for a in field.elements():
+            for n in range(2 * k + 2):
+                assert frobenius(a, n) == a ** (p**n), (field, a, n)
+
+
 def test_scalar_parse_format_round_trip():
     cases = [
         (QQ, Fraction(3, 4)),
@@ -346,6 +355,14 @@ def test_twisted_examples():
     assert prod.coeffs == (GF4.zero(), w * w)  # t*w = w^2 t, and w^2 = w+1
     assert w * w == w + GF4.one()
     assert twisted_multiply(t, t).coeffs == (GF4.zero(), GF4.zero(), GF4.one())
+
+
+def test_twisted_product_uses_the_frobenius_power():
+    """t^i * b = b^(p^i) * t^i, with b^(p^i) = b when k divides i."""
+    w = GF4.gen()
+    for i in range(6):
+        prod = TwistedPoly.t(GF4, i) * TwistedPoly.constant(GF4, w)
+        assert prod.coeffs[i] == w ** (2**i) == (w if i % 2 == 0 else w + GF4.one())
 
 
 def test_twisted_prime_field_commutes():

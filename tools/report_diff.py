@@ -8,11 +8,14 @@ checkout's ``perfbench/workloads.py`` and writes their input files to one
 temporary directory that both sides share.  A ``ca-invert --radius 3``
 job follows for each of the 17 rule files of the ``exact`` list, whose
 workload inverts only one rule, so that left-inverse synthesis is compared
-over Q, F3 and GF(4), on Z and Z^2, with and without an inverse.  Eight
-searches on cyclic groups come last (``CYCLIC_SEARCHES``): the workloads'
-searches have only empty or trivial findings, while these find nontrivial
-units, idempotents and zero divisors, so a search that loses a finding
-changes the records.  That makes 1074 jobs for every seed.  Then it runs every job through
+over Q, F3 and GF(4), on Z and Z^2, with and without an inverse.  Two
+more invert free:2 rules (``FREE_RULES``): the shift by a, which has an
+inverse, and 1 - a, which has none, so that the walk along the window
+chain is compared on balls, where ``goe`` does not run.  Eight searches on
+cyclic groups come last (``CYCLIC_SEARCHES``): the workloads' searches
+have only empty or trivial findings, while these find nontrivial units,
+idempotents and zero divisors, so a search that loses a finding changes
+the records.  That makes 1076 jobs for every seed.  Then it runs every job through
 ``groupca.cli.run_job`` twice, each time in one fresh interpreter: once on
 REF's ``src/`` (extracted with ``git archive``) and once on this
 checkout's ``src/``.  For each job it records the argv, the exit code,
@@ -44,6 +47,11 @@ sys.dont_write_bytecode = True  # imports from this checkout must leave no __pyc
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("exact", "kaplansky")
 SEARCH_WORKERS = 2
+# linear rules on free:2 over Q, as rule files: file name -> symbol
+FREE_RULES = {
+    "free2_shift_a.json": [["a", [["1"]]]],
+    "free2_one_minus_a.json": [["1", [["1"]]], ["a", [["-1"]]]],
+}
 # (command, group, field, degree) of searches with nontrivial findings, all at --radius 1
 CYCLIC_SEARCHES = (
     ("units", "cyclic:2", "f2", 2),
@@ -76,6 +84,10 @@ def build_jobs(seed, tmp):
         if name == "exact":
             rules = sorted(fname for fname in wl.files if fname.endswith(".json"))
             argvs.extend(["ca-invert", "--rule", "jobs/" + fname, "--radius", "3"] for fname in rules)
+    for fname, symbol in FREE_RULES.items():
+        rule = {"group": "free:2", "variant": "linear", "payload": {"n": 1, "field": "q", "symbol": symbol}}
+        (tmp / "jobs" / fname).write_text(json.dumps(rule), encoding="utf-8")
+        argvs.append(["ca-invert", "--rule", "jobs/" + fname, "--radius", "3"])
     for cmd, group, field, degree in CYCLIC_SEARCHES:
         argvs.append([cmd, "--group", group, "--field", field, "--degree", str(degree), "--radius", "1"])
     return argvs
