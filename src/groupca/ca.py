@@ -13,6 +13,11 @@ by convolution on vector configurations.  Both directions of the
 rule-to-automaton dictionaries live here: near-ring elements to polynomial
 automata (and syntactically back), and matrix group-ring elements to
 linear automata.
+
+Each rule kind is one class that owns its memory, its local map on the
+cell values in memory order, a random cell value, its JSON payload and
+its cell-value codec; evaluation, probing and the JSON forms call those
+methods instead of testing which kind a rule is.
 """
 
 from __future__ import annotations
@@ -21,10 +26,11 @@ import itertools
 import random
 from dataclasses import dataclass
 
+from .expressions import format_element, parse_element
 from .group_ring import GroupRingElement
-from .groups import FiniteSubset, GroupElement, ball, subset_calculus
+from .groups import FiniteSubset, GroupElement, ball, parse_group_spec, subset_calculus
 from .near_ring import NearRingElement
-from .rings import ExactMatrix
+from .rings import ExactMatrix, field_from_spec
 
 
 class CAError(ValueError):
@@ -61,8 +67,15 @@ class Pattern:
         return "Pattern(%s)" % {str(g): self.values[g] for g in self.domain}
 
 
+_SYMBOL = (str, int)  # table alphabets hold JSON strings or integers
+
+
 class TableRule:
+    """A rule given by its table on alphabet^M; cell values are alphabet symbols, as in JSON."""
+
     variant = "table"
+    payload_shape = {"alphabet": [_SYMBOL], "memory": [str], "map": [([_SYMBOL], _SYMBOL)]}
+    value_shape = _SYMBOL
 
     def __init__(self, alphabet, memory: FiniteSubset, mapping):
         self.alphabet = list(alphabet)
@@ -77,12 +90,42 @@ class TableRule:
             if val not in self.alphabet:
                 raise CAError("table value outside alphabet")
 
-    def local(self, window_values):
-        return self.mapping[tuple(window_values)]
+    def local(self, values):
+        return self.mapping[tuple(values)]
+
+    def random_value(self, rng):
+        return rng.choice(self.alphabet)
+
+    def format_value(self, value):
+        return value
+
+    def parse_value(self, raw):
+        return raw
+
+    def payload(self):
+        return {
+            "alphabet": self.alphabet,
+            "memory": [str(g) for g in self.memory],
+            "map": [[list(k), v] for k, v in sorted(self.mapping.items(), key=lambda kv: repr(kv[0]))],
+        }
+
+    @classmethod
+    def from_payload(cls, group, payload):
+        memory = FiniteSubset(group, [group.parse_element(t) for t in payload["memory"]])
+        mapping = {}
+        for key, value in payload["map"]:
+            if tuple(key) in mapping:
+                raise CAError("rule.payload.map lists the key %r twice" % (key,))
+            mapping[tuple(key)] = value
+        return cls(payload["alphabet"], memory, mapping)
 
 
 class LinearRule:
+    """An n x n matrix symbol acting by convolution; cell values are n-tuples of field elements."""
+
     variant = "linear"
+    payload_shape = {"n": int, "field": str, "symbol": [(str, [[str]])]}
+    value_shape = [str]
 
     def __init__(self, n: int, field, symbol):
         if n < 1:
@@ -96,40 +139,56 @@ class LinearRule:
             if m:
                 clean[g] = m
         self.symbol = clean
-        group = None
-        for g in clean:
-            group = g.group
-        self.memory = FiniteSubset(group, clean) if group is not None else None
+        # a zero symbol names no group; CellularAutomaton.memory_set supplies it
+        self.memory = FiniteSubset(next(iter(clean)).group if clean else None, clean)
+        self._blocks = [clean[g] for g in self.memory]
 
-    def memory_for(self, group) -> FiniteSubset:
-        return self.memory if self.memory is not None else FiniteSubset(group, [])
-
-    def local(self, memory_elems, window_values):
+    def local(self, values):
         out = [self.field.zero()] * self.n
-        for g, vec in zip(memory_elems, window_values):
-            m = self.symbol.get(g)
-            if m is None:
-                continue
-            for i in range(self.n):
-                row = m.rows[i]
-                acc = out[i]
-                for j in range(self.n):
-                    if row[j] and vec[j]:
-                        acc = acc + row[j] * vec[j]
-                out[i] = acc
+        for m, vec in zip(self._blocks, values):
+            out = [a + b for a, b in zip(out, m.apply(vec))]
         return tuple(out)
+
+    def random_value(self, rng):
+        return tuple(self.field.from_int(rng.randrange(-3, 4)) for _ in range(self.n))
+
+    def format_value(self, value):
+        return [self.field.format(x) for x in value]
+
+    def parse_value(self, raw):
+        return tuple(self.field.parse(x) for x in raw)
+
+    def payload(self):
+        fmt = self.field.format
+        symbol = [[str(g), [[fmt(v) for v in row] for row in m.rows]] for g, m in zip(self.memory, self._blocks)]
+        return {"n": self.n, "field": self.field.spec_string(), "symbol": symbol}
+
+    @classmethod
+    def from_payload(cls, group, payload):
+        field = field_from_spec(payload["field"])
+        symbol = {}
+        for elem_text, rows in payload["symbol"]:
+            g = group.parse_element(elem_text)
+            if g in symbol:
+                raise CAError("rule.payload.symbol lists %s twice" % g)
+            symbol[g] = ExactMatrix(field, [[field.parse(v) for v in row] for row in rows])
+        return cls(payload["n"], field, symbol)
 
 
 class PolynomialRule:
+    """A near-ring element acting by substitution; cell values are field elements."""
+
     variant = "polynomial"
+    payload_shape = {"field": str, "expr": str}
+    value_shape = str
 
     def __init__(self, poly: NearRingElement):
         self.poly = poly
         self.field = poly.field
         self.memory = poly.support_elements()
 
-    def local(self, memory_elems, window_values):
-        assign = dict(zip(memory_elems, window_values))
+    def local(self, values):
+        assign = dict(zip(self.memory, values))
         acc = self.field.zero()
         for u, c in self.poly.terms.items():
             term = c
@@ -138,6 +197,23 @@ class PolynomialRule:
             acc = acc + term
         return acc
 
+    def random_value(self, rng):
+        return self.field.from_int(rng.randrange(-3, 4))
+
+    def format_value(self, value):
+        return self.field.format(value)
+
+    def parse_value(self, raw):
+        return self.field.parse(raw)
+
+    def payload(self):
+        return {"field": self.field.spec_string(), "expr": format_element(self.poly)}
+
+    @classmethod
+    def from_payload(cls, group, payload):
+        field = field_from_spec(payload["field"])
+        return cls(parse_element(payload["expr"], group, field, kind="near_ring"))
+
 
 class CellularAutomaton:
     def __init__(self, group, rule):
@@ -145,20 +221,11 @@ class CellularAutomaton:
         self.rule = rule
 
     def memory_set(self) -> FiniteSubset:
-        if self.rule.variant == "table":
-            return self.rule.memory
-        if self.rule.variant == "linear":
-            return self.rule.memory_for(self.group)
-        return self.rule.memory
+        """The rule's memory; an empty one as a subset of this automaton's group."""
+        return self.rule.memory or FiniteSubset(self.group, [])
 
     def _evaluate_at(self, pattern: Pattern, g: GroupElement):
-        memory = self.memory_set()
-        vals = []
-        for m in memory:
-            vals.append(pattern[g * m])
-        if self.rule.variant == "table":
-            return self.rule.local(vals)
-        return self.rule.local(list(memory), vals)
+        return self.rule.local([pattern[g * m] for m in self.memory_set()])
 
     def apply_interior(self, pattern: Pattern) -> Pattern:
         """Evaluate on every point whose whole memory window lies in the pattern."""
@@ -197,13 +264,13 @@ def compose(tau: CellularAutomaton, sigma: CellularAutomaton) -> CellularAutomat
     if tau.group != sigma.group:
         raise CAError("automata over different groups")
     rt, rs = tau.rule, sigma.rule
-    if rt.variant != rs.variant:
+    if type(rt) is not type(rs):
         raise CAError("compose needs matching rule variants")
-    if rt.variant == "polynomial":
+    if isinstance(rt, PolynomialRule):
         if rt.field != rs.field:
             raise CAError("field mismatch")
         return CellularAutomaton(tau.group, PolynomialRule(rt.poly.star(rs.poly)))
-    if rt.variant == "linear":
+    if isinstance(rt, LinearRule):
         if rt.field != rs.field or rt.n != rs.n:
             raise CAError("alphabet mismatch")
         return ca_from_group_ring(group_ring_of(tau) * group_ring_of(sigma))
@@ -234,7 +301,7 @@ def polynomial_of(ca: CellularAutomaton) -> NearRingElement:
     Semantic identification is refused by design: over a finite field,
     distinct polynomials can induce the same map on every window.
     """
-    if ca.rule.variant != "polynomial":
+    if not isinstance(ca.rule, PolynomialRule):
         raise CAError("not a polynomial-rule automaton")
     return ca.rule.poly
 
@@ -247,7 +314,7 @@ def ca_from_group_ring(alpha: GroupRingElement) -> CellularAutomaton:
 
 
 def group_ring_of(ca: CellularAutomaton) -> GroupRingElement:
-    if ca.rule.variant != "linear":
+    if not isinstance(ca.rule, LinearRule):
         raise CAError("not a linear-rule automaton")
     return GroupRingElement(ca.group, ca.rule.field, dict(ca.rule.symbol), shape=ca.rule.n)
 
@@ -256,16 +323,6 @@ def group_ring_of(ca: CellularAutomaton) -> GroupRingElement:
 class MemoryReport:
     memory: FiniteSubset
     verified: bool
-
-
-def _sample_value(ca, rng):
-    """A random cell value: a vector for linear rules, a scalar for polynomial ones, a symbol for tables."""
-    rule = ca.rule
-    if rule.variant == "linear":
-        return tuple(rule.field.from_int(rng.randrange(-3, 4)) for _ in range(rule.n))
-    if rule.variant == "polynomial":
-        return rule.field.from_int(rng.randrange(-3, 4))
-    return rng.choice(rule.alphabet)
 
 
 def minimal_memory_set(ca: CellularAutomaton, probes: int = 8, seed: int = 0) -> MemoryReport:
@@ -278,9 +335,10 @@ def minimal_memory_set(ca: CellularAutomaton, probes: int = 8, seed: int = 0) ->
     unverified.
     """
     memory = ca.memory_set()
-    if ca.rule.variant == "table":
+    if isinstance(ca.rule, TableRule):
         return MemoryReport(memory, False)
     rng = random.Random(seed)
+    sample = ca.rule.random_value
     group = ca.group
     near = ball(group, 1).product(memory.union([group.identity()]))
     outside = [g for g in near if g not in memory]
@@ -288,19 +346,19 @@ def minimal_memory_set(ca: CellularAutomaton, probes: int = 8, seed: int = 0) ->
 
     verified = True
     for _ in range(probes):
-        base = {g: _sample_value(ca, rng) for g in domain}
+        base = {g: sample(rng) for g in domain}
         ref = ca._evaluate_at(Pattern(domain, base), group.identity())
         for g in outside:
             changed = dict(base)
-            changed[g] = _sample_value(ca, rng)
+            changed[g] = sample(rng)
             if ca._evaluate_at(Pattern(domain, changed), group.identity()) != ref:
                 return MemoryReport(memory, False)
     for g in memory:
         hit = False
         for _ in range(probes * 4):
-            base = {h: _sample_value(ca, rng) for h in domain}
+            base = {h: sample(rng) for h in domain}
             changed = dict(base)
-            changed[g] = _sample_value(ca, rng)
+            changed[g] = sample(rng)
             ref = ca._evaluate_at(Pattern(domain, base), group.identity())
             new = ca._evaluate_at(Pattern(domain, changed), group.identity())
             if new != ref:
@@ -333,7 +391,7 @@ def equivariance_check(ca, samples: int = 20, seed: int = 0, radius: int = 2) ->
         base_domain = base_domain.product(memory.union([group.identity()]))
 
     for i in range(samples):
-        pattern = Pattern(base_domain, {g: _sample_value(ca, rng) for g in base_domain})
+        pattern = Pattern(base_domain, {g: ca.rule.random_value(rng) for g in base_domain})
         g = shifts[rng.randrange(len(shifts))]
         out = ca.apply_interior(pattern)
         shifted_out = ca.apply_interior(pattern.translate(g))
@@ -350,38 +408,11 @@ def equivariance_check(ca, samples: int = 20, seed: int = 0, radius: int = 2) ->
 
 
 def rule_to_json(ca: CellularAutomaton) -> dict:
-    group = ca.group
-    rule = ca.rule
-    payload: dict
-    if rule.variant == "polynomial":
-        from .expressions import format_element
+    return {"group": ca.group.spec_string(), "variant": ca.rule.variant, "payload": ca.rule.payload()}
 
-        payload = {"field": rule.field.spec_string(), "expr": format_element(rule.poly)}
-    elif rule.variant == "linear":
-        field = rule.field
-        symbol = []
-        for g in sorted(rule.symbol, key=lambda e: e.sort_key()):
-            m = rule.symbol[g]
-            symbol.append([str(g), [[field.format(v) for v in row] for row in m.rows]])
-        payload = {"n": rule.n, "field": field.spec_string(), "symbol": symbol}
-    else:
-        payload = {
-            "alphabet": rule.alphabet,
-            "memory": [str(g) for g in rule.memory],
-            "map": [[list(k), v] for k, v in sorted(rule.mapping.items(), key=lambda kv: repr(kv[0]))],
-        }
-    return {"group": group.spec_string(), "variant": rule.variant, "payload": payload}
-
-
-_SYMBOL = (str, int)  # table alphabets hold JSON strings or integers
 
 _RULE_SHAPE = {"group": str, "variant": str, "payload": dict}
-_PAYLOAD_SHAPES = {
-    "polynomial": {"field": str, "expr": str},
-    "linear": {"n": int, "field": str, "symbol": [(str, [[str]])]},
-    "table": {"alphabet": [_SYMBOL], "memory": [str], "map": [([_SYMBOL], _SYMBOL)]},
-}
-_PATTERN_VALUES = {"linear": [[str]], "polynomial": [str], "table": [_SYMBOL]}
+_RULES = {cls.variant: cls for cls in (TableRule, LinearRule, PolynomialRule)}
 
 
 def _check_json(value, shape, where):
@@ -417,68 +448,29 @@ def _check_json(value, shape, where):
 
 
 def rule_from_json(doc: dict) -> CellularAutomaton:
-    from .expressions import parse_element
-    from .groups import parse_group_spec
-    from .rings import field_from_spec
-
     _check_json(doc, _RULE_SHAPE, "rule")
-    variant = doc["variant"]
-    if variant not in _PAYLOAD_SHAPES:
-        raise CAError("unknown rule variant %r" % variant)
-    payload = doc["payload"]
-    _check_json(payload, _PAYLOAD_SHAPES[variant], "rule.payload")
+    cls = _RULES.get(doc["variant"])
+    if cls is None:
+        raise CAError("unknown rule variant %r" % doc["variant"])
+    _check_json(doc["payload"], cls.payload_shape, "rule.payload")
     group = parse_group_spec(doc["group"])
-    if variant == "polynomial":
-        field = field_from_spec(payload["field"])
-        poly = parse_element(payload["expr"], group, field, kind="near_ring")
-        return ca_from_polynomial(poly)
-    if variant == "linear":
-        field = field_from_spec(payload["field"])
-        symbol = {}
-        for elem_text, rows in payload["symbol"]:
-            g = group.parse_element(elem_text)
-            if g in symbol:
-                raise CAError("rule.payload.symbol lists %s twice" % g)
-            symbol[g] = ExactMatrix(field, [[field.parse(v) for v in row] for row in rows])
-        return CellularAutomaton(group, LinearRule(payload["n"], field, symbol))
-    memory = FiniteSubset(group, [group.parse_element(t) for t in payload["memory"]])
-    mapping = {}
-    for key, value in payload["map"]:
-        if tuple(key) in mapping:
-            raise CAError("rule.payload.map lists the key %r twice" % (key,))
-        mapping[tuple(key)] = value
-    return CellularAutomaton(group, TableRule(payload["alphabet"], memory, mapping))
+    return CellularAutomaton(group, cls.from_payload(group, doc["payload"]))
 
 
 def pattern_to_json(pattern: Pattern, ca: CellularAutomaton) -> dict:
-    field = getattr(ca.rule, "field", None)
-    values = []
-    for g in pattern.domain:
-        v = pattern[g]
-        if ca.rule.variant == "linear":
-            values.append([field.format(x) for x in v])
-        elif ca.rule.variant == "polynomial":
-            values.append(field.format(v))
-        else:
-            values.append(v)
+    values = [ca.rule.format_value(pattern[g]) for g in pattern.domain]
     return {"domain": [str(g) for g in pattern.domain], "values": values}
 
 
 def pattern_from_json(doc: dict, ca: CellularAutomaton) -> Pattern:
-    _check_json(doc, {"domain": [str], "values": _PATTERN_VALUES[ca.rule.variant]}, "pattern")
+    _check_json(doc, {"domain": [str], "values": [ca.rule.value_shape]}, "pattern")
     if len(doc["domain"]) != len(doc["values"]):
         raise CAError("pattern domain and values differ in length")
     group = ca.group
-    field = getattr(ca.rule, "field", None)
     values = {}
     for elem_text, raw in zip(doc["domain"], doc["values"]):
         g = group.parse_element(elem_text)
         if g in values:
             raise CAError("pattern.domain lists %s twice" % g)
-        if ca.rule.variant == "linear":
-            values[g] = tuple(field.parse(x) for x in raw)
-        elif ca.rule.variant == "polynomial":
-            values[g] = field.parse(raw)
-        else:
-            values[g] = raw
+        values[g] = ca.rule.parse_value(raw)
     return Pattern(FiniteSubset(group, values), values)

@@ -51,9 +51,17 @@ def _emit_lines(lines, path):
     _write("".join(json.dumps(line, sort_keys=True) + "\n" for line in lines), path)
 
 
-def _load_rule(path):
+def _load_json(path, error):
+    """The JSON document in a file; nesting deeper than the recursion limit raises ``error``."""
     with open(path, "r", encoding="utf-8") as fh:
-        return rule_from_json(json.load(fh))
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise error("%s: JSON nested too deeply" % path) from None
+
+
+def _load_rule(path):
+    return rule_from_json(_load_json(path, CAError))
 
 
 def _base_report(args, command):
@@ -182,8 +190,7 @@ def _cmd_embed(args):
 
 def _cmd_ca_step(args):
     ca = _load_rule(args.rule)
-    with open(args.pattern, "r", encoding="utf-8") as fh:
-        pattern = pattern_from_json(json.load(fh), ca)
+    pattern = pattern_from_json(_load_json(args.pattern, CAError), ca)
     if args.mode == "plus":
         window = ball(ca.group, args.window)
         out = ca.apply_window(pattern, "plus", window)
@@ -439,8 +446,7 @@ def _apply_job_file(argv):
         with open(path, "rb") as fh:
             job = tomllib.load(fh)
     else:
-        with open(path, "r", encoding="utf-8") as fh:
-            job = json.load(fh)
+        job = _load_json(path, ValueError)
     if not isinstance(job, dict):
         raise ValueError("job file %s must hold a JSON object or a TOML table" % path)
     given = {arg.split("=", 1)[0] for arg in argv}

@@ -202,7 +202,8 @@ def parse_element(text, group, field, kind="auto"):
 
     kind: "near_ring", "group_ring", "twisted", or "auto" (near-ring when the
     text mentions X[...], group-ring when it has bare [...], twisted when it
-    has a bare t, near-ring otherwise).
+    has a bare t, near-ring otherwise).  Text nested deeper than the
+    interpreter's recursion limit is a ParseError.
     """
     if kind == "auto":
         if "X[" in text:
@@ -213,7 +214,11 @@ def parse_element(text, group, field, kind="auto"):
             kind = "twisted"
         else:
             kind = "near_ring"
-    return _Parser(text, group, field, kind).parse()
+    parser = _Parser(text, group, field, kind)
+    try:
+        return parser.parse()
+    except RecursionError:
+        raise ParseError("expression nested too deeply", parser.tokens[parser.pos][2]) from None
 
 
 def _has_bare_t(text):

@@ -266,11 +266,16 @@ class FreeGroup(Group):
 
 
 class FiniteGroup(Group):
-    """Finite group from a multiplication table (checked at construction)."""
+    """Finite group from a multiplication table (checked at construction).
+
+    A table of more than BALL_CAP entries (order above 256) is refused
+    before it is built or checked: the associativity check takes n^3 steps.
+    """
 
     kind = "finite"
 
     def __init__(self, table, generator_indices=None):
+        _check_order(len(table))
         table = tuple(tuple(int(x) for x in row) for row in table)
         n = len(table)
         if n == 0 or any(len(row) != n for row in table):
@@ -313,6 +318,7 @@ class FiniteGroup(Group):
 
     @classmethod
     def cyclic(cls, n: int, generator_indices=None):
+        _check_order(n)
         table = [[(a + b) % n for b in range(n)] for a in range(n)]
         return cls(table, generator_indices=generator_indices)
 
@@ -360,6 +366,11 @@ class FiniteGroup(Group):
 
     def __repr__(self):
         return "Finite(order=%d)" % self.order
+
+
+def _check_order(n: int):
+    if n * n > BALL_CAP:
+        raise GroupError("a group of order %d has a table of more than %d entries" % (n, BALL_CAP))
 
 
 def parse_group_spec(spec: str) -> Group:

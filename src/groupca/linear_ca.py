@@ -19,12 +19,12 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
 from .ca import CAError, CellularAutomaton, LinearRule, Pattern, compose, group_ring_of
-from .groups import FiniteSubset, ZdGroup, ball, box_window, folner_box, subset_calculus
+from .groups import BALL_CAP, FiniteSubset, GroupError, ZdGroup, ball, box_window, folner_box, subset_calculus
 from .rings import Echelon, ExactMatrix, rank_kernel_sparse
 
 
 def _require_linear(ca: CellularAutomaton):
-    if ca.rule.variant != "linear":
+    if not isinstance(ca.rule, LinearRule):
         raise CAError("rank analysis needs a linear rule")
     return ca.rule
 
@@ -34,6 +34,18 @@ def chain_window(group, r: int) -> FiniteSubset:
     if isinstance(group, ZdGroup):
         return box_window(group, r)
     return ball(group, r)
+
+
+def _check_boxes(group: ZdGroup, sides):
+    """Refuse a chain of Z^d boxes, one per side length, that holds more than BALL_CAP elements in all.
+
+    Balls off Z^d are bounded one by one by their ball plans.
+    """
+    total = 0
+    for side in sides:
+        total += side**group.d
+        if total > BALL_CAP:
+            raise GroupError("a window chain on %s would hold more than %d elements" % (group.spec_string(), BALL_CAP))
 
 
 @dataclass
@@ -127,6 +139,7 @@ def mdim_estimate(ca: CellularAutomaton, i_max: int) -> MdimReport:
         raise CAError("mean dimension estimates need Z^d")
     if i_max < 1:
         raise CAError("i_max must be >= 1")
+    _check_boxes(group, range(1, i_max + 1))
     seq = []
     for i in range(1, i_max + 1):
         box = folner_box(group, i)
@@ -135,12 +148,14 @@ def mdim_estimate(ca: CellularAutomaton, i_max: int) -> MdimReport:
     return MdimReport(sequence=seq, estimate=max(tail), i_max=i_max)
 
 
-def _walk_chain(probe, r_max: int):
+def _walk_chain(group, probe, r_max: int):
     """The first non-None ``probe(r)`` for r = 0..r_max, or None.
 
     The property probed must persist along the nested window chain, so r = 0
     is tried, then r_max, and 1 .. r_max-1 are scanned only when r_max has it.
     """
+    if isinstance(group, ZdGroup):
+        _check_boxes(group, range(1, 2 * r_max + 2, 2))
     first = probe(0) if r_max >= 0 else None
     if first is not None or r_max <= 0:
         return first
@@ -180,7 +195,7 @@ def preinjectivity_check(ca: CellularAutomaton, r_max: int = 8) -> PreInjectivit
         values = {g: tuple(kernel[0][window.position(g) * n + j] for j in range(n)) for g in window}
         return PreInjectivityReport("not_pre_injective", r_max, Pattern(window, values), r)
 
-    return _walk_chain(witness, r_max) or PreInjectivityReport("kernel_free_up_to", r_max)
+    return _walk_chain(ca.group, witness, r_max) or PreInjectivityReport("kernel_free_up_to", r_max)
 
 
 @dataclass
@@ -206,7 +221,7 @@ def surjectivity_check(ca: CellularAutomaton, r_max: int = 8) -> SurjectivityRep
         rank, full = gamma_dim(ca, window), n * len(window)
         return SurjectivityReport("not_surjective", r_max, window, rank, full) if rank < full else None
 
-    return _walk_chain(deficient, r_max) or SurjectivityReport("full_rank_up_to", r_max)
+    return _walk_chain(ca.group, deficient, r_max) or SurjectivityReport("full_rank_up_to", r_max)
 
 
 @dataclass
@@ -246,7 +261,7 @@ def find_left_inverse(ca: CellularAutomaton, r_max: int) -> LeftInverseReport:
         sol = [echelon.solve({id_base + k: field.one()}) for k in range(n)]
         return None if None in sol else (r, window, sol)  # None: projection rows outside the row space
 
-    found = _walk_chain(solution, r_max)
+    found = _walk_chain(group, solution, r_max)
     if found is None:
         return LeftInverseReport(False, r_max=r_max)
     r, window, sol = found

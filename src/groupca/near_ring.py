@@ -905,17 +905,17 @@ def _certify(kind, fast, record):
         if not any(sol):
             continue  # alpha must be nonzero
         alpha = fast.element(sol)
-        product = alpha.star(beta)
         if kind == "unit":
-            cls = classify_unit_pair(alpha, beta)
+            cls = classify_unit_pair(alpha, beta)  # forms alpha * beta and beta * alpha
             if cls.verdict == "not_unit_pair":
                 raise NearRingError("fast path disagreed with the generic star product")
             detail = {"reverse_product": cls.reverse_product}
             if cls.verdict == "trivial_unit":
                 detail.update({"a": cls.a, "g": cls.g, "b": cls.b})
-            findings.append(Finding("unit", alpha, beta, product, cls.verdict, detail))
-        elif product:
+            findings.append(Finding("unit", alpha, beta, cls.product, cls.verdict, detail))
+            continue
+        product = alpha.star(beta)
+        if product:
             raise NearRingError("fast path disagreed with the generic star product")
-        else:
-            findings.append(Finding("zero_divisor", alpha, beta, product, "zero_divisor_pair"))
+        findings.append(Finding("zero_divisor", alpha, beta, product, "zero_divisor_pair"))
     return findings

@@ -21,13 +21,14 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
 from .groups import (
+    BALL_CAP,
     BallPlan,  # noqa: F401  (exported with ball_iso, which replays it)
     FiniteGroup,
     FreeGroup,
     ZdGroup,
     ball_plan,
 )
-from .ca import CAError
+from .ca import CAError, LinearRule
 from .linear_ca import block_rows
 from .rings import rank_kernel_sparse
 
@@ -36,17 +37,24 @@ class SoficError(ValueError):
     pass
 
 
+def _check_vertices(n):
+    """Refuse a graph of more than BALL_CAP vertices before any step map is built."""
+    if n > BALL_CAP:
+        raise SoficError("a graph of %d vertices is larger than %d" % (n, BALL_CAP))
+
+
 class LabeledGraph:
     """Finite graph with one out-edge map per generator label."""
 
     def __init__(self, group, labels, n_vertices, step_maps, meta=None):
+        if not isinstance(n_vertices, int) or n_vertices < 1:
+            raise SoficError("need at least one vertex (got %r)" % (n_vertices,))
+        _check_vertices(n_vertices)
         self.group = group
         self.labels = tuple(labels)
         self.n = n_vertices
         self.step_maps = {s: dict(m) for s, m in step_maps.items()}
         self.meta = dict(meta or {})
-        if not isinstance(n_vertices, int) or n_vertices < 1:
-            raise SoficError("need at least one vertex (got %r)" % (n_vertices,))
         label_set = set(self.labels)
         if len(label_set) != len(self.labels):
             raise SoficError("a label is listed twice")
@@ -97,6 +105,7 @@ def cycle_graph(group: ZdGroup, n: int) -> LabeledGraph:
         raise SoficError("cycle graphs approximate Z")
     if n < 1:
         raise SoficError("need at least one vertex")
+    _check_vertices(n)
     plus = group.element((1,))
     minus = plus.inverse()
     steps = {
@@ -114,6 +123,7 @@ def torus_graph(group: ZdGroup, n: int) -> LabeledGraph:
         raise SoficError("need at least one vertex per axis")
     d = group.d
     total = n**d
+    _check_vertices(total)
 
     def decode(v):
         coords = []
@@ -151,6 +161,7 @@ def schreier_graph(group: FreeGroup, n: int, seed: int) -> LabeledGraph:
         raise SoficError("Schreier graphs approximate free groups")
     if n < 1:
         raise SoficError("need at least one vertex")
+    _check_vertices(n)
     rng = random.Random(seed)
     steps = {}
     labels = []
@@ -347,7 +358,7 @@ def graph_ca_rank_audit(graph: LabeledGraph, ca, r: int, left_inverse=None) -> R
     the projection onto A^(V(3r)) exactly, and the forward rank must then
     be at least n * |V(3r)|.
     """
-    if ca.rule.variant != "linear":
+    if not isinstance(ca.rule, LinearRule):
         raise CAError("rank audit needs a linear rule")
     rule = ca.rule
     n = rule.n

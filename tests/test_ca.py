@@ -88,6 +88,15 @@ def test_apply_window_linear_pair_example():
     assert out[zel(0)] == (Fraction(5), Fraction(2))
 
 
+def test_interior_of_a_memory_without_the_identity_leaves_the_window():
+    """The M-interior {g : gM in Omega} is not inside Omega when e is not in M."""
+    shift = ca_from_polynomial(X(1))
+    p = qpat({0: 5, 1: 7, 2: 9})
+    expected = {zel(-1): 5, zel(0): 7, zel(1): 9}
+    assert shift.apply_interior(p).values == expected
+    assert shift.apply_window(p, "minus").values == expected
+
+
 def test_apply_window_domain_mismatch():
     ca = ca_from_polynomial(X(1))
     with pytest.raises(CAError):
@@ -336,6 +345,24 @@ def test_pattern_json_round_trip():
     p = Pattern(fsub(0, 1), {zel(0): (Fraction(1), Fraction(-2)), zel(1): (Fraction(0), Fraction(4))})
     doc = pattern_to_json(p, tau)
     assert pattern_from_json(doc, tau) == p
+
+
+def test_rule_kinds_own_their_values_and_payloads():
+    tau, _ = pair_tau_sigma()
+    table = CellularAutomaton(Z, TableRule(["x", "y"], fsub(1), {("x",): "y", ("y",): "x"}))
+    zero = CellularAutomaton(Z, LinearRule(1, QQ, {}))
+    rng = random.Random(6)
+    for ca in (tau, ca_from_polynomial(X(1, field=F5) ** 2), table, zero):
+        rule = ca.rule
+        for _ in range(10):
+            value = rule.random_value(rng)
+            assert rule.parse_value(rule.format_value(value)) == value
+        assert type(rule).from_payload(Z, rule.payload()).payload() == rule.payload()
+        assert rule_to_json(rule_from_json(rule_to_json(ca))) == rule_to_json(ca)
+    # a zero symbol names no group: the automaton supplies it, and every output is zero
+    assert zero.memory_set() == FiniteSubset(Z, [])
+    p = Pattern(fsub(0, 1), {zel(0): (Fraction(1),), zel(1): (Fraction(2),)})
+    assert zero.apply_interior(p).values == {zel(0): (0,), zel(1): (0,)}
 
 
 def test_compose_variant_mismatch():

@@ -296,6 +296,54 @@ def test_unbounded_inputs_exit_2_at_once(capsys, argv, message):
     assert message in capsys.readouterr().err
 
 
+_DEEP = "[" * 200000 + "]" * 200000
+# files the argv below name by key: the difference rule on Z and on Z^2, a graph
+# file declaring 10^12 vertices, and a rule and a job file of 200 000 nested arrays
+_INPUT_FILES = {
+    "@z1": {"group": "zd:1", "variant": "linear", "payload": {"n": 1, "field": "q", "symbol": [["(0)", [["-1"]]], ["(1)", [["1"]]]]}},
+    "@z2": {"group": "zd:2", "variant": "linear", "payload": {"n": 1, "field": "q", "symbol": [["(0,0)", [["-1"]]], ["(1,0)", [["1"]]]]}},
+    "@graph": "labels: (1) (-1)\nvertices: 1000000000000\n",
+    "@deep_rule": _DEEP,
+    "@deep_job": '{"imax": %s}' % _DEEP,
+}
+_SOFIC = ["--radius", "1", "--epsilon", "1/2"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["mdim", "--rule", "@z1", "--imax", "100000"], "window chain"),
+        (["goe", "--rule", "@z1", "--imax", "4", "--rmax", "1000000"], "window chain"),
+        (["ca-invert", "--rule", "@z2", "--radius", "100000"], "window chain"),
+        (["sofic-check", "--group", "zd:1", "--graph", "cycle:30000000"] + _SOFIC, "vertices"),
+        (["sofic-check", "--group", "zd:2", "--graph", "torus:100000"] + _SOFIC, "vertices"),
+        (["sofic-check", "--group", "free:2", "--graph", "schreier:30000000:1"] + _SOFIC, "vertices"),
+        (["sofic-check", "--group", "zd:1", "--graph", "file:@graph"] + _SOFIC, "vertices"),
+        (["star", "--group", "cyclic:1000", "--field", "f2", "--alpha", "X[#0]", "--beta", "X[#1]"], "table"),
+        (["star", "--group", "zd:1", "--field", "q", "--alpha", "(" * 3000 + "X[(0)]" + ")" * 3000, "--beta", "X[(0)]"], "nested too deeply"),
+        (["mdim", "--rule", "@deep_rule"], "nested too deeply"),
+        (["mdim", "--job", "@deep_job"], "nested too deeply"),
+    ],
+    ids=["mdim", "goe", "ca-invert", "cycle", "torus", "schreier", "graph-file", "cyclic", "alpha", "rule-file", "job-file"],
+)
+def test_oversized_and_deeply_nested_inputs_exit_2_at_once(tmp_path, capsys, argv, message):
+    """Window chains and graphs past groups.BALL_CAP, group tables past it and nesting past the
+    recursion limit are input errors: one error line within 2 s of CPU, no traceback."""
+    resolved = []
+    for arg in argv:
+        for key, content in _INPUT_FILES.items():
+            if key in arg:
+                path = tmp_path / key[1:]
+                path.write_text(content if isinstance(content, str) else json.dumps(content))
+                arg = arg.replace(key, str(path))
+        resolved.append(arg)
+    with cpu_budget(2.0):
+        assert run_job(resolved) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1 and message in captured.err
+
+
 def test_twisted_power_reduces_the_frobenius_exponent(capsys):
     with cpu_budget(2.0):
         assert run_job(["embed", "--group", "zd:1", "--field", "gf4", "--kind", "j", "--element", "(w+t)^3000*[(1)]"]) == 0
@@ -423,3 +471,12 @@ def test_repeated_keys_in_rule_and_pattern_files_exit_2(tmp_path, capsys):
     assert run_job(["ca-step", "--rule", _linear_rule_file(tmp_path, [["(0)", [["1"]]]]), "--pattern", str(pattern)]) == 2
     err = capsys.readouterr().err
     assert err.count("error: ") == 3 and err.count("twice") == 3 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("vector", [[], ["1", "2"]], ids=["short", "long"])
+def test_pattern_vectors_of_the_wrong_length_exit_2(tmp_path, capsys, vector):
+    """LinearRule.local applies each block through ExactMatrix.apply, which checks the vector's length."""
+    pattern = tmp_path / "pattern.json"
+    pattern.write_text(json.dumps({"domain": ["(0)", "(1)"], "values": [vector, ["1"]]}))
+    assert run_job(["ca-step", "--rule", _linear_rule_file(tmp_path, [["(0)", [["1"]]]]), "--pattern", str(pattern)]) == 2
+    assert capsys.readouterr().err == "error: vector length mismatch\n"

@@ -16,7 +16,7 @@ from support import (
 )
 
 from groupca.ca import CAError, CellularAutomaton, LinearRule, Pattern, ca_from_polynomial, compose, group_ring_of
-from groupca.groups import FiniteSubset, ZdGroup, ball
+from groupca.groups import FiniteSubset, GroupError, ZdGroup, ball
 import groupca.linear_ca as lca_mod
 from groupca.linear_ca import (
     chain_window,
@@ -50,6 +50,26 @@ def test_window_matrix_banded_example():
     assert (wm.nrows, wm.ncols) == (4, 5)
     assert rank_kernel_sparse(wm.field, wm.matrix_rows, wm.ncols, want_kernel=False)[0] == 4
     assert gamma_dim(diff, window) == 4
+
+
+def test_window_chains_past_the_ball_cap_are_refused_before_any_rank(monkeypatch):
+    """The boxes [0,i)^d, i <= i_max, of mdim and [-r,r]^d, r <= r_max, of the walk hold at most BALL_CAP elements."""
+
+    def no_elimination(*args, **kwargs):
+        raise AssertionError("a window was eliminated")
+
+    monkeypatch.setattr(lca_mod, "rank_kernel_sparse", no_elimination)
+    monkeypatch.setattr(lca_mod, "Echelon", no_elimination)
+    diff = z_fixtures()["diff"]
+    # 1 + ... + 362 = 65 703 and 1 + 3 + ... + 513 = 257^2 = 66 049 pass 2^16 = 65 536
+    with pytest.raises(GroupError):
+        mdim_estimate(diff, 362)
+    for audit in (preinjectivity_check, surjectivity_check, find_left_inverse):
+        with pytest.raises(GroupError):
+            audit(diff, 256)
+    lca_mod._check_boxes(Z, range(1, 362))  # 65 341 elements
+    lca_mod._check_boxes(Z, range(1, 512, 2))  # 65 536 elements: r_max = 255
+    lca_mod._check_boxes(Z2, range(1, 25))  # the workloads' largest chain, 4 900 elements
 
 
 def test_window_matrix_identity_is_restriction():

@@ -831,6 +831,23 @@ def test_unit_search_f2_trivial_only():
         assert f.detail["reverse_product"] == ident
 
 
+def test_unit_search_forms_two_star_products_per_finding(monkeypatch):
+    """Each unit finding costs alpha * beta and beta * alpha once each, both taken from its classification."""
+    calls = []
+    generic = NearRingElement.star
+
+    def counted(self, other):
+        calls.append(None)
+        return generic(self, other)
+
+    monkeypatch.setattr(NearRingElement, "star", counted)
+    res = exhaustive_search("unit", PrimeField(3), support_pm1(), 1, workers=1)
+    assert len(res.findings) == 18  # a X_g - a b for 3 g, 2 a and 3 b
+    assert len(calls) == 2 * len(res.findings)
+    for f in res.findings:
+        assert f.product == generic(f.alpha, f.beta)
+
+
 def brute_force_search(kind, field, support, degree):
     """Direct pair/element scan via the generic star product."""
     monos = search_monomials(support, degree)

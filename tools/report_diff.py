@@ -12,10 +12,17 @@ over Q, F3 and GF(4), on Z and Z^2, with and without an inverse.  Two
 more invert free:2 rules (``FREE_RULES``): the shift by a, which has an
 inverse, and 1 - a, which has none, so that the walk along the window
 chain is compared on balls, where ``goe`` does not run.  Eight searches on
-cyclic groups come last (``CYCLIC_SEARCHES``): the workloads' searches
+cyclic groups follow (``CYCLIC_SEARCHES``): the workloads' searches
 have only empty or trivial findings, while these find nontrivial units,
 idempotents and zero divisors, so a search that loses a finding changes
-the records.  That makes 1076 jobs for every seed.  Then it runs every job through
+the records.  Then ``ca-step``, ``ca-compose`` and ``ca-invert`` run on the
+rule files of ``CA_RULES``, of all three kinds, among them the zero linear
+rule, a free:2 rule over GF(4), and a linear and a table rule whose memory
+lacks the identity, so that their M-interiors leave the pattern's domain:
+each rule steps its pattern in minus mode and in plus mode at ``--window``
+0 and 1 (24 jobs), ``CA_COMPOSE`` composes rules of one kind and of two
+kinds (9 jobs) and ``CA_INVERT`` inverts three of them.  That makes 1112
+jobs for every seed.  It runs every job through
 ``groupca.cli.run_job`` twice, each time in one fresh interpreter: once on
 REF's ``src/`` (extracted with ``git archive``) and once on this
 checkout's ``src/``.  For each job it records the argv, the exit code,
@@ -63,6 +70,54 @@ CYCLIC_SEARCHES = (
     ("units", "cyclic:3", "f3", 1),
     ("zerodiv", "cyclic:3", "f3", 1),
 )
+# pattern domains: the radius-2 balls of Z, Z^2 and free:2; letter i ^ 1 is the inverse of letter i
+_LETTERS = ("a", "a^-1", "b", "b^-1")
+CA_DOMAINS = {
+    "zd:1": ["(%d)" % k for k in range(-2, 3)],
+    "zd:2": ["(%d,%d)" % (x, y) for x in range(-2, 3) for y in range(-2, 3) if abs(x) + abs(y) <= 2],
+    "free:2": ["1", *_LETTERS] + ["%s*%s" % (_LETTERS[i], _LETTERS[j]) for i in range(4) for j in range(4) if j != i ^ 1],
+}
+# rule files of all three kinds: file name -> (group, variant, payload, cell value texts of its pattern)
+CA_RULES = {
+    "ca_shift_q.json": ("zd:1", "linear", {"n": 1, "field": "q", "symbol": [["(1)", [["1"]]]]}, ["2", "-1", "0", "1/2", "3"]),
+    "ca_zero_q.json": ("zd:1", "linear", {"n": 1, "field": "q", "symbol": []}, ["1", "-2", "5/3"]),
+    "ca_pair_f3.json": (
+        "zd:2", "linear",
+        {"n": 2, "field": "f3", "symbol": [["(0,0)", [["1", "1"], ["0", "1"]]], ["(1,0)", [["0", "2"], ["1", "0"]]]]},
+        ["0", "1", "2", "2", "1"],
+    ),
+    "ca_free2_gf4.json": ("free:2", "linear", {"n": 1, "field": "gf4", "symbol": [["1", [["1"]]], ["a", [["w"]]]]}, ["w", "1", "0", "w+1"]),
+    "ca_poly_q.json": ("zd:1", "polynomial", {"field": "q", "expr": "X[(1)]^2 - 3*X[(0)] + 1/2"}, ["1", "-2", "0", "2/3"]),
+    "ca_poly_free2_f5.json": ("free:2", "polynomial", {"field": "f5", "expr": "2*X[a]*X[b^-1] + X[1]^3"}, ["0", "1", "2", "3", "4"]),
+    "ca_xor.json": (
+        "zd:1", "table",
+        {"alphabet": [0, 1], "memory": ["(0)", "(1)"], "map": [[[a, b], (a + b) % 2] for a in (0, 1) for b in (0, 1)]},
+        [1, 0, 1, 1, 0],
+    ),
+    "ca_swap.json": ("zd:1", "table", {"alphabet": ["x", "y"], "memory": ["(1)"], "map": [[["x"], "y"], [["y"], "x"]]}, ["x", "y", "y"]),
+}
+# (tau, sigma) of the ca-compose jobs: the same kind, and the last two of different kinds
+CA_COMPOSE = (
+    ("ca_shift_q.json", "ca_zero_q.json"),
+    ("ca_pair_f3.json", "ca_pair_f3.json"),
+    ("ca_free2_gf4.json", "ca_free2_gf4.json"),
+    ("ca_poly_q.json", "ca_poly_q.json"),
+    ("ca_poly_free2_f5.json", "ca_poly_free2_f5.json"),
+    ("ca_xor.json", "ca_xor.json"),
+    ("ca_swap.json", "ca_swap.json"),
+    ("ca_shift_q.json", "ca_poly_q.json"),
+    ("ca_xor.json", "ca_shift_q.json"),
+)
+CA_INVERT = ("ca_zero_q.json", "ca_pair_f3.json", "ca_free2_gf4.json")
+
+
+def ca_files(fname):
+    """The rule document of CA_RULES[fname] and a pattern on its group's domain."""
+    group, variant, payload, cells = CA_RULES[fname]
+    domain = CA_DOMAINS[group]
+    n = payload["n"] if variant == "linear" else None
+    values = [cells[i % len(cells)] if n is None else [cells[(i + j) % len(cells)] for j in range(n)] for i in range(len(domain))]
+    return {"group": group, "variant": variant, "payload": payload}, {"domain": domain, "values": values}
 
 
 def build_jobs(seed, tmp):
@@ -90,6 +145,14 @@ def build_jobs(seed, tmp):
         argvs.append(["ca-invert", "--rule", "jobs/" + fname, "--radius", "3"])
     for cmd, group, field, degree in CYCLIC_SEARCHES:
         argvs.append([cmd, "--group", group, "--field", field, "--degree", str(degree), "--radius", "1"])
+    for fname in CA_RULES:
+        rule, pattern = ca_files(fname)
+        (tmp / "jobs" / fname).write_text(json.dumps(rule), encoding="utf-8")
+        (tmp / "jobs" / ("pattern_" + fname)).write_text(json.dumps(pattern), encoding="utf-8")
+        step = ["ca-step", "--rule", "jobs/" + fname, "--pattern", "jobs/pattern_" + fname, "--mode"]
+        argvs += [step + ["minus"], step + ["plus", "--window", "0"], step + ["plus", "--window", "1"]]
+    argvs.extend(["ca-compose", "--rule", "jobs/" + tau, "--rule2", "jobs/" + sigma] for tau, sigma in CA_COMPOSE)
+    argvs.extend(["ca-invert", "--rule", "jobs/" + fname, "--radius", "3"] for fname in CA_INVERT)
     return argvs
 
 
