@@ -22,6 +22,7 @@ class RingError(ValueError):
 
 TERM_CAP = 10**6  # size bound of one polynomial or group-ring product, checked before forming it
 WORK_CAP = 10**6  # term products of one polynomial product or power chain, checked before it starts
+CERTIFY_PRIME = 2**31 - 1  # full Q ranks are certified modulo this prime (rank_kernel_sparse)
 
 
 def _is_prime(n: int) -> bool:
@@ -718,13 +719,35 @@ class Echelon:
         return None
 
 
+def _full_rank_mod_prime(rows, ncols) -> bool:
+    """Whether the rational rows have rank min(#rows, ncols) mod CERTIFY_PRIME, and so over Q.
+
+    n/d -> n * d^-1 mod p is the row made integer by its denominators' lcm, mod p,
+    times a unit; a minor nonzero mod p is a nonzero integer, so rank_p <= rank_Q.
+    """
+    p, spare, echelon = CERTIFY_PRIME, len(rows) - min(len(rows), ncols), Echelon(CERTIFY_PRIME)
+    try:
+        for row in rows:
+            echelon.add({j: v.numerator * pow(v.denominator, -1, p) % p if v.denominator != 1 else v.numerator % p
+                         for j, v in row.items() if j < ncols})
+            if echelon.size - echelon.rank > spare:
+                return False
+    except ValueError:  # p divides a denominator: no inverse mod p
+        return False
+    return True
+
+
 def rank_kernel_sparse(field, rows, ncols, want_kernel=True):
     """Rank of the sparse rows (dicts col -> scalar) and, with ``want_kernel``, a kernel basis.
 
     Columns >= ``ncols`` are ignored and ``rows`` are not mutated.  The
     basis is the reduced-echelon one: e_j + y for each column j that
     depends on those before it, in ascending j.  Over F_p it runs on ints.
+    A rank alone over Q is first taken modulo CERTIFY_PRIME: when that is
+    min(#rows, ncols) it is the Q rank, and otherwise Q eliminates.
     """
+    if not want_kernel and isinstance(field, Rationals) and _full_rank_mod_prime(rows, ncols):
+        return min(len(rows), ncols), []
     p = field.p if isinstance(field, PrimeField) else None
     if want_kernel:  # the columns, {row index: entry}
         vectors = [{} for _ in range(ncols)]

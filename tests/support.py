@@ -8,6 +8,7 @@ from groupca.ca import CellularAutomaton, LinearRule, Pattern, compose, group_ri
 from groupca.groups import FiniteGroup, FreeGroup, ZdGroup, ball
 from groupca.linear_ca import LeftInverseReport, PreInjectivityReport, SurjectivityReport, chain_window, window_matrix
 from groupca.near_ring import ExponentVector, NearRingElement
+import groupca.rings as rings_mod
 from groupca.rings import QQ, ExactMatrix, PrimeField, rank_kernel_sparse, scalar_inverse
 
 
@@ -32,6 +33,15 @@ def cpu_budget(seconds):
     finally:
         signal.setitimer(signal.ITIMER_PROF, 0)
         signal.signal(signal.SIGPROF, previous)
+
+
+def forbid_q_pivots(monkeypatch):
+    """Make every elimination over Q raise: each pivot's inverse goes through rings.scalar_inverse."""
+
+    def no_fraction_pivots(x):
+        raise AssertionError("ranked over Q")
+
+    monkeypatch.setattr(rings_mod, "scalar_inverse", no_fraction_pivots)
 
 
 def rand_group_element(group, rng, radius=2):
@@ -338,6 +348,11 @@ def fixture_suite():
     suite.update({"z/" + k: v for k, v in z_fixtures().items()})
     suite.update({"z2/" + k: v for k, v in z2_fixtures().items()})
     return suite
+
+
+# An order-5 loop: identity 0, every element its own inverse, every row and
+# column a permutation.  The only group of order 5 is cyclic, so it is not associative.
+SELF_INVERSE_LOOP_5 = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
 
 
 def cyclic_group(n):

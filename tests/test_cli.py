@@ -5,7 +5,7 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from support import cpu_budget, pair_sigma, z_fixtures
+from support import SELF_INVERSE_LOOP_5, cpu_budget, pair_sigma, z_fixtures
 
 from groupca.ca import rule_to_json
 from groupca.cli import run_job
@@ -279,6 +279,18 @@ def test_input_errors_exit_2(tmp_path):
     assert run_job(["sofic-check", "--group", "zd:1", "--graph", "cycle:10", "--radius", "3", "--epsilon", "7"]) == 2
     assert run_job(["units", "--group", "zd:1", "--field", "f2", "--degree", "0", "--radius", "1"]) == 2
     assert run_job(["mdim", "--rule", str(tmp_path / "x.json"), "--imax", "-3"]) == 2
+
+
+def test_non_associative_table_exits_2(tmp_path, capsys):
+    """An order-5 loop, every element its own inverse, passes the identity
+    and inverse checks and is refused by the associativity check."""
+    table = tmp_path / "loop5.txt"
+    table.write_text("\n".join(" ".join(map(str, row)) for row in SELF_INVERSE_LOOP_5) + "\n")
+    argv = ["units", "--group", "finite:%s" % table, "--field", "f2", "--degree", "1", "--radius", "1"]
+    assert run_job(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: table is not associative at (")
 
 
 @pytest.mark.parametrize(

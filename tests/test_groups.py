@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+from support import SELF_INVERSE_LOOP_5, cpu_budget
+
 import groupca.groups as groups_mod
 from groupca.groups import (
     BALL_PLAN_CACHE,
@@ -315,6 +317,92 @@ def test_finite_group_table_validation():
         FiniteGroup([[0, 1], [0, 1]])  # no inverse/identity structure
     with pytest.raises(GroupError):
         FiniteGroup([[0, 1, 2], [1, 2, 0]])  # not square
+
+
+def _random_loop(rng, n):
+    """A random Latin square with identity 0 in which a*b = 0 exactly when b*a = 0:
+    a loop in which every element has a two-sided inverse.  Redrawn while the
+    drawn inverse pairs admit no such square."""
+    table = [[None] * n for _ in range(n)]
+    for a in range(n):
+        table[0][a] = table[a][0] = a
+    others = rng.sample(range(1, n), n - 1)
+    while others:
+        a = others.pop()
+        b = others.pop() if others and rng.random() < 0.5 else a
+        table[a][b] = table[b][a] = 0
+    cells = [(i, j) for i in range(1, n) for j in range(1, n) if table[i][j] is None]
+
+    def fill(k):
+        if k == len(cells):
+            return True
+        i, j = cells[k]
+        used = set(table[i]) | {table[r][j] for r in range(n)}
+        for v in rng.sample(range(n), n):
+            if v not in used:
+                table[i][j] = v
+                if fill(k + 1):
+                    return True
+        table[i][j] = None
+        return False
+
+    return table if fill(0) else _random_loop(rng, n)
+
+
+def _relabelled(table, perm):
+    n = len(table)
+    out = [[None] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            out[perm[a]][perm[b]] = perm[table[a][b]]
+    return out
+
+
+def test_finite_group_refuses_exactly_the_non_associative_tables():
+    """Light's test, which checks generators only, against all n^3 triples.
+
+    Random loops of order 4-6 are mostly not associative; relabelled group
+    tables (cyclic, Klein four, S3) have their identity at a random index
+    and must be accepted.
+    """
+    rng = random.Random(17)
+    perms = [(0, 1, 2), (1, 2, 0), (2, 0, 1), (0, 2, 1), (2, 1, 0), (1, 0, 2)]
+    s3 = [[perms.index(tuple(p[k] for k in q)) for q in perms] for p in perms]
+    groups = [s3, [[a ^ b for b in range(4)] for a in range(4)]] + [
+        [[(a + b) % n for b in range(n)] for a in range(n)] for n in (1, 2, 5, 6)
+    ]
+    seen = {"accepted": 0, "refused": 0}
+    for _ in range(60):
+        n = rng.randint(4, 6)
+        table = _random_loop(rng, n) if rng.random() < 0.7 else rng.choice(groups)
+        table = _relabelled(table, rng.sample(range(len(table)), len(table)))
+        n = len(table)
+        associative = all(
+            table[table[a][b]][c] == table[a][table[b][c]] for a in range(n) for b in range(n) for c in range(n)
+        )
+        try:
+            FiniteGroup(table)
+            accepted = True
+        except GroupError as exc:
+            a, b, c = map(int, str(exc).split("not associative at (")[1].rstrip(")").split(","))
+            assert table[table[a][b]][c] != table[a][table[b][c]]
+            accepted = False
+        assert accepted == associative
+        seen["accepted" if accepted else "refused"] += 1
+    assert min(seen.values()) > 10, seen
+    with pytest.raises(GroupError, match="not associative"):
+        FiniteGroup(SELF_INVERSE_LOOP_5)
+    # loop x Z3, (l, z) at index 3l + z: the first generators (e, 1) and (e, 2)
+    # associate with everything, so the refusal needs a later one
+    loop_z3 = [[SELF_INVERSE_LOOP_5[a // 3][b // 3] * 3 + (a + b) % 3 for b in range(15)] for a in range(15)]
+    with pytest.raises(GroupError, match=r"not associative at \(\d+,([3-9]|1\d),"):
+        FiniteGroup(loop_z3)
+
+
+def test_largest_cyclic_group_builds_within_budget():
+    with cpu_budget(0.3):
+        g = parse_group_spec("cyclic:256")
+    assert g.order == 256 and g.element(255) * g.element(3) == g.element(2)
 
 
 def test_finite_subset_dedup_and_order():

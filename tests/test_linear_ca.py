@@ -5,6 +5,7 @@ import pytest
 
 from support import (
     fixture_suite,
+    forbid_q_pivots,
     free2,
     left_inverse_reference,
     pair_sigma,
@@ -29,7 +30,7 @@ from groupca.linear_ca import (
     window_matrix,
 )
 from groupca.near_ring import NearRingElement
-from groupca.rings import QQ, ExactMatrix, ExtensionField, rank_kernel_sparse
+from groupca.rings import CERTIFY_PRIME, QQ, ExactMatrix, ExtensionField, _full_rank_mod_prime, rank_kernel_sparse
 
 Z = ZdGroup(1)
 Z2 = ZdGroup(2)
@@ -436,3 +437,49 @@ def test_window_eliminations_match_reference_scan():
                     assert wm.matrix_rows == before
                     checked += 1
     assert checked == 2 * 5 * (3 * 10 - 1)
+
+
+def _scaled(ca, c):
+    """The linear automaton with every symbol entry multiplied by ``c``."""
+    rule = ca.rule
+    return CellularAutomaton(ca.group, LinearRule(rule.n, rule.field, {g: m.scale(c) for g, m in rule.symbol.items()}))
+
+
+def test_certified_window_ranks_match_reference_scan():
+    """Over Q a window rank is certified modulo the prime when it is full:
+    on the fixture rules, on them scaled by 2/7 and on them scaled by the
+    prime itself (every certificate fails, and Q gives the rank), the rank
+    is the plain scan's, r <= 4, in every mode."""
+    counts = {"certified": 0, "fallback": 0}
+    for name, ca in fixture_suite().items():
+        if ca.rule.field != QQ:
+            continue
+        for c in (1, Fraction(2, 7), CERTIFY_PRIME):
+            scaled = _scaled(ca, c)
+            for r in range(5):
+                window = chain_window(ca.group, r)
+                for mode in ("plus", "minus", "supported"):
+                    if mode == "minus" and not len(ca.memory_set()):
+                        continue
+                    wm = window_matrix(scaled, mode, window)
+                    rank = rank_kernel_reference(QQ, [dict(row) for row in wm.matrix_rows], wm.ncols, False)[0]
+                    full = rank == min(len(wm.matrix_rows), wm.ncols)
+                    certified = _full_rank_mod_prime(wm.matrix_rows, wm.ncols)
+                    # scaled by the prime every entry is 0 mod p: only rank 0 is certified
+                    assert certified == (full and (c != CERTIFY_PRIME or rank == 0)), (name, c, r, mode)
+                    assert rank_kernel_sparse(QQ, wm.matrix_rows, wm.ncols, want_kernel=False) == (rank, [])
+                    counts["certified" if certified else "fallback"] += 1
+    assert min(counts.values()) > 50, counts
+
+
+def test_surjective_rule_mdim_needs_no_fraction_elimination(monkeypatch):
+    """Every plus window of a surjective rule with integer entries has full
+    rank, so mdim and gamma_dim finish with Q pivots made to raise; the
+    rank-deficient windows of rank1_2x2 still reach Q."""
+    forbid_q_pivots(monkeypatch)
+    fixtures = z_fixtures()
+    report = mdim_estimate(fixtures["diff"], 8)
+    assert report.estimate == 1
+    assert gamma_dim(fixtures["invertible_pair_tau"], chain_window(Z, 4)) == 18
+    with pytest.raises(AssertionError, match="ranked over Q"):
+        mdim_estimate(fixtures["rank1_2x2"], 4)

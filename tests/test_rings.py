@@ -4,10 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from support import field_scalar, rank_kernel_reference, solve_reduced
+from support import field_scalar, forbid_q_pivots, rank_kernel_reference, solve_reduced
 
 from groupca.rings import (
     _IRREDUCIBLE,
+    CERTIFY_PRIME,
     QQ,
     Echelon,
     ExactMatrix,
@@ -15,6 +16,7 @@ from groupca.rings import (
     PrimeField,
     RingError,
     TwistedPoly,
+    _full_rank_mod_prime,
     exact_decimal,
     field_from_spec,
     frobenius,
@@ -324,6 +326,86 @@ def test_rank_kernel_matches_reference_scan():
                 assert rows == before
                 seen["kernel"] += bool(got[1])
     assert min(seen.values()) > 50, seen
+
+
+def test_certified_q_rank_matches_reference():
+    """A rank over Q certified modulo the prime is the plain scan's rank.
+
+    Seeded integer and fractional row sets, square, wide and tall, full rank
+    and deficient, with explicit zeros, empty rows and entries at columns >=
+    ncols; the certificate settles exactly the full-rank ones, and the rows
+    stay unchanged.
+    """
+    rng = random.Random(43)
+    seen = {"certified": 0, "fallback": 0, "fractional": 0, "square": 0, "wide": 0, "tall": 0}
+    for _ in range(400):
+        shape, n, k = rng.choice(("square", "wide", "tall")), rng.randint(0, 7), rng.randint(1, 3)
+        nr, nc = {"square": (n, n), "wide": (n, n + k), "tall": (n + k, n)}[shape]
+        rows = _random_sparse_rows(QQ, rng, nr, nc + rng.randint(0, 2))
+        if rng.random() < 0.5:  # integer entries, some large
+            rows = [{j: Fraction(int(v * 6) * rng.choice((1, 1, 10**12 + 39))) for j, v in row.items()} for row in rows]
+        before = [dict(r) for r in rows]
+        rank = rank_kernel_reference(QQ, [dict(r) for r in rows], nc, want_kernel=False)[0]
+        certified = _full_rank_mod_prime(rows, nc)
+        assert certified == (rank == min(nr, nc))
+        assert rank_kernel_sparse(QQ, rows, nc, want_kernel=False) == (rank, [])
+        assert rows == before
+        seen["certified" if certified else "fallback"] += 1
+        seen["fractional"] += any(v.denominator != 1 for row in rows for v in row.values())
+        seen[shape] += 1
+    assert min(seen.values()) > 50, seen
+
+
+def test_rank_deficient_mod_the_prime_falls_back_to_q():
+    p = CERTIFY_PRIME
+    rows = [{0: Fraction(1), 1: Fraction(1)}, {0: Fraction(1), 1: Fraction(1 + p)}]  # determinant p
+    assert not _full_rank_mod_prime(rows, 2)
+    assert rank_kernel_sparse(QQ, rows, 2, want_kernel=False) == (2, [])
+    multiples = [{0: Fraction(p), 1: Fraction(2 * p)}, {0: Fraction(3 * p)}]  # zero mod p
+    assert not _full_rank_mod_prime(multiples, 2)
+    assert rank_kernel_sparse(QQ, multiples, 2, want_kernel=False) == (2, [])
+
+
+def test_denominator_of_the_prime_goes_to_q(monkeypatch):
+    p = CERTIFY_PRIME
+    rows = [{0: Fraction(1, p), 1: Fraction(1)}, {1: Fraction(1)}]
+    assert not _full_rank_mod_prime(rows, 2)
+    assert rank_kernel_sparse(QQ, rows, 2, want_kernel=False) == (2, [])
+    forbid_q_pivots(monkeypatch)
+    with pytest.raises(AssertionError, match="ranked over Q"):
+        rank_kernel_sparse(QQ, rows, 2, want_kernel=False)
+    assert rank_kernel_sparse(QQ, [{0: Fraction(1, 2 * p + 1)}, {1: Fraction(2, 7)}], 2, want_kernel=False) == (2, [])
+
+
+def test_certificate_ignores_columns_past_ncols_and_keeps_rows():
+    # rank 1 on columns 0, 1; the entries at columns 2 and 3 would make it 2
+    rows = [{0: Fraction(1), 1: Fraction(2), 2: Fraction(1)}, {0: Fraction(2), 1: Fraction(4), 3: Fraction(1)}]
+    before = [dict(r) for r in rows]
+    assert not _full_rank_mod_prime(rows, 2)
+    assert rank_kernel_sparse(QQ, rows, 2, want_kernel=False) == (1, [])
+    assert _full_rank_mod_prime(rows, 4)
+    assert rank_kernel_sparse(QQ, rows, 4, want_kernel=False) == (2, [])
+    assert rows == before
+
+
+def test_full_rank_integer_rows_are_ranked_without_fractions(monkeypatch):
+    """The certificate runs on ints: with Q pivots made to raise, full-rank
+    rows still get their rank, while kernels and deficient ranks reach Q."""
+    rng = random.Random(5)
+    full = []
+    for _ in range(12):
+        nr, nc = rng.randint(1, 6), rng.randint(1, 6)
+        rows = [{j: Fraction(rng.randint(-9, 9)) for j in range(nc)} for _ in range(nr)]
+        if rank_kernel_sparse(QQ, rows, nc, want_kernel=False)[0] == min(nr, nc):
+            full.append((rows, nc))
+    assert len(full) > 8
+    forbid_q_pivots(monkeypatch)
+    for rows, nc in full:
+        assert rank_kernel_sparse(QQ, rows, nc, want_kernel=False)[0] == min(len(rows), nc)
+    with pytest.raises(AssertionError, match="ranked over Q"):
+        rank_kernel_sparse(QQ, full[0][0], full[0][1], want_kernel=True)
+    with pytest.raises(AssertionError, match="ranked over Q"):
+        rank_kernel_sparse(QQ, [{0: Fraction(1), 1: Fraction(1)}] * 2, 2, want_kernel=False)
 
 
 def test_rank_kernel_rejects_non_field():

@@ -11,17 +11,23 @@ workload inverts only one rule, so that left-inverse synthesis is compared
 over Q, F3 and GF(4), on Z and Z^2, with and without an inverse.  Two
 more invert free:2 rules (``FREE_RULES``): the shift by a, which has an
 inverse, and 1 - a, which has none, so that the walk along the window
-chain is compared on balls, where ``goe`` does not run.  Eight searches on
-cyclic groups follow (``CYCLIC_SEARCHES``): the workloads' searches
-have only empty or trivial findings, while these find nontrivial units,
-idempotents and zero divisors, so a search that loses a finding changes
-the records.  Then ``ca-step``, ``ca-compose`` and ``ca-invert`` run on the
+chain is compared on balls, where ``goe`` does not run.  The three Q
+rule files of ``Q_RULES`` each run ``goe``, ``mdim``, ``ca-invert`` and
+``graph-audit`` on a cycle or a torus (12 jobs): the workloads' Q rules
+have small integer entries, so that a window rank over Q is settled by its
+certificate modulo 2^31 - 1 whenever it is full, while these have
+fractional entries, entries that are multiples of the prime and a
+denominator equal to it, so that the fallbacks to Q are compared too.
+Eight searches on cyclic groups follow (``CYCLIC_SEARCHES``): the
+workloads' searches have only empty or trivial findings, while these find
+nontrivial units, idempotents and zero divisors, so a search that loses a
+finding changes the records.  Then ``ca-step``, ``ca-compose`` and ``ca-invert`` run on the
 rule files of ``CA_RULES``, of all three kinds, among them the zero linear
 rule, a free:2 rule over GF(4), and a linear and a table rule whose memory
 lacks the identity, so that their M-interiors leave the pattern's domain:
 each rule steps its pattern in minus mode and in plus mode at ``--window``
 0 and 1 (24 jobs), ``CA_COMPOSE`` composes rules of one kind and of two
-kinds (9 jobs) and ``CA_INVERT`` inverts three of them.  That makes 1112
+kinds (9 jobs) and ``CA_INVERT`` inverts three of them.  That makes 1124
 jobs for every seed.  It runs every job through
 ``groupca.cli.run_job`` twice, each time in one fresh interpreter: once on
 REF's ``src/`` (extracted with ``git archive``) and once on this
@@ -58,6 +64,23 @@ SEARCH_WORKERS = 2
 FREE_RULES = {
     "free2_shift_a.json": [["a", [["1"]]]],
     "free2_one_minus_a.json": [["1", [["1"]]], ["a", [["-1"]]]],
+}
+# Q rules off the rank certificate's small-integer path: file name -> (group,
+# symbol, graph of the graph-audit job).  Fractional entries are certified
+# mod 2^31 - 1; entries that are multiples of the prime make every window
+# rank deficient mod p, and a denominator equal to the prime sends every
+# window with that entry to Q.
+_P = 2**31 - 1
+Q_RULES = {
+    "q_fractional.json": (
+        "zd:1", [["(0)", [["1/2", "-1/3"], ["0", "2/7"]]], ["(1)", [["2/7", "0"], ["-1/3", "1/2"]]]], "cycle:12",
+    ),
+    "q_prime_multiples.json": (
+        "zd:1", [["(0)", [["1", "0"], ["0", str(_P)]]], ["(1)", [["0", str(_P)], [str(2 * _P), "0"]]]], "cycle:12",
+    ),
+    "q_denominator_prime.json": (
+        "zd:2", [["(0,0)", [["1/%d" % _P]]], ["(1,0)", [["1"]]], ["(0,1)", [["-2/3"]]]], "torus:6",
+    ),
 }
 # (command, group, field, degree) of searches with nontrivial findings, all at --radius 1
 CYCLIC_SEARCHES = (
@@ -143,6 +166,16 @@ def build_jobs(seed, tmp):
         rule = {"group": "free:2", "variant": "linear", "payload": {"n": 1, "field": "q", "symbol": symbol}}
         (tmp / "jobs" / fname).write_text(json.dumps(rule), encoding="utf-8")
         argvs.append(["ca-invert", "--rule", "jobs/" + fname, "--radius", "3"])
+    for fname, (group, symbol, graph) in Q_RULES.items():
+        rule = {"group": group, "variant": "linear", "payload": {"n": len(symbol[0][1]), "field": "q", "symbol": symbol}}
+        (tmp / "jobs" / fname).write_text(json.dumps(rule), encoding="utf-8")
+        path = "jobs/" + fname
+        argvs += [
+            ["goe", "--rule", path, "--imax", "8", "--rmax", "3"],
+            ["mdim", "--rule", path, "--imax", "8"],
+            ["ca-invert", "--rule", path, "--radius", "3"],
+            ["graph-audit", "--group", group, "--graph", graph, "--rule", path, "--radius", "1"],
+        ]
     for cmd, group, field, degree in CYCLIC_SEARCHES:
         argvs.append([cmd, "--group", group, "--field", field, "--degree", str(degree), "--radius", "1"])
     for fname in CA_RULES:
