@@ -15,9 +15,10 @@ automata (and syntactically back), and matrix group-ring elements to
 linear automata.
 
 Each rule kind is one class that owns its memory, its local map on the
-cell values in memory order, a random cell value, its JSON payload and
-its cell-value codec; evaluation, probing and the JSON forms call those
-methods instead of testing which kind a rule is.
+cell values in memory order, the set its cell values come from, a random
+cell value, its JSON payload and its cell-value codec; evaluation,
+probing, composition checks and the JSON forms call those methods instead
+of testing which kind a rule is.
 """
 
 from __future__ import annotations
@@ -93,6 +94,9 @@ class TableRule:
     def local(self, values):
         return self.mapping[tuple(values)]
 
+    def cells(self):
+        return self.alphabet
+
     def random_value(self, rng):
         return rng.choice(self.alphabet)
 
@@ -100,6 +104,8 @@ class TableRule:
         return value
 
     def parse_value(self, raw):
+        if raw not in self.alphabet:
+            raise CAError("cell value %r is not in the alphabet" % (raw,))
         return raw
 
     def payload(self):
@@ -149,6 +155,9 @@ class LinearRule:
             out = [a + b for a, b in zip(out, m.apply(vec))]
         return tuple(out)
 
+    def cells(self):
+        return self.field, self.n
+
     def random_value(self, rng):
         return tuple(self.field.from_int(rng.randrange(-3, 4)) for _ in range(self.n))
 
@@ -196,6 +205,9 @@ class PolynomialRule:
                 term = term * assign[g] ** e
             acc = acc + term
         return acc
+
+    def cells(self):
+        return self.field
 
     def random_value(self, rng):
         return self.field.from_int(rng.randrange(-3, 4))
@@ -259,24 +271,26 @@ class CellularAutomaton:
         raise CAError("unknown mode %r" % mode)
 
 
-def compose(tau: CellularAutomaton, sigma: CellularAutomaton) -> CellularAutomaton:
-    """The automaton of tau after sigma; memory set M_tau * M_sigma."""
+def check_composable(tau: CellularAutomaton, sigma: CellularAutomaton):
+    """Raise CAError unless tau after sigma is defined: one group, one rule kind and one set of cell values."""
     if tau.group != sigma.group:
         raise CAError("automata over different groups")
     rt, rs = tau.rule, sigma.rule
     if type(rt) is not type(rs):
         raise CAError("compose needs matching rule variants")
+    if rt.cells() != rs.cells():
+        raise CAError("alphabet mismatch")
+
+
+def compose(tau: CellularAutomaton, sigma: CellularAutomaton) -> CellularAutomaton:
+    """The automaton of tau after sigma; memory set M_tau * M_sigma."""
+    check_composable(tau, sigma)
+    rt, rs = tau.rule, sigma.rule
     if isinstance(rt, PolynomialRule):
-        if rt.field != rs.field:
-            raise CAError("field mismatch")
         return CellularAutomaton(tau.group, PolynomialRule(rt.poly.star(rs.poly)))
     if isinstance(rt, LinearRule):
-        if rt.field != rs.field or rt.n != rs.n:
-            raise CAError("alphabet mismatch")
         return ca_from_group_ring(group_ring_of(tau) * group_ring_of(sigma))
     # table rules: tabulate on the product memory set
-    if rt.alphabet != rs.alphabet:
-        raise CAError("alphabet mismatch")
     memory = tau.memory_set().product(sigma.memory_set())
     size = len(rt.alphabet) ** len(memory)
     if size > 4096:

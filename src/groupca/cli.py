@@ -5,6 +5,12 @@ identical inputs and seed produce byte-identical output, independent of
 the worker count.  Reports are single JSON documents (sorted keys, exact
 rationals as strings); search findings stream as JSON lines.
 
+Each ``_cmd_*`` handler returns ``(fields, alarm)``: its own report
+fields, and whether they raise a theorem-violation alarm.  ``run_job``
+alone stamps ``command``, ``seed`` and ``version`` and, where the
+subcommand has those options, ``group`` and ``field``; writes the report,
+then its ``findings`` to ``--findings``; and sets the exit code.
+
 Exit codes: 0 success, 1 theorem-violation alarm, 2 input error.
 """
 
@@ -16,23 +22,16 @@ import json
 import sys
 
 from . import __version__
-from .ca import (
-    CAError,
-    compose,
-    pattern_from_json,
-    pattern_to_json,
-    rule_from_json,
-    rule_to_json,
-)
-from .expressions import ParseError, format_element, parse_element
-from .group_ring import GroupRingError
-from .groups import FiniteSubset, GroupError, ball, parse_group_spec
+from .ca import CAError, compose, pattern_from_json, pattern_to_json, rule_from_json, rule_to_json
+from .expressions import format_element, parse_element
+from .groups import FiniteSubset, ball, parse_group_spec
 from .linear_ca import find_left_inverse, goe_report, mdim_estimate
-from .near_ring import NearRingError, embed_group_ring, embed_twisted, exhaustive_search
-from .rings import QQ, RingError, exact_decimal, field_from_spec
-from .sofic import SoficError, cayley_quotient, graph_ca_rank_audit, graph_from_text
+from .near_ring import NearRingElement, embed_group_ring, embed_twisted, exhaustive_search
+from .rings import QQ, exact_decimal, field_from_spec
+from .sofic import cayley_quotient, certificate, graph_ca_rank_audit, graph_from_text
 
-_ERRORS = (CAError, GroupError, GroupRingError, NearRingError, ParseError, RingError, SoficError, ValueError, OSError)
+# every library error class subclasses ValueError
+_ERRORS = (ValueError, OSError)
 
 
 def _write(text, path):
@@ -41,14 +40,6 @@ def _write(text, path):
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _emit(doc, out_path):
-    _write(json.dumps(doc, sort_keys=True, indent=2) + "\n", out_path)
-
-
-def _emit_lines(lines, path):
-    _write("".join(json.dumps(line, sort_keys=True) + "\n" for line in lines), path)
 
 
 def _load_json(path, error):
@@ -64,10 +55,6 @@ def _load_rule(path):
     return rule_from_json(_load_json(path, CAError))
 
 
-def _base_report(args, command):
-    return {"command": command, "seed": args.seed, "version": __version__}
-
-
 def _support_subset(group, args):
     if args.support:
         elems = [group.parse_element(t) for t in args.support.split(";") if t.strip()]
@@ -75,7 +62,7 @@ def _support_subset(group, args):
     return ball(group, args.radius)
 
 
-# -- subcommand handlers ------------------------------------------------
+# -- subcommand handlers: each returns (its report fields, alarm) --------
 
 
 def _cmd_star(args):
@@ -85,19 +72,13 @@ def _cmd_star(args):
     beta = parse_element(args.beta, group, field, kind="near_ring")
     product = alpha.star(beta)
     reverse = beta.star(alpha)
-    doc = _base_report(args, "star")
-    doc.update(
-        {
-            "group": args.group,
-            "field": args.field,
-            "alpha": format_element(alpha),
-            "beta": format_element(beta),
-            "product": format_element(product),
-            "reverse_product": format_element(reverse),
-        }
-    )
-    _emit(doc, args.out)
-    return 0
+    fields = {
+        "alpha": format_element(alpha),
+        "beta": format_element(beta),
+        "product": format_element(product),
+        "reverse_product": format_element(reverse),
+    }
+    return fields, False
 
 
 def _finding_doc(finding):
@@ -115,8 +96,6 @@ def _finding_doc(finding):
 
 def _search_alarms(kind, result, group, field):
     """Findings that would contradict the structure theorems."""
-    from .near_ring import NearRingElement
-
     alarms = []
     ident = NearRingElement.identity(group, field)
     for f in result.findings:
@@ -133,142 +112,95 @@ def _search_alarms(kind, result, group, field):
     return alarms
 
 
-def _cmd_search(kind):
-    def handler(args):
-        group = parse_group_spec(args.group)
-        field = field_from_spec(args.field)
-        support = _support_subset(group, args)
-        result = exhaustive_search(
-            kind, field, support, args.degree, space_cap=args.space_cap, workers=args.workers
-        )
-        findings = [_finding_doc(f) for f in result.findings]
-        alarms = _search_alarms(kind, result, group, field)
-        doc = _base_report(args, kind)
-        doc.update(
-            {
-                "group": args.group,
-                "field": args.field,
-                "support": [str(g) for g in support],
-                "max_total_degree": args.degree,
-                "space_size": result.space_size,
-                "monomials": len(result.monomials),
-                "findings_count": len(findings),
-                "alarms": len(alarms),
-                "findings": findings,
-            }
-        )
-        _emit(doc, args.out)
-        if args.findings:
-            _emit_lines(findings, args.findings)
-        return 1 if alarms else 0
-
-    return handler
+def _cmd_search(args):
+    kind = args.command
+    group = parse_group_spec(args.group)
+    field = field_from_spec(args.field)
+    support = _support_subset(group, args)
+    result = exhaustive_search(kind, field, support, args.degree, space_cap=args.space_cap, workers=args.workers)
+    alarms = _search_alarms(kind, result, group, field)
+    fields = {
+        "support": [str(g) for g in support],
+        "max_total_degree": args.degree,
+        "space_size": result.space_size,
+        "monomials": len(result.monomials),
+        "findings_count": len(result.findings),
+        "alarms": len(alarms),
+        "findings": [_finding_doc(f) for f in result.findings],
+    }
+    return fields, bool(alarms)
 
 
 def _cmd_embed(args):
     group = parse_group_spec(args.group)
     field = field_from_spec(args.field)
-    doc = _base_report(args, "embed")
     if args.kind == "iota":
         elem = parse_element(args.element, group, field, kind="group_ring")
         image = embed_group_ring(elem)
     else:
         elem = parse_element(args.element, group, field, kind="twisted")
         image = embed_twisted(elem)
-    doc.update(
-        {
-            "group": args.group,
-            "field": args.field,
-            "kind": args.kind,
-            "element": format_element(elem),
-            "image": format_element(image),
-        }
-    )
-    _emit(doc, args.out)
-    return 0
+    return {"kind": args.kind, "element": format_element(elem), "image": format_element(image)}, False
 
 
 def _cmd_ca_step(args):
     ca = _load_rule(args.rule)
     pattern = pattern_from_json(_load_json(args.pattern, CAError), ca)
     if args.mode == "plus":
-        window = ball(ca.group, args.window)
-        out = ca.apply_window(pattern, "plus", window)
+        out = ca.apply_window(pattern, "plus", ball(ca.group, args.window))
     else:
         out = ca.apply_window(pattern, "minus")
-    doc = _base_report(args, "ca-step")
-    doc.update({"rule": rule_to_json(ca), "mode": args.mode, "output": pattern_to_json(out, ca)})
-    _emit(doc, args.out)
-    return 0
+    return {"rule": rule_to_json(ca), "mode": args.mode, "output": pattern_to_json(out, ca)}, False
 
 
 def _cmd_ca_compose(args):
-    tau = _load_rule(args.rule)
-    sigma = _load_rule(args.rule2)
-    composite = compose(tau, sigma)
-    doc = _base_report(args, "ca-compose")
-    doc.update({"composite": rule_to_json(composite)})
-    _emit(doc, args.out)
-    return 0
+    composite = compose(_load_rule(args.rule), _load_rule(args.rule2))
+    return {"composite": rule_to_json(composite)}, False
 
 
 def _cmd_ca_invert(args):
     ca = _load_rule(args.rule)
     report = find_left_inverse(ca, args.radius)
-    doc = _base_report(args, "ca-invert")
-    doc.update(
-        {
-            "rule": rule_to_json(ca),
-            "found": report.found,
-            "radius": report.radius,
-            "inverse": rule_to_json(report.inverse) if report.found else None,
-        }
-    )
-    _emit(doc, args.out)
-    return 0
+    fields = {
+        "rule": rule_to_json(ca),
+        "found": report.found,
+        "radius": report.radius,
+        "inverse": rule_to_json(report.inverse) if report.found else None,
+    }
+    return fields, False
 
 
 def _cmd_mdim(args):
     ca = _load_rule(args.rule)
     report = mdim_estimate(ca, args.imax)
-    doc = _base_report(args, "mdim")
-    doc.update(
-        {
-            "rule": rule_to_json(ca),
-            "i_max": args.imax,
-            "q_sequence": [str(q) for q in report.sequence],
-            "q_decimal": [exact_decimal(q) for q in report.sequence],
-            "estimate": str(report.estimate),
-            "estimate_decimal": exact_decimal(report.estimate),
-        }
-    )
-    _emit(doc, args.out)
-    return 0
+    fields = {
+        "rule": rule_to_json(ca),
+        "i_max": args.imax,
+        "q_sequence": [str(q) for q in report.sequence],
+        "q_decimal": [exact_decimal(q) for q in report.sequence],
+        "estimate": str(report.estimate),
+        "estimate_decimal": exact_decimal(report.estimate),
+    }
+    return fields, False
 
 
 def _cmd_goe(args):
     ca = _load_rule(args.rule)
     report = goe_report(ca, i_max=args.imax, r_max=args.rmax)
-    doc = _base_report(args, "goe")
-    witness = None
-    if report.preinjectivity.witness is not None:
-        witness = pattern_to_json(report.preinjectivity.witness, ca)
-    doc.update(
-        {
-            "rule": rule_to_json(ca),
-            "classification": report.classification,
-            "alarm": report.alarm,
-            "mdim_estimate": str(report.mdim.estimate),
-            "mdim_estimate_decimal": exact_decimal(report.mdim.estimate),
-            "q_sequence": [str(q) for q in report.mdim.sequence],
-            "preinjectivity": report.preinjectivity.verdict,
-            "preinjectivity_witness": witness,
-            "surjectivity": report.surjectivity.verdict,
-            "notes": report.notes,
-        }
-    )
-    _emit(doc, args.out)
-    return 1 if report.alarm else 0
+    witness = report.preinjectivity.witness
+    fields = {
+        "rule": rule_to_json(ca),
+        "classification": report.classification,
+        "alarm": report.alarm,
+        "mdim_estimate": str(report.mdim.estimate),
+        "mdim_estimate_decimal": exact_decimal(report.mdim.estimate),
+        "q_sequence": [str(q) for q in report.mdim.sequence],
+        "preinjectivity": report.preinjectivity.verdict,
+        "preinjectivity_witness": pattern_to_json(witness, ca) if witness is not None else None,
+        "surjectivity": report.surjectivity.verdict,
+        "notes": report.notes,
+    }
+    return fields, report.alarm
 
 
 def _load_graph(args, group):
@@ -279,30 +211,22 @@ def _load_graph(args, group):
 
 
 def _cmd_sofic_check(args):
-    from .sofic import certificate
-
     group = parse_group_spec(args.group)
-    graph = _load_graph(args, group)
-    cert = certificate(graph, args.radius, QQ.parse(args.epsilon))
-    doc = _base_report(args, "sofic-check")
-    doc.update(
-        {
-            "group": args.group,
-            "graph": cert.graph_meta,
-            "r": cert.r,
-            "epsilon": str(cert.epsilon),
-            "counts": cert.counts(),
-            "ball_2r_size": cert.ball_2r_size,
-            "passed": cert.passed,
-            "checks": {k: bool(v) for k, v in cert.checks.items()},
-            "v_r": cert.v_r,
-            "v_2r": cert.v_2r,
-            "v_3r": cert.v_3r,
-            "packing": cert.packing,
-        }
-    )
-    _emit(doc, args.out)
-    return 0
+    cert = certificate(_load_graph(args, group), args.radius, QQ.parse(args.epsilon))
+    fields = {
+        "graph": cert.graph_meta,
+        "r": cert.r,
+        "epsilon": str(cert.epsilon),
+        "counts": cert.counts(),
+        "ball_2r_size": cert.ball_2r_size,
+        "passed": cert.passed,
+        "checks": {k: bool(v) for k, v in cert.checks.items()},
+        "v_r": cert.v_r,
+        "v_2r": cert.v_2r,
+        "v_3r": cert.v_3r,
+        "packing": cert.packing,
+    }
+    return fields, False
 
 
 def _cmd_graph_audit(args):
@@ -311,24 +235,18 @@ def _cmd_graph_audit(args):
     ca = _load_rule(args.rule)
     inverse = _load_rule(args.inverse) if args.inverse else None
     report = graph_ca_rank_audit(graph, ca, args.radius, left_inverse=inverse)
-    doc = _base_report(args, "graph-audit")
-    doc.update(
-        {
-            "group": args.group,
-            "graph": dict(graph.meta),
-            "r": args.radius,
-            "transported_rank": report.transported_rank,
-            "n": report.n_dim,
-            "V(r)": report.v_r,
-            "V(2r)": report.v_2r,
-            "V(3r)": report.v_3r,
-            "projection_verified": report.projection_verified,
-            "rank_inequality_holds": report.inequality_holds,
-        }
-    )
-    _emit(doc, args.out)
-    alarm = report.projection_verified is False or report.inequality_holds is False
-    return 1 if alarm else 0
+    fields = {
+        "graph": dict(graph.meta),
+        "r": args.radius,
+        "transported_rank": report.transported_rank,
+        "n": report.n_dim,
+        "V(r)": report.v_r,
+        "V(2r)": report.v_2r,
+        "V(3r)": report.v_3r,
+        "projection_verified": report.projection_verified,
+        "rank_inequality_holds": report.inequality_holds,
+    }
+    return fields, report.projection_verified is False or report.inequality_holds is False
 
 
 # -- parser -------------------------------------------------------------
@@ -363,7 +281,7 @@ def build_parser():
         p.add_argument("--workers", type=int, default=None)
         p.add_argument("--findings", default=None, help="JSONL findings path")
         _add_common(p)
-        p.set_defaults(handler=_cmd_search(kind))
+        p.set_defaults(handler=_cmd_search, command=kind)
 
     p = sub.add_parser("embed", help="embed a (twisted) group-ring element")
     p.add_argument("--group", required=True)
@@ -479,10 +397,12 @@ def _attach_texts(argv):
     return out
 
 
+# the lowest value of each bounded option
+_LOWEST = {"degree": 1, "imax": 1, "radius": 0, "rmax": 0, "window": 0, "workers": 1, "space_cap": 1}
+
+
 def _validate_bounds(args):
-    positive = {"degree": 1, "imax": 1}
-    nonnegative = {"radius": 0, "rmax": 0, "window": 0, "workers": 1, "space_cap": 1}
-    for name, low in {**positive, **nonnegative}.items():
+    for name, low in _LOWEST.items():
         value = getattr(args, name, None)
         if value is not None and value < low:
             raise ValueError("--%s must be at least %d (got %d)" % (name, low, value))
@@ -507,7 +427,14 @@ def run_job(argv) -> int:
         except SystemExit as exc:  # argparse printed its usage (code 2) or a help text (code 0)
             return exc.code
         _validate_bounds(args)
-        return args.handler(args)
+        fields, alarm = args.handler(args)
+        report = {"command": args.command, "seed": args.seed, "version": __version__}
+        report.update({name: getattr(args, name) for name in ("group", "field") if hasattr(args, name)})
+        report.update(fields)
+        _write(json.dumps(report, sort_keys=True, indent=2) + "\n", args.out)
+        if getattr(args, "findings", None):
+            _write("".join(json.dumps(f, sort_keys=True) + "\n" for f in report["findings"]), args.findings)
+        return 1 if alarm else 0
     except _ERRORS as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 2

@@ -441,7 +441,7 @@ def embed_twisted(a: TwistedGroupRingElement) -> NearRingElement:
     if p == 0:
         raise NearRingError("twisted embedding needs positive characteristic")
     # distinct (g, k) give distinct monomials X_g^(p^k), so no two terms add up
-    terms = {ExponentVector.unit(g, p**k): c for g, poly in a.coeffs.items() for k, c in enumerate(poly.coeffs)}
+    terms = {ExponentVector.unit(g, p**k): c for g, poly in a.coeffs.items() for k, c in enumerate(poly.coeffs) if c}
     return NearRingElement(a.group, field, terms)
 
 

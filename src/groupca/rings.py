@@ -789,7 +789,10 @@ def matrix_rank_kernel(m: ExactMatrix):
 
 
 class TwistedPoly:
-    """Polynomial in t over a positive-characteristic field, with t*a = a^p*t."""
+    """Polynomial in t over a positive-characteristic field, with t*a = a^p*t.
+
+    A product of more than TERM_CAP coefficients is refused before it is formed.
+    """
 
     __slots__ = ("field", "coeffs")
 
@@ -842,8 +845,10 @@ class TwistedPoly:
         self._compat(other)
         if not self or not other:
             return TwistedPoly.zero(self.field)
-        z = self.field.zero()
-        out = [z] * (len(self.coeffs) + len(other.coeffs) - 1)
+        size = len(self.coeffs) + len(other.coeffs) - 1
+        if size > TERM_CAP:
+            raise RingError("a twisted product of %d coefficients exceeds %d" % (size, TERM_CAP))
+        out = [self.field.zero()] * size
         for i, a in enumerate(self.coeffs):
             if not a:
                 continue

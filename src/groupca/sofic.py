@@ -28,7 +28,7 @@ from .groups import (
     ZdGroup,
     ball_plan,
 )
-from .ca import CAError, LinearRule
+from .ca import CAError, LinearRule, check_composable
 from .linear_ca import block_rows
 from .rings import rank_kernel_sparse
 
@@ -356,10 +356,15 @@ def graph_ca_rank_audit(graph: LabeledGraph, ca, r: int, left_inverse=None) -> R
     a left inverse of radius r, the inverse's symbol is transported the
     same way onto V(3r); the composite of the two transported maps must be
     the projection onto A^(V(3r)) exactly, and the forward rank must then
-    be at least n * |V(3r)|.
+    be at least n * |V(3r)|.  The rule must be over the graph's group and
+    the inverse composable with it, as ``ca.check_composable`` checks.
     """
+    if ca.group != graph.group:
+        raise SoficError("the rule is over %s, the graph over %s" % (ca.group.spec_string(), graph.group.spec_string()))
     if not isinstance(ca.rule, LinearRule):
         raise CAError("rank audit needs a linear rule")
+    if left_inverse is not None:
+        check_composable(left_inverse, ca)
     rule = ca.rule
     n = rule.n
     radius_ball = ball_plan(graph.group, r, graph.labels).index

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import tempfile
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from support import SELF_INVERSE_LOOP_5, cpu_budget, pair_sigma, z_fixtures
 
+from groupca import __version__, cli
 from groupca.ca import rule_to_json
 from groupca.cli import run_job
 
@@ -492,3 +494,126 @@ def test_pattern_vectors_of_the_wrong_length_exit_2(tmp_path, capsys, vector):
     pattern.write_text(json.dumps({"domain": ["(0)", "(1)"], "values": [vector, ["1"]]}))
     assert run_job(["ca-step", "--rule", _linear_rule_file(tmp_path, [["(0)", [["1"]]]]), "--pattern", str(pattern)]) == 2
     assert capsys.readouterr().err == "error: vector length mismatch\n"
+
+
+# every subcommand once: its argv after the name, with "@name" for a file of _REPORT_FILES
+_Z1_F2 = ["--group", "zd:1", "--field", "f2", "--degree", "1", "--radius", "1"]
+_SUBCOMMANDS = {
+    "star": ["--group", "zd:1", "--field", "q", "--alpha", "X[(1)]^2", "--beta", "X[(0)] + 1"],
+    "units": _Z1_F2 + ["--findings", "@findings"],
+    "idem": _Z1_F2 + ["--findings", "@findings"],
+    "zerodiv": _Z1_F2 + ["--findings", "@findings"],
+    "embed": ["--group", "zd:1", "--field", "f2", "--kind", "j", "--element", "t*[1]"],
+    "ca-step": ["--rule", "@tau", "--pattern", "@pattern"],
+    "ca-compose": ["--rule", "@tau", "--rule2", "@sigma"],
+    "ca-invert": ["--rule", "@tau", "--radius", "2"],
+    "mdim": ["--rule", "@rank1", "--imax", "4"],
+    "goe": ["--rule", "@rank1", "--imax", "4", "--rmax", "2"],
+    "sofic-check": ["--group", "zd:1", "--graph", "cycle:10", "--radius", "1", "--epsilon", "1/2"],
+    "graph-audit": ["--group", "zd:1", "--graph", "cycle:16", "--rule", "@tau", "--inverse", "@sigma", "--radius", "1"],
+}
+_SEARCH_KINDS = {"units": "unit", "idem": "idempotent", "zerodiv": "zero_divisor"}
+
+
+def _forced_alarm(monkeypatch, name):
+    """Make the library behind ``name`` report a theorem violation, as a broken theorem would."""
+    if name in _SEARCH_KINDS:
+        monkeypatch.setattr(cli, "_search_alarms", lambda *args: [None])
+    elif name == "goe":
+        goe_report = cli.goe_report
+        monkeypatch.setattr(cli, "goe_report", lambda *a, **k: dataclasses.replace(goe_report(*a, **k), alarm=True))
+    else:
+        audit = cli.graph_ca_rank_audit
+        monkeypatch.setattr(
+            cli, "graph_ca_rank_audit", lambda *a, **k: dataclasses.replace(audit(*a, **k), inequality_holds=False)
+        )
+
+
+def _raises_alarm(doc):
+    if doc["command"] == "goe":
+        return doc["alarm"]
+    if doc["command"] == "graph-audit":
+        return doc["projection_verified"] is False or doc["rank_inequality_holds"] is False
+    if doc["command"] in _SEARCH_KINDS.values():
+        return doc["alarms"] > 0
+    return False
+
+
+@pytest.mark.parametrize(
+    "name, forced",
+    [(name, False) for name in _SUBCOMMANDS] + [(name, True) for name in ("units", "idem", "zerodiv", "goe", "graph-audit")],
+    ids=list(_SUBCOMMANDS) + ["units-alarm", "idem-alarm", "zerodiv-alarm", "goe-alarm", "graph-audit-alarm"],
+)
+def test_every_subcommand_reports_through_run_job(tmp_path, monkeypatch, name, forced):
+    """run_job stamps command, seed and version, copies the group and field options,
+    writes the findings after the report and exits 1 exactly on an alarm."""
+    files = {
+        "@tau": write_rule(tmp_path, "tau.json", z_fixtures()["invertible_pair_tau"]),
+        "@sigma": write_rule(tmp_path, "sigma.json", pair_sigma()),
+        "@rank1": write_rule(tmp_path, "rank1.json", z_fixtures()["rank1_2x2"]),
+        "@pattern": tmp_path / "pattern.json",
+        "@findings": tmp_path / "findings.jsonl",
+    }
+    files["@pattern"].write_text(json.dumps({"domain": ["(0)", "(1)"], "values": [["1", "2"], ["3", "4"]]}))
+    if forced:
+        _forced_alarm(monkeypatch, name)
+    argv = [name] + [str(files.get(arg, arg)) for arg in _SUBCOMMANDS[name]] + ["--seed", "5"]
+    code, out = run_to_file(tmp_path, "report.json", argv)
+    doc = json.loads(out.read_text())
+    assert (doc["command"], doc["seed"], doc["version"]) == (_SEARCH_KINDS.get(name, name), 5, __version__)
+    has_field = name in ("star", "embed", *_SEARCH_KINDS)
+    assert ("group" in doc, "field" in doc) == (has_field or name in ("sofic-check", "graph-audit"), has_field)
+    assert _raises_alarm(doc) == forced
+    assert code == (1 if forced else 0)
+    if name in _SEARCH_KINDS:
+        lines = files["@findings"].read_text().splitlines()
+        assert [json.loads(line) for line in lines] == doc["findings"]
+
+
+_SHIFT = {"n": 1, "field": "q", "symbol": [["(1)", [["1"]]]]}
+
+
+@pytest.mark.parametrize(
+    "group, graph, inverse, message",
+    [
+        ("zd:1", "cycle:12", {"variant": "polynomial", "payload": {"field": "q", "expr": "X[(-1)]"}}, "variants"),
+        ("zd:1", "cycle:12", {"variant": "table", "payload": {"alphabet": [0, 1], "memory": ["(-1)"], "map": [[[0], 0], [[1], 1]]}}, "variants"),
+        ("zd:1", "cycle:12", {"variant": "linear", "payload": {"n": 1, "field": "f3", "symbol": [["(-1)", [["1"]]]]}}, "alphabet"),
+        ("zd:1", "cycle:12", {"variant": "linear", "payload": {"n": 2, "field": "q", "symbol": [["(-1)", [["1", "0"], ["0", "1"]]]]}}, "alphabet"),
+        ("zd:2", "torus:5", None, "the rule is over zd:1, the graph over zd:2"),
+    ],
+    ids=["polynomial-inverse", "table-inverse", "f3-inverse", "2x2-inverse", "zd2-graph"],
+)
+def test_graph_audit_refuses_rules_that_do_not_fit_the_graph(tmp_path, capsys, group, graph, inverse, message):
+    """The rule must be over the graph's group, and the inverse composable with it, as ca-compose checks."""
+    rule = tmp_path / "shift.json"
+    rule.write_text(json.dumps({"group": "zd:1", "variant": "linear", "payload": _SHIFT}))
+    argv = ["graph-audit", "--group", group, "--graph", graph, "--rule", str(rule), "--radius", "1"]
+    if inverse is not None:
+        path = tmp_path / "inverse.json"
+        path.write_text(json.dumps({"group": "zd:1", **inverse}))
+        argv += ["--inverse", str(path)]
+    assert run_job(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
+
+
+@pytest.mark.parametrize(
+    "element, code, message",
+    [
+        ("t^2000*[(0)]", 0, ""),
+        ("t^20000*[(0)]", 2, "error: "),  # the exponents 2^20000 and 2^40000 have more digits than Python prints
+        ("t^40000*[(0)]", 2, "error: "),
+        ("t^100000000*[(0)]", 2, "exceeds 1000000"),
+    ],
+    ids=["t2000", "t20000", "t40000", "t100000000"],
+)
+def test_twisted_powers_of_t_are_bounded(capsys, element, code, message):
+    """embed_twisted skips zero coefficients, and a twisted product longer than TERM_CAP is refused before it is formed."""
+    with cpu_budget(2.0):
+        assert run_job(["embed", "--group", "zd:1", "--field", "f2", "--kind", "j", "--element", element]) == code
+    captured = capsys.readouterr()
+    assert message in captured.err
+    if code == 0:
+        assert json.loads(captured.out)["image"] == "X[(0)]^%d" % 2**2000

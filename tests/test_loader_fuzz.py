@@ -74,14 +74,15 @@ def _rules(draw):
 
 
 @st.composite
-def _patterns(draw):
+def _patterns(draw, cell, bad_cell):
+    """A pattern on Z whose values are drawn from ``cell``; a flaw may put in one from ``bad_cell``."""
     domain = draw(st.lists(st.sampled_from(_ELEMENTS["zd:1"]), max_size=4, unique=True))
-    values = [[draw(st.sampled_from(_SCALARS["q"]))] for _ in domain]
+    values = [draw(cell) for _ in domain]
     flaw = _flaws(draw) if domain else 0
     if flaw == 1:
-        domain, values = domain + domain[:1], values + [["1"]]  # a repeated key
+        domain, values = domain + domain[:1], values + [draw(cell)]  # a repeated key
     elif flaw == 2:
-        values[-1][0] = draw(_BAD_TEXTS)
+        values[-1] = draw(bad_cell)
     elif flaw == 3:
         domain[0] = draw(_BAD_TEXTS)
     elif flaw == 4:
@@ -136,13 +137,23 @@ def test_rule_files_exit_0_or_2(rule, command):
 
 
 _ID_RULE = {"group": "zd:1", "variant": "linear", "payload": {"n": 1, "field": "q", "symbol": [["(0)", [["1"]]]]}}
+_XOR_RULE = {
+    "group": "zd:1", "variant": "table",
+    "payload": {"alphabet": [0, 1], "memory": ["(0)", "(1)"], "map": [[[a, b], (a + b) % 2] for a in (0, 1) for b in (0, 1)]},
+}
+# rule -> (its cell values, cell values of the right JSON type that it does not take)
+_PATTERN_RULES = {
+    "linear": (_ID_RULE, st.sampled_from(_SCALARS["q"]).map(lambda x: [x]), _BAD_TEXTS.map(lambda x: [x])),
+    "table": (_XOR_RULE, st.sampled_from([0, 1]), st.sampled_from([2, 5, -1, "1", "0", ""])),
+}
 
 
 @_FUZZ
-@given(_patterns(), st.sampled_from([["--mode", "minus"], ["--mode", "plus", "--window", "1"]]))
-def test_pattern_files_exit_0_or_2(pattern, mode):
+@given(st.sampled_from(sorted(_PATTERN_RULES)), st.data(), st.sampled_from([["--mode", "minus"], ["--mode", "plus", "--window", "1"]]))
+def test_pattern_files_exit_0_or_2(kind, data, mode):
+    rule, cell, bad_cell = _PATTERN_RULES[kind]
     argv = ["ca-step", "--rule", "{rule}", "--pattern", "{pattern}"] + mode
-    assert _run_with_files(argv, rule=_ID_RULE, pattern=pattern) in (0, 2)
+    assert _run_with_files(argv, rule=rule, pattern=data.draw(_patterns(cell, bad_cell))) in (0, 2)
 
 
 @_FUZZ

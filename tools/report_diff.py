@@ -21,7 +21,8 @@ denominator equal to it, so that the fallbacks to Q are compared too.
 Eight searches on cyclic groups follow (``CYCLIC_SEARCHES``): the
 workloads' searches have only empty or trivial findings, while these find
 nontrivial units, idempotents and zero divisors, so a search that loses a
-finding changes the records.  Then ``ca-step``, ``ca-compose`` and ``ca-invert`` run on the
+finding changes the records.  Each writes its ``--findings`` file into the
+temporary directory.  Then ``ca-step``, ``ca-compose`` and ``ca-invert`` run on the
 rule files of ``CA_RULES``, of all three kinds, among them the zero linear
 rule, a free:2 rule over GF(4), and a linear and a table rule whose memory
 lacks the identity, so that their M-interiors leave the pattern's domain:
@@ -32,7 +33,8 @@ jobs for every seed.  It runs every job through
 ``groupca.cli.run_job`` twice, each time in one fresh interpreter: once on
 REF's ``src/`` (extracted with ``git archive``) and once on this
 checkout's ``src/``.  For each job it records the argv, the exit code,
-stdout and stderr.
+stdout, stderr and the bytes of its ``--findings`` file (null for a job
+that names none or writes none); each side deletes the file once read.
 
 It prints each side's job count and the md5 of its records.  When the two
 differ it names the first differing job and exits with status 1; it exits
@@ -176,8 +178,9 @@ def build_jobs(seed, tmp):
             ["ca-invert", "--rule", path, "--radius", "3"],
             ["graph-audit", "--group", group, "--graph", graph, "--rule", path, "--radius", "1"],
         ]
-    for cmd, group, field, degree in CYCLIC_SEARCHES:
-        argvs.append([cmd, "--group", group, "--field", field, "--degree", str(degree), "--radius", "1"])
+    for i, (cmd, group, field, degree) in enumerate(CYCLIC_SEARCHES):
+        argvs.append([cmd, "--group", group, "--field", field, "--degree", str(degree), "--radius", "1",
+                      "--findings", "findings_%d.jsonl" % i])
     for fname in CA_RULES:
         rule, pattern = ca_files(fname)
         (tmp / "jobs" / fname).write_text(json.dumps(rule), encoding="utf-8")
@@ -187,6 +190,18 @@ def build_jobs(seed, tmp):
     argvs.extend(["ca-compose", "--rule", "jobs/" + tau, "--rule2", "jobs/" + sigma] for tau, sigma in CA_COMPOSE)
     argvs.extend(["ca-invert", "--rule", "jobs/" + fname, "--radius", "3"] for fname in CA_INVERT)
     return argvs
+
+
+def read_findings(argv):
+    """The text of the job's ``--findings`` file, deleted once read, or None."""
+    if "--findings" not in argv:
+        return None
+    path = Path(argv[argv.index("--findings") + 1])
+    if not path.exists():
+        return None
+    data = path.read_bytes().decode("utf-8")
+    path.unlink()
+    return data
 
 
 def run_side(src, jobs_path, out_path):
@@ -206,7 +221,7 @@ def run_side(src, jobs_path, out_path):
             code = "SystemExit(%r)" % (exc.code,)
         except Exception as exc:  # a crashing job is a record to compare, not a failed comparison
             code = "%s: %s" % (type(exc).__name__, exc)
-        records.append([argv, code, out.getvalue(), err.getvalue()])
+        records.append([argv, code, out.getvalue(), err.getvalue(), read_findings(argv)])
     Path(out_path).write_text(json.dumps(records), encoding="utf-8")
 
 
@@ -233,7 +248,7 @@ def side_records(src, jobs_path, out_path, tmp):
 def first_difference(ref_records, head_records):
     for i, (a, b) in enumerate(zip(ref_records, head_records)):
         if a != b:
-            fields = [name for name, x, y in zip(("argv", "exit code", "stdout", "stderr"), a, b) if x != y]
+            fields = [name for name, x, y in zip(("argv", "exit code", "stdout", "stderr", "findings file"), a, b) if x != y]
             return "job %d (%s) differs in %s" % (i, " ".join(b[0]), ", ".join(fields))
     return "the job counts differ"
 
