@@ -38,6 +38,11 @@ class CAError(ValueError):
     pass
 
 
+# largest cell dimension n of a linear rule: a zero symbol names no n x n
+# matrix, so nothing else bounds the n-fold columns of its windows
+DIMENSION_CAP = 1024
+
+
 class Pattern:
     """Finite assignment domain -> alphabet value."""
 
@@ -134,8 +139,8 @@ class LinearRule:
     value_shape = [str]
 
     def __init__(self, n: int, field, symbol):
-        if n < 1:
-            raise CAError("dimension must be >= 1")
+        if not 1 <= n <= DIMENSION_CAP:
+            raise CAError("dimension must be between 1 and %d" % DIMENSION_CAP)
         self.n = n
         self.field = field
         clean = {}

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import bisect
 import collections
-import contextlib
 import functools
 import itertools
 import math
@@ -361,8 +360,15 @@ class NearRingElement:
 
     def star(self, other: "NearRingElement") -> "NearRingElement":
         """Substitution product: replace X_g in self by shift(g, other)."""
+        out = {}
+        for _, c, column in self._star_columns(other):
+            _accumulate(out, column, c)
+        return NearRingElement._trusted(self.group, self.field, out)
+
+    def _star_columns(self, other):
+        """(u, c, X^u star other) for each term c X^u of self; self star other is the sum of c times each column."""
         self._compat(other)
-        out, shifted = {}, {}
+        shifted = {}
         for u, c in self.terms.items():
             # a single factor is checked by __pow__; the box is formed only when the count exceeds the cap
             if (
@@ -379,10 +385,7 @@ class NearRingElement:
                     shifted[g] = other.shift(g)
                 factor = shifted[g] ** e
                 prod = factor if prod is None else prod * factor
-            if prod is None:
-                prod = NearRingElement.one(self.group, self.field)
-            _accumulate(out, prod, c)
-        return NearRingElement._trusted(self.group, self.field, out)
+            yield u, c, NearRingElement.one(self.group, self.field) if prod is None else prod
 
     def __repr__(self):
         from .expressions import format_element  # expressions imports this module
@@ -506,8 +509,8 @@ class UnitClassification:
     reverse_product: object = None
 
 
-def classify_unit_pair(alpha: NearRingElement, beta: NearRingElement) -> UnitClassification:
-    """Classify a pair with alpha*beta computed first.
+def classify_unit_pair(alpha: NearRingElement, beta: NearRingElement, product=None) -> UnitClassification:
+    """Classify a pair with alpha*beta, or the given ``product`` equal to it, computed first.
 
     If the star product is X_identity, try to extract the trivial-unit
     shape alpha = a X_g - a b, beta = a^-1 X_{g^-1} + b; any unit pair not
@@ -515,7 +518,7 @@ def classify_unit_pair(alpha: NearRingElement, beta: NearRingElement) -> UnitCla
     group and a domain this would contradict the unit theorem).
     """
     ident = NearRingElement.identity(alpha.group, alpha.field)
-    prod = alpha.star(beta)
+    prod = alpha.star(beta) if product is None else product
     rev = beta.star(alpha)
     if prod != ident:
         return UnitClassification("not_unit_pair", product=prod, reverse_product=rev)
@@ -849,29 +852,37 @@ def exhaustive_search(
     size = p**m
     fast = _FastPoly(kind, field, support, max_total_degree)
     nworkers = max(1, int(workers or 1))
-    pool = None
-    if nworkers > 1:
-        import multiprocessing
-
-        pool = multiprocessing.Pool(processes=nworkers)
-    with pool or contextlib.nullcontext():
+    pools = []  # forked by the first round of two or more chunks, shared with the next
+    try:
         if kind == "idempotent":
-            records = _run_chunks(pool, _idempotents, fast, [range(size)], nworkers)
+            records = _run_chunks(pools, _idempotents, fast, [range(size)], nworkers)
         else:
-            live = _run_chunks(pool, _live_betas, fast, _representatives(p, m), nworkers)
+            live = _run_chunks(pools, _live_betas, fast, _representatives(p, m), nworkers)
             betas = sorted(set().union(*(_orbit(digits, p) for _, digits, _ in live)))
-            records = _run_chunks(pool, _live_betas, fast, [range(b, b + 1) for b in betas], nworkers)
+            records = _run_chunks(pools, _live_betas, fast, [range(b, b + 1) for b in betas], nworkers)
+    finally:
+        for pool in pools:
+            pool.terminate()
     findings = [finding for record in records for finding in _certify(kind, fast, record)]
     return SearchResult(kind=kind, findings=findings, monomials=fast.monomials, space_size=size, workers=nworkers)
 
 
-def _run_chunks(pool, fn, fast, ranges, nworkers):
-    """fn(fast, chunk) over the index ranges cut into at most nworkers chunks of about equal length.
+# Fewest indices in a chunk: a worker pool costs about 20 ms to fork, feed
+# and stop on two cores, and lost at 512 and 1200 indices per worker (F2
+# idempotents at degree 2, F7 ones at degree 1) but won at 4920 and 7813
+# (F3 units at degree 2, free:2 F5 idempotents).
+CHUNK_MIN = 2048
 
-    The chunks run on the pool when there is more than one; their results
-    are concatenated in order.
+
+def _run_chunks(pools, fn, fast, ranges, nworkers):
+    """fn(fast, chunk) over the index ranges cut into at most nworkers chunks of at least CHUNK_MIN indices.
+
+    A single chunk runs in-process.  More run on the pool in ``pools``,
+    forked here when the list is empty.  Their results are concatenated
+    in order, so chunking changes no record.
     """
-    step = max(1, -(-sum(map(len, ranges)) // nworkers))
+    total = sum(map(len, ranges))
+    step = max(1, -(-total // max(1, min(nworkers, total // CHUNK_MIN))))
     chunks, chunk, room = [], [], step
     for r in ranges:
         while r:
@@ -883,15 +894,23 @@ def _run_chunks(pool, fn, fast, ranges, nworkers):
                 chunk, room = [], step
     if chunk:
         chunks.append((fast, chunk))
-    if pool is not None and len(chunks) > 1:
-        raw = pool.starmap(fn, chunks)
-    else:
-        raw = [fn(*chunk) for chunk in chunks]
-    return [record for part in raw for record in part]
+    if len(chunks) < 2:
+        return [record for _, chunk in chunks for record in fn(fast, chunk)]
+    if not pools:
+        import multiprocessing
+
+        pools.append(multiprocessing.Pool(processes=nworkers))
+    return [record for part in pools[0].starmap(fn, chunks) for record in part]
 
 
 def _certify(kind, fast, record):
-    """Rebuild a raw record as public findings, one per solution alpha, recomputing each product."""
+    """Rebuild a raw record as public findings, one per solution alpha, recomputing each product.
+
+    alpha star beta is linear in alpha (left distributivity), so it is
+    summed from columns X^u star beta that the generic star's own
+    substitution loop forms once per monomial u and beta.  beta star alpha
+    and alpha star alpha are not linear in alpha and take a full star each.
+    """
     _, digits, solved = record
     if kind == "idempotent":
         alpha = fast.element(digits)
@@ -899,14 +918,22 @@ def _certify(kind, fast, record):
         if product != alpha:
             raise NearRingError("fast path disagreed with the generic star product")
         return [Finding("idempotent", alpha, None, product, "idempotent")]
+    group, field = fast.group, fast.field
     beta = fast.element(digits)
+    columns = {}  # monomial u -> X^u star beta
     findings = []
     for sol in _enumerate_solutions(*solved, fast.p):
         if not any(sol):
             continue  # alpha must be nonzero
         alpha = fast.element(sol)
+        missing = NearRingElement._trusted(group, field, {u: c for u, c in alpha.terms.items() if u not in columns})
+        columns.update((u, column) for u, _, column in missing._star_columns(beta))
+        out = {}
+        for u, c in alpha.terms.items():
+            _accumulate(out, columns[u], c)
+        product = NearRingElement._trusted(group, field, out)
         if kind == "unit":
-            cls = classify_unit_pair(alpha, beta)  # forms alpha * beta and beta * alpha
+            cls = classify_unit_pair(alpha, beta, product)  # forms beta * alpha
             if cls.verdict == "not_unit_pair":
                 raise NearRingError("fast path disagreed with the generic star product")
             detail = {"reverse_product": cls.reverse_product}
@@ -914,7 +941,6 @@ def _certify(kind, fast, record):
                 detail.update({"a": cls.a, "g": cls.g, "b": cls.b})
             findings.append(Finding("unit", alpha, beta, cls.product, cls.verdict, detail))
             continue
-        product = alpha.star(beta)
         if product:
             raise NearRingError("fast path disagreed with the generic star product")
         findings.append(Finding("zero_divisor", alpha, beta, product, "zero_divisor_pair"))

@@ -358,6 +358,27 @@ def test_oversized_and_deeply_nested_inputs_exit_2_at_once(tmp_path, capsys, arg
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1 and message in captured.err
 
 
+@pytest.mark.parametrize("n", [10**6, 10**30])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["goe", "--imax", "1", "--rmax", "0"],
+        ["mdim", "--imax", "2"],
+        ["ca-invert", "--radius", "1"],
+        ["graph-audit", "--group", "zd:1", "--graph", "cycle:12", "--radius", "1"],
+    ],
+    ids=["goe", "mdim", "ca-invert", "graph-audit"],
+)
+def test_linear_rule_dimension_above_the_cap_exits_2(tmp_path, capsys, argv, n):
+    """A zero symbol bounds no n x n matrix, so n itself is checked against ca.DIMENSION_CAP before any window."""
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"group": "zd:1", "variant": "linear", "payload": {"n": n, "field": "q", "symbol": []}}))
+    with cpu_budget(1.0):
+        assert run_job(argv + ["--rule", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: dimension must be between 1 and 1024\n"
+
+
 def test_twisted_power_reduces_the_frobenius_exponent(capsys):
     with cpu_budget(2.0):
         assert run_job(["embed", "--group", "zd:1", "--field", "gf4", "--kind", "j", "--element", "(w+t)^3000*[(1)]"]) == 0

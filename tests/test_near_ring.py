@@ -1,3 +1,4 @@
+import collections
 import itertools
 import json
 import math
@@ -831,21 +832,31 @@ def test_unit_search_f2_trivial_only():
         assert f.detail["reverse_product"] == ident
 
 
-def test_unit_search_forms_two_star_products_per_finding(monkeypatch):
-    """Each unit finding costs alpha * beta and beta * alpha once each, both taken from its classification."""
-    calls = []
-    generic = NearRingElement.star
+def test_unit_search_stars_one_column_per_monomial_and_beta(monkeypatch):
+    """alpha * beta is summed from columns X^u * beta, one per monomial and beta; beta * alpha is one full star."""
+    stars, columns = [], []
+    generic_star, generic_columns = NearRingElement.star, NearRingElement._star_columns
 
-    def counted(self, other):
-        calls.append(None)
-        return generic(self, other)
+    def counted_star(self, other):
+        stars.append((self, other))
+        return generic_star(self, other)
 
-    monkeypatch.setattr(NearRingElement, "star", counted)
+    def counted_columns(self, other):
+        for u, c, column in generic_columns(self, other):
+            columns.append((u, other))
+            yield u, c, column
+
+    monkeypatch.setattr(NearRingElement, "star", counted_star)
+    monkeypatch.setattr(NearRingElement, "_star_columns", counted_columns)
     res = exhaustive_search("unit", PrimeField(3), support_pm1(), 1, workers=1)
     assert len(res.findings) == 18  # a X_g - a b for 3 g, 2 a and 3 b
-    assert len(calls) == 2 * len(res.findings)
+    assert stars == [(f.beta, f.alpha) for f in res.findings]
+    forward = {(u, f.beta) for f in res.findings for u in f.alpha.terms}
+    reverse = [(u, f.alpha) for f in res.findings for u in f.beta.terms]
+    assert collections.Counter(columns) == collections.Counter([*forward, *reverse])
     for f in res.findings:
-        assert f.product == generic(f.alpha, f.beta)
+        assert f.product == generic_star(f.alpha, f.beta)
+        assert f.detail["reverse_product"] == generic_star(f.beta, f.alpha)
 
 
 def brute_force_search(kind, field, support, degree):
@@ -939,6 +950,99 @@ def test_search_deterministic_across_workers():
         resn = exhaustive_search(kind, field, support, degree, workers=workers)
         assert search_key(res1) == search_key(resn)
         assert res1.findings or (kind == "zero_divisor" and support == tiny)
+
+
+def cyclic_spaces():
+    """(kind, field, support, degree) of the unit, idempotent and zero-divisor spaces over cyclic:2, F2, degree 2."""
+    return [(kind, F2, ball(cyclic_group(2), 1), 2) for kind in ("unit", "idempotent", "zero_divisor")]
+
+
+def test_pooled_search_matches_in_process(monkeypatch):
+    """With every round cut into chunks, the pooled findings at 2 and 4 workers equal the in-process ones."""
+    monkeypatch.setattr(nr_mod, "CHUNK_MIN", 1)
+    for kind, field, support, degree in cyclic_spaces():
+        res1 = exhaustive_search(kind, field, support, degree, workers=1)
+        assert res1.findings
+        for workers in (2, 4):
+            assert search_key(exhaustive_search(kind, field, support, degree, workers=workers)) == search_key(res1)
+
+
+def test_small_searches_fork_no_pool(monkeypatch):
+    """Rounds below CHUNK_MIN indices per worker run in-process at any worker count."""
+    import multiprocessing
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a small search forked a pool")
+
+    monkeypatch.setattr(multiprocessing, "Pool", refuse)
+    for kind, field, support, degree in [*cyclic_spaces(), ("unit", F2, support_pm1(), 2), ("idempotent", F3, support_pm1(), 1)]:
+        assert exhaustive_search(kind, field, support, degree, workers=2).findings
+
+
+def _raising_chunk(fast, ranges):
+    raise RuntimeError("chunk failed")
+
+
+def test_failing_chunk_leaves_no_worker(monkeypatch):
+    import multiprocessing
+
+    monkeypatch.setattr(nr_mod, "CHUNK_MIN", 1)
+    monkeypatch.setattr(nr_mod, "_idempotents", _raising_chunk)
+    with pytest.raises(RuntimeError, match="chunk failed"):
+        exhaustive_search("idempotent", F2, support_pm1(), 2, workers=2)
+    assert multiprocessing.active_children() == []
+
+
+def test_certify_refuses_a_flipped_solution_digit():
+    """A record with the constant digit of its solution flipped fails the generic check.
+
+    1 star beta = 1 whatever beta is, so the flip adds 1 to alpha star beta
+    for every alpha that the record lists.  An idempotent with its constant
+    digit flipped fails too unless the flip is an idempotent of its own.
+    """
+    for kind, field, support, degree in cyclic_spaces():
+        fast = nr_mod._FastPoly(kind, field, support, degree)
+        m, p = len(fast.monomials), field.p
+        if kind == "idempotent":
+            records = nr_mod._idempotents(fast, [range(p**m)])
+            found = {d for _, d, _ in records}
+            flipped = [((d[0] + 1) % p, *d[1:]) for _, d, _ in records]
+            bad = [(0, d, None) for d in flipped if d not in found]
+        else:
+            records = nr_mod._live_betas(fast, nr_mod._representatives(p, m))
+            bad = [(i, d, ({**sol, 0: (sol.get(0, 0) + 1) % p}, kernel, size)) for i, d, (sol, kernel, size) in records]
+        assert records and bad
+        for record in records:
+            nr_mod._certify(kind, fast, record)
+        for record in bad:
+            with pytest.raises(NearRingError, match="fast path disagreed"):
+                nr_mod._certify(kind, fast, record)
+
+
+def report_diff_cyclic_searches():
+    """CYCLIC_SEARCHES of tools/report_diff.py, read without importing the tool."""
+    import ast
+    import pathlib
+
+    tree = ast.parse((pathlib.Path(__file__).resolve().parent.parent / "tools" / "report_diff.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["CYCLIC_SEARCHES"]:
+            return ast.literal_eval(node.value)
+    raise AssertionError("tools/report_diff.py defines no CYCLIC_SEARCHES")
+
+
+def test_cached_products_equal_the_generic_star():
+    from groupca.groups import parse_group_spec
+    from groupca.rings import field_from_spec
+
+    kinds = {"units": "unit", "idem": "idempotent", "zerodiv": "zero_divisor"}
+    searches = report_diff_cyclic_searches()
+    assert len(searches) == 8
+    for cmd, spec, field, degree in searches:
+        res = exhaustive_search(kinds[cmd], field_from_spec(field), ball(parse_group_spec(spec), 1), degree)
+        assert res.findings
+        for f in res.findings:
+            assert f.product == f.alpha.star(f.alpha if f.beta is None else f.beta)
 
 
 def test_affine_substitution_laws():

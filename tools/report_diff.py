@@ -21,14 +21,17 @@ denominator equal to it, so that the fallbacks to Q are compared too.
 Eight searches on cyclic groups follow (``CYCLIC_SEARCHES``): the
 workloads' searches have only empty or trivial findings, while these find
 nontrivial units, idempotents and zero divisors, so a search that loses a
-finding changes the records.  Each writes its ``--findings`` file into the
+finding changes the records.  A ninth, ``POOLED_SEARCH`` (162 unit
+findings), runs at ``--workers 2``: its first round of 9841 betas is
+large enough to be cut into chunks for a worker pool, so the pooled path is
+compared with findings too.  Each writes its ``--findings`` file into the
 temporary directory.  Then ``ca-step``, ``ca-compose`` and ``ca-invert`` run on the
 rule files of ``CA_RULES``, of all three kinds, among them the zero linear
 rule, a free:2 rule over GF(4), and a linear and a table rule whose memory
 lacks the identity, so that their M-interiors leave the pattern's domain:
 each rule steps its pattern in minus mode and in plus mode at ``--window``
 0 and 1 (24 jobs), ``CA_COMPOSE`` composes rules of one kind and of two
-kinds (9 jobs) and ``CA_INVERT`` inverts three of them.  That makes 1124
+kinds (9 jobs) and ``CA_INVERT`` inverts three of them.  That makes 1125
 jobs for every seed.  It runs every job through
 ``groupca.cli.run_job`` twice, each time in one fresh interpreter: once on
 REF's ``src/`` (extracted with ``git archive``) and once on this
@@ -95,6 +98,8 @@ CYCLIC_SEARCHES = (
     ("units", "cyclic:3", "f3", 1),
     ("zerodiv", "cyclic:3", "f3", 1),
 )
+# a search with findings whose first round forks a worker pool at SEARCH_WORKERS
+POOLED_SEARCH = ("units", "cyclic:3", "f3", 2)
 # pattern domains: the radius-2 balls of Z, Z^2 and free:2; letter i ^ 1 is the inverse of letter i
 _LETTERS = ("a", "a^-1", "b", "b^-1")
 CA_DOMAINS = {
@@ -178,8 +183,9 @@ def build_jobs(seed, tmp):
             ["ca-invert", "--rule", path, "--radius", "3"],
             ["graph-audit", "--group", group, "--graph", graph, "--rule", path, "--radius", "1"],
         ]
-    for i, (cmd, group, field, degree) in enumerate(CYCLIC_SEARCHES):
-        argvs.append([cmd, "--group", group, "--field", field, "--degree", str(degree), "--radius", "1",
+    for i, (cmd, group, field, degree) in enumerate(CYCLIC_SEARCHES + (POOLED_SEARCH,)):
+        workers = ["--workers", str(SEARCH_WORKERS)] if i == len(CYCLIC_SEARCHES) else []
+        argvs.append([cmd, "--group", group, "--field", field, "--degree", str(degree), "--radius", "1", *workers,
                       "--findings", "findings_%d.jsonl" % i])
     for fname in CA_RULES:
         rule, pattern = ca_files(fname)
