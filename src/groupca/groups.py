@@ -432,8 +432,9 @@ class FiniteSubset:
     def __contains__(self, e):
         return e in self._set
 
-    def position(self, e) -> int:
-        return self._pos[e]
+    def position(self, e):
+        """The index of e in the canonical order, None when e is not in the subset."""
+        return self._pos.get(e)
 
     def union(self, other):
         return FiniteSubset(self.group, self.elements + tuple(other))

@@ -58,17 +58,25 @@ class WindowMatrix:
     field: object
 
 
-def block_rows(blocks, n: int) -> list:
-    """The n sparse rows of one output point; each pair (bc, m) in ``blocks``, in
-    order, puts the n x n matrix m in the columns bc*n .. bc*n + n-1."""
+def placed_rows(symbol, n: int, placements) -> list:
+    """A linear rule laid onto finite cells: the n sparse rows of each output point.
+
+    ``placements`` gives, per output point in order, the column block of
+    each entry of ``symbol`` in its order, or None for an entry whose cell
+    lies outside the input cells; block c holds the entry's n x n matrix in
+    the columns c*n .. c*n + n-1.
+    """
+    mats = [m.rows for m in symbol.values()]
     rows = []
-    for i in range(n):
-        row = {}
-        for bc, m in blocks:
-            for j, v in enumerate(m.rows[i]):
-                if v:
-                    row[bc * n + j] = v
-        rows.append(row)
+    for cols in placements:
+        blocks = [(c * n, m) for c, m in zip(cols, mats) if c is not None]
+        for i in range(n):
+            row = {}
+            for base, m in blocks:
+                for j, v in enumerate(m[i]):
+                    if v:
+                        row[base + j] = v
+            rows.append(row)
     return rows
 
 
@@ -98,15 +106,9 @@ def window_matrix(ca: CellularAutomaton, mode: str, window: FiniteSubset) -> Win
         out_domain = window.product(sym) if len(memory) else FiniteSubset(group, [])
     else:
         raise CAError("unknown window mode %r" % mode)
-    n = rule.n
-    rows = []
-    for g_out in out_domain:
-        block_cols = {}
-        for h, m in rule.symbol.items():
-            g_in = g_out * h
-            if g_in in in_domain:
-                block_cols[in_domain.position(g_in)] = m
-        rows += block_rows(block_cols.items(), n)
+    n, hs, position = rule.n, list(rule.symbol), in_domain.position
+    # the cells of output point g are g*h, h in the memory
+    rows = placed_rows(rule.symbol, n, ([position(g * h) for h in hs] for g in out_domain))
     return WindowMatrix(
         matrix_rows=rows,
         nrows=n * len(out_domain),

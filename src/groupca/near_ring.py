@@ -30,6 +30,7 @@ import collections
 import functools
 import itertools
 import math
+import os
 from dataclasses import dataclass, field as dc_field
 from operator import itemgetter
 
@@ -878,8 +879,9 @@ def _run_chunks(pools, fn, fast, ranges, nworkers):
     """fn(fast, chunk) over the index ranges cut into at most nworkers chunks of at least CHUNK_MIN indices.
 
     A single chunk runs in-process.  More run on the pool in ``pools``,
-    forked here when the list is empty.  Their results are concatenated
-    in order, so chunking changes no record.
+    forked here when the list is empty with one process per chunk, at most
+    one per core.  Their results are concatenated in order, so chunking
+    changes no record.
     """
     total = sum(map(len, ranges))
     step = max(1, -(-total // max(1, min(nworkers, total // CHUNK_MIN))))
@@ -899,7 +901,7 @@ def _run_chunks(pools, fn, fast, ranges, nworkers):
     if not pools:
         import multiprocessing
 
-        pools.append(multiprocessing.Pool(processes=nworkers))
+        pools.append(multiprocessing.Pool(processes=min(len(chunks), os.cpu_count() or 1)))
     return [record for part in pools[0].starmap(fn, chunks) for record in part]
 
 

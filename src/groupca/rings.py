@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import heapq
 import operator
+import re
 from fractions import Fraction
 
 
@@ -351,6 +352,13 @@ class ExtElement:
         return self.field.format(self)
 
 
+# GF(p^k) texts: a monomial is c, w, w^e, c*w or c*w^e, a text a signed sum of them, and a
+# term one signed monomial as (sign, coefficient of w, exponent of w, constant)
+_GF_MONOMIAL = r"(?:(?:\d+\s*\*\s*)?w(?:\^\d+)?|\d+)"
+_GF_SUM = re.compile(r"\s*[+-]?\s*{0}(?:\s*[+-]\s*{0})*\s*".format(_GF_MONOMIAL))
+_GF_TERM = re.compile(r"([+-]?)\s*(?:(?:(\d+)\s*\*\s*)?w(?:\^(\d+))?|(\d+))")
+
+
 class ExtensionField:
     """GF(p^k) modulo a fixed irreducible polynomial, shipped for p in {2,3,5}, k <= 4."""
 
@@ -422,27 +430,20 @@ class ExtensionField:
         return "+".join(terms) + " in GF(%d)" % self.q
 
     def parse(self, text: str):
-        text = text.strip()
+        """A signed sum of terms c, w, w^e, c*w and c*w^e, with at most this field's " in GF(q)" suffix."""
+        body = text.strip()
         suffix = " in GF(%d)" % self.q
-        if text.endswith(suffix):
-            text = text[: -len(suffix)]
+        if body.endswith(suffix):
+            body = body[: -len(suffix)]
+        if not _GF_SUM.fullmatch(body):
+            raise RingError("not an element of GF(%d): %r" % (self.q, text))
         acc = self.zero()
-        for part in text.replace("-", "+-").split("+"):
-            part = part.strip()
-            if not part:
-                continue
-            neg = part.startswith("-")
-            if neg:
-                part = part[1:].strip()
-            if "w" in part:
-                coeff, _, rest = part.partition("w")
-                coeff = coeff.rstrip("*").strip()
-                c = int(coeff) if coeff else 1
-                e = int(rest[1:]) if rest.startswith("^") else 1
-                term = self.from_int(c) * self.gen() ** e
-            else:
-                term = self.from_int(int(part))
-            acc = acc - term if neg else acc + term
+        for sign, coeff, exp, const in _GF_TERM.findall(body):
+            if const:
+                term = self.from_int(int(const))
+            else:  # w^(q-1) = 1
+                term = self.from_int(int(coeff or 1)) * self.gen() ** (int(exp or 1) % (self.q - 1))
+            acc = acc - term if sign == "-" else acc + term
         return acc
 
     def __eq__(self, other):

@@ -28,8 +28,8 @@ from .groups import (
     ZdGroup,
     ball_plan,
 )
-from .ca import CAError, LinearRule, check_composable
-from .linear_ca import block_rows
+from .ca import check_composable
+from .linear_ca import _require_linear, placed_rows
 from .rings import rank_kernel_sparse
 
 
@@ -100,19 +100,14 @@ class LabeledGraph:
 
 
 def cycle_graph(group: ZdGroup, n: int) -> LabeledGraph:
-    """Z approximated by the n-cycle: v --(+1)--> v+1 mod n."""
+    """Z approximated by the n-cycle v --(+1)--> v+1 mod n: the torus graph on Z."""
     if not isinstance(group, ZdGroup) or group.d != 1:
         raise SoficError("cycle graphs approximate Z")
     if n < 1:
         raise SoficError("need at least one vertex")
-    _check_vertices(n)
-    plus = group.element((1,))
-    minus = plus.inverse()
-    steps = {
-        plus: {v: (v + 1) % n for v in range(n)},
-        minus: {v: (v - 1) % n for v in range(n)},
-    }
-    return LabeledGraph(group, [plus, minus], n, steps, meta={"kind": "cycle", "n": n})
+    graph = torus_graph(group, n)
+    graph.meta = {"kind": "cycle", "n": n}
+    return graph
 
 
 def torus_graph(group: ZdGroup, n: int) -> LabeledGraph:
@@ -124,34 +119,15 @@ def torus_graph(group: ZdGroup, n: int) -> LabeledGraph:
     d = group.d
     total = n**d
     _check_vertices(total)
-
-    def decode(v):
-        coords = []
-        for _ in range(d):
-            coords.append(v % n)
-            v //= n
-        return coords
-
-    def encode(coords):
-        v = 0
-        for c in reversed(coords):
-            v = v * n + (c % n)
-        return v
-
     steps = {}
     labels = []
     for i in range(d):
+        stride = n**i
         for delta in (1, -1):
-            e = [0] * d
-            e[i] = delta
-            s = group.element(tuple(e))
+            s = group.element(tuple(delta if j == i else 0 for j in range(d)))
             labels.append(s)
-            m = {}
-            for v in range(total):
-                coords = decode(v)
-                coords[i] = (coords[i] + delta) % n
-                m[v] = encode(coords)
-            steps[s] = m
+            # v's coordinate c on axis i becomes (c + delta) mod n
+            steps[s] = {v: v + ((v // stride + delta) % n - v // stride % n) * stride for v in range(total)}
     return LabeledGraph(group, labels, total, steps, meta={"kind": "torus", "n": n, "d": d})
 
 
@@ -356,45 +332,40 @@ def graph_ca_rank_audit(graph: LabeledGraph, ca, r: int, left_inverse=None) -> R
     a left inverse of radius r, the inverse's symbol is transported the
     same way onto V(3r); the composite of the two transported maps must be
     the projection onto A^(V(3r)) exactly, and the forward rank must then
-    be at least n * |V(3r)|.  The rule must be over the graph's group and
-    the inverse composable with it, as ``ca.check_composable`` checks.
+    be at least n * |V(3r)|.  Both transports read the ball copies of the
+    one sweep that finds V(r), and ``linear_ca.placed_rows`` lays the rules
+    onto the cells those copies name.  The rule must be over the graph's
+    group and the inverse composable with it, as ``ca.check_composable``
+    checks.
     """
     if ca.group != graph.group:
         raise SoficError("the rule is over %s, the graph over %s" % (ca.group.spec_string(), graph.group.spec_string()))
-    if not isinstance(ca.rule, LinearRule):
-        raise CAError("rank audit needs a linear rule")
+    rule = _require_linear(ca)
     if left_inverse is not None:
         check_composable(left_inverse, ca)
-    rule = ca.rule
     n = rule.n
     radius_ball = ball_plan(graph.group, r, graph.labels).index
-    if any(g not in radius_ball for g in ca.memory_set()):
-        raise SoficError("memory set exceeds the audit radius")
-    if left_inverse is not None and any(
-        g not in radius_ball for g in left_inverse.memory_set()
-    ):
-        raise SoficError("inverse memory set exceeds the audit radius")
-    v1, v2, v3 = (v_r_set(graph, k * r) for k in (1, 2, 3))
+    for name, audited in (("memory set", ca), ("inverse memory set", left_inverse)):
+        if audited is not None and any(g not in radius_ball for g in audited.memory_set()):
+            raise SoficError("%s exceeds the audit radius" % name)
+    copies = {v: c for v in range(graph.n) if (c := ball_iso(graph, v, r)) is not None}
+    v1, v2, v3 = list(copies), v_r_set(graph, 2 * r), v_r_set(graph, 3 * r)
     if not v2:
         raise SoficError("V(2r) is empty; the graph is too coarse at this radius")
     pos1 = {v: i for i, v in enumerate(v1)}
     pos2 = {v: i for i, v in enumerate(v2)}
-    pos3 = {v: i for i, v in enumerate(v3)}
 
     def transported_rows(symbol, out_vertices, in_pos):
-        rows = []
+        """The rule read at each output vertex through its ball copy, onto the cells ``in_pos``."""
+        placements = []
         for v in out_vertices:
-            copy_map = ball_iso(graph, v, r)
-            if copy_map is None:
+            if v not in copies:
                 raise SoficError("vertex %r lost its ball isomorphism" % v)
-            block_cols = {}
-            for m_elem, mat in symbol.items():
-                w = copy_map[m_elem]
-                if w not in in_pos:
-                    raise SoficError("transported memory leaves the good set")
-                block_cols[in_pos[w]] = mat
-            rows += block_rows(sorted(block_cols.items()), n)
-        return rows
+            copy_v = copies[v]
+            if any(copy_v[h] not in in_pos for h in symbol):
+                raise SoficError("transported memory leaves the good set")
+            placements.append([in_pos[copy_v[h]] for h in symbol])
+        return placed_rows(symbol, n, placements)
 
     forward_rows = transported_rows(rule.symbol, v2, pos1)
     transported_rank, _ = rank_kernel_sparse(rule.field, forward_rows, n * len(v1), want_kernel=False)
@@ -404,26 +375,18 @@ def graph_ca_rank_audit(graph: LabeledGraph, ca, r: int, left_inverse=None) -> R
     if left_inverse is None:
         return report
     inverse_rows = transported_rows(left_inverse.rule.symbol, v3, pos2)
-    # exact composite of the transported maps vs the projection A^V(r) -> A^V(3r)
-    ok = True
-    for ri, erow in enumerate(inverse_rows):
+    one = rule.field.one()
+
+    def composite_is_projection(ri, erow):
+        """Whether inverse row ri times the forward rows is its row of the projection A^V(r) -> A^V(3r)."""
         acc = {}
         for k, ev in erow.items():
             for j, mv in forward_rows[k].items():
-                cur = acc.get(j)
-                nv = ev * mv if cur is None else cur + ev * mv
-                if nv:
-                    acc[j] = nv
-                elif j in acc:
-                    del acc[j]
-        v3_vertex = v3[ri // n]
-        comp = ri % n
-        expected_col = pos1[v3_vertex] * n + comp if v3_vertex in pos1 else None
-        expected = {expected_col: rule.field.one()} if expected_col is not None else {}
-        if acc != expected:
-            ok = False
-            break
-    report.projection_verified = ok
+                acc[j] = acc[j] + ev * mv if j in acc else ev * mv
+        v = v3[ri // n]
+        return {j: x for j, x in acc.items() if x} == ({pos1[v] * n + ri % n: one} if v in pos1 else {})
+
+    report.projection_verified = all(composite_is_projection(ri, erow) for ri, erow in enumerate(inverse_rows))
     report.inequality_holds = transported_rank >= n * len(v3)
     return report
 

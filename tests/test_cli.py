@@ -221,6 +221,36 @@ def test_job_file_defaults(tmp_path):
     assert json.loads(out.read_text())["findings_count"] == 3
 
 
+def test_toml_job_file_matches_its_json_twin(tmp_path):
+    (tmp_path / "job.json").write_text(json.dumps({"group": "zd:1", "field": "f2", "degree": 2, "radius": 1}))
+    (tmp_path / "job.toml").write_text('group = "zd:1"\nfield = "f2"\ndegree = 2\nradius = 1\n')
+    code_json, out_json = run_to_file(tmp_path, "json.json", ["idem", "--job", str(tmp_path / "job.json")])
+    code_toml, out_toml = run_to_file(tmp_path, "toml.json", ["idem", "--job=%s" % (tmp_path / "job.toml")])
+    assert code_json == code_toml == 0
+    assert out_json.read_bytes() == out_toml.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "text",
+    ['group = "zd:1"\nfield = "f2"\ndegree = 2\nradius = true\n', 'group = "zd:1\nfield = f2\n'],
+    ids=["boolean", "malformed"],
+)
+def test_toml_job_file_errors_exit_2(tmp_path, capsys, text):
+    job = tmp_path / "job.toml"
+    job.write_text(text)
+    assert run_job(["idem", "--job", str(job)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_malformed_gf_entry_exits_2(tmp_path, capsys):
+    """w*w is not a GF(4) text (w*w = w+1), so a rule file holding it is an input error."""
+    rule = {"group": "zd:1", "variant": "linear", "payload": {"n": 1, "field": "gf4", "symbol": [["(0)", [["w*w"]]]]}}
+    (tmp_path / "rule.json").write_text(json.dumps(rule))
+    assert run_job(["ca-compose", "--rule", str(tmp_path / "rule.json"), "--rule2", str(tmp_path / "rule.json")]) == 2
+    assert "not an element of GF(4)" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("top", [[], "s", 3, None], ids=["list", "string", "number", "null"])
 def test_job_file_not_an_object_exits_2(tmp_path, capsys, top):
     job = tmp_path / "job.json"

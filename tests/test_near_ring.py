@@ -979,6 +979,33 @@ def test_small_searches_fork_no_pool(monkeypatch):
         assert exhaustive_search(kind, field, support, degree, workers=2).findings
 
 
+def test_pool_forks_one_process_per_chunk_at_most_one_per_core(monkeypatch):
+    """--workers 1000 on a round of four chunks forks min(4, cores) processes, never 1000."""
+    import multiprocessing
+    import os
+
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def starmap(self, fn, chunks):
+            return list(itertools.starmap(fn, chunks))
+
+        def terminate(self):
+            pass
+
+    space = ("unit", F3, ball(cyclic_group(3), 1), 2)
+    expected = search_key(exhaustive_search(*space, workers=1))
+    monkeypatch.setattr(multiprocessing, "Pool", InProcessPool)
+    for cores, forked in ((64, 4), (2, 2), (None, 1)):
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        sizes.clear()
+        assert search_key(exhaustive_search(*space, workers=1000)) == expected
+        assert sizes == [forked]
+
+
 def _raising_chunk(fast, ranges):
     raise RuntimeError("chunk failed")
 

@@ -111,6 +111,21 @@ def test_scalar_parse_format_round_trip():
     assert GF4.format(GF4.gen() + GF4.one()) == "w^1+1 in GF(4)"
 
 
+def test_extension_field_texts():
+    """Every element of the nine shipped fields round-trips; malformed and foreign texts raise."""
+    for p, k in _IRREDUCIBLE:
+        field = ExtensionField(p, k)
+        for x in field.elements():
+            assert field.parse(field.format(x)) == x
+    gf4 = ExtensionField(2, 2)
+    w = gf4.gen()
+    assert gf4.parse("w") == w and gf4.parse("w+1") == gf4.parse(" w + 1 ") == w + gf4.one()
+    assert gf4.parse("-2*w^3 + w^2 - 1") == gf4.parse("w") and gf4.parse("w^0") == gf4.one()
+    for text in ("w*w", "ww", "w5", "w+", "", "w in GF(9)", "2w", "--w", "1 2", "w^", "w in GF(4) in GF(4)"):
+        with pytest.raises(RingError, match="not an element of GF"):
+            gf4.parse(text)
+
+
 def test_field_from_spec():
     assert field_from_spec("q") is QQ
     assert field_from_spec("f7").p == 7

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 from fractions import Fraction
@@ -8,6 +9,7 @@ from support import ball_iso_reference, cyclic_group, pair_sigma, perturb_graph,
 
 from groupca.groups import FreeGroup, ZdGroup, ball_plan
 from groupca.rings import QQ, ExactMatrix
+from groupca import sofic
 from groupca.ca import CellularAutomaton, LinearRule
 from groupca.sofic import (
     BallPlan,
@@ -47,6 +49,16 @@ def test_cycle_graph_counts():
 def test_torus_graph_counts():
     g = torus_graph(Z2, 4)
     assert g.n == 16 and g.edge_count() == 64
+
+
+def test_torus_graph_steps_move_one_coordinate():
+    """Vertex v has the base-n digits of v as coordinates, and label +-e_i moves digit i by +-1 mod n."""
+    for d, n in ((1, 5), (2, 3), (3, 4)):
+        g = torus_graph(ZdGroup(d), n)
+        cells = [tuple(reversed(c)) for c in itertools.product(range(n), repeat=d)]  # cells[v]: v's digits, lowest first
+        for s in g.labels:
+            assert g.step_maps[s] == {v: cells.index(tuple((c + e) % n for c, e in zip(cells[v], s.value))) for v in range(n**d)}
+    assert cycle_graph(Z, 5).step_maps == torus_graph(Z, 5).step_maps and cycle_graph(Z, 5).meta == {"kind": "cycle", "n": 5}
 
 
 def test_schreier_graph_construction():
@@ -174,6 +186,20 @@ def test_rank_audit_invertible_pair():
     assert rep.projection_verified
     assert rep.inequality_holds
     assert rep.transported_rank >= 2 * rep.v_3r
+
+
+def test_rank_audit_checks_each_ball_once(monkeypatch):
+    """The audit transports through the radius-r copies of its V(r) sweep: one ball_iso per vertex and radius."""
+    calls = collections.Counter()
+
+    def counted(graph, v, r):
+        calls[v, r] += 1
+        return ball_iso(graph, v, r)
+
+    monkeypatch.setattr(sofic, "ball_iso", counted)
+    rep = graph_ca_rank_audit(cycle_graph(Z, 16), shift_ca(), 2, left_inverse=shift_inverse())
+    assert rep.projection_verified and rep.v_2r == rep.v_3r == 16
+    assert dict(calls) == {(v, r): 1 for v in range(16) for r in (2, 4, 6)}
 
 
 def test_rank_audit_memory_radius_guard():

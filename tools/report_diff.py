@@ -8,10 +8,14 @@ checkout's ``perfbench/workloads.py`` and writes their input files to one
 temporary directory that both sides share.  A ``ca-invert --radius 3``
 job follows for each of the 17 rule files of the ``exact`` list, whose
 workload inverts only one rule, so that left-inverse synthesis is compared
-over Q, F3 and GF(4), on Z and Z^2, with and without an inverse.  Two
-more invert free:2 rules (``FREE_RULES``): the shift by a, which has an
-inverse, and 1 - a, which has none, so that the walk along the window
-chain is compared on balls, where ``goe`` does not run.  The three Q
+over Q, F3 and GF(4), on Z and Z^2, with and without an inverse.  Three
+more invert free:2 rules (``FREE_RULES``): the shifts by a and by a^-1,
+which are each other's inverses, and 1 - a, which has none, so that the
+walk along the window chain is compared on balls, where ``goe`` does not
+run.  A ``graph-audit`` then transports the shift by a and its inverse
+onto a 1024-vertex Schreier graph (``FREE_AUDIT_GRAPH``) at radius 1,
+where V(3r) holds 114 vertices, so that the audit's transport through
+ball copies that are not translations is compared too.  The three Q
 rule files of ``Q_RULES`` each run ``goe``, ``mdim``, ``ca-invert`` and
 ``graph-audit`` on a cycle or a torus (12 jobs): the workloads' Q rules
 have small integer entries, so that a window rank over Q is settled by its
@@ -31,7 +35,7 @@ rule, a free:2 rule over GF(4), and a linear and a table rule whose memory
 lacks the identity, so that their M-interiors leave the pattern's domain:
 each rule steps its pattern in minus mode and in plus mode at ``--window``
 0 and 1 (24 jobs), ``CA_COMPOSE`` composes rules of one kind and of two
-kinds (9 jobs) and ``CA_INVERT`` inverts three of them.  That makes 1125
+kinds (9 jobs) and ``CA_INVERT`` inverts three of them.  That makes 1127
 jobs for every seed.  It runs every job through
 ``groupca.cli.run_job`` twice, each time in one fresh interpreter: once on
 REF's ``src/`` (extracted with ``git archive``) and once on this
@@ -44,7 +48,10 @@ differ it names the first differing job and exits with status 1; it exits
 with status 0 when they agree.  Nothing is written inside the repository.
 
 CI runs it against a pull request's base commit in a job that does not
-gate the merge: a change may alter reports on purpose.
+gate the merge: a change may alter reports on purpose.  The tier-1 job
+runs ``HEAD --seed 1`` on every push and does gate: both sides then run
+the same source, each in an interpreter with its own hash seed, so any
+difference is a report that is not byte-deterministic.
 """
 
 from __future__ import annotations
@@ -68,8 +75,11 @@ SEARCH_WORKERS = 2
 # linear rules on free:2 over Q, as rule files: file name -> symbol
 FREE_RULES = {
     "free2_shift_a.json": [["a", [["1"]]]],
+    "free2_shift_a_inv.json": [["a^-1", [["1"]]]],
     "free2_one_minus_a.json": [["1", [["1"]]], ["a", [["-1"]]]],
 }
+# the graph of the free:2 graph-audit: V(r), V(2r), V(3r) hold 988, 810 and 114 of its vertices at r = 1
+FREE_AUDIT_GRAPH = "schreier:1024:1"
 # Q rules off the rank certificate's small-integer path: file name -> (group,
 # symbol, graph of the graph-audit job).  Fractional entries are certified
 # mod 2^31 - 1; entries that are multiples of the prime make every window
@@ -173,6 +183,8 @@ def build_jobs(seed, tmp):
         rule = {"group": "free:2", "variant": "linear", "payload": {"n": 1, "field": "q", "symbol": symbol}}
         (tmp / "jobs" / fname).write_text(json.dumps(rule), encoding="utf-8")
         argvs.append(["ca-invert", "--rule", "jobs/" + fname, "--radius", "3"])
+    argvs.append(["graph-audit", "--group", "free:2", "--graph", FREE_AUDIT_GRAPH, "--rule", "jobs/free2_shift_a.json",
+                  "--inverse", "jobs/free2_shift_a_inv.json", "--radius", "1"])
     for fname, (group, symbol, graph) in Q_RULES.items():
         rule = {"group": group, "variant": "linear", "payload": {"n": len(symbol[0][1]), "field": "q", "symbol": symbol}}
         (tmp / "jobs" / fname).write_text(json.dumps(rule), encoding="utf-8")
