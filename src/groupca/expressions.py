@@ -266,10 +266,9 @@ def format_element(x) -> str:
 def _join_terms(parts):
     if not parts:
         return "0"
-    out = parts[0][1] if not parts[0][0] else "-" + parts[0][1]
-    for neg, text in parts[1:]:
-        out += (" - " if neg else " + ") + text
-    return out
+    out = [parts[0][1] if not parts[0][0] else "-" + parts[0][1]]
+    out += [(" - " if neg else " + ") + text for neg, text in parts[1:]]
+    return "".join(out)
 
 
 def _format_near_ring(x: NearRingElement) -> str:

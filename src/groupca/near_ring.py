@@ -31,12 +31,18 @@ import functools
 import itertools
 import math
 import os
+import random
+import sys
 from dataclasses import dataclass, field as dc_field
 from operator import itemgetter
 
 from .group_ring import GroupRingElement, TwistedGroupRingElement
 from .groups import FiniteSubset, GroupElement
-from .rings import TERM_CAP, WORK_CAP, Echelon, PrimeField, base_digits, chain_products, frobenius, power, scalar_inverse
+from .rings import IRREDUCIBLE, LOG_ZERO, TERM_CAP, WORK_CAP, Echelon, PrimeField, base_digits, chain_products, field_tables
+from .rings import frobenius, log_add, power, scalar_inverse
+
+
+_HASH_MODULUS = sys.hash_info.modulus
 
 
 class NearRingError(ValueError):
@@ -79,7 +85,11 @@ class ExponentVector:
             items.sort(key=lambda kv: key(kv[0].value))
         self.group = group
         self.items = tuple(items)
-        self._hash = hash((group._hash_seed, self.items))
+        # ints hash modulo _HASH_MODULUS, so X^(2^j) and X^(2^(j+61)) would collide without their bit lengths
+        if max(exponents.values(), default=0) < _HASH_MODULUS:
+            self._hash = hash((group._hash_seed, self.items))
+        else:
+            self._hash = hash((group._hash_seed, self.items, tuple(e.bit_length() for _, e in items)))
 
     @classmethod
     def unit(cls, g: GroupElement, exponent: int = 1):
@@ -627,6 +637,93 @@ def search_monomials(support: FiniteSubset, max_total_degree: int):
     return monos
 
 
+# The idempotent filter.  For a point x of L^U, L a field containing F_p and U = {e} u S u S.S,
+# ev_x is a ring homomorphism, and substitution gives ev_x(alpha star alpha) = sum_u a_u prod_g y_g^(u_g)
+# with y_g = ev_x(shift(g, alpha)).  An idempotent alpha has ev_x(alpha star alpha) = ev_x(alpha) at every
+# x, so an alpha with a point where they differ is skipped before any product is formed.  A nonzero
+# difference of degree at most d^2 vanishes at a fraction of at most d^2/|L| of the points (Schwartz-Zippel),
+# and later points see only the alphas that earlier ones pass.  Survivors take the full path.
+FILTER_POINTS = 4
+
+
+def filter_points(p, universe_size, support_size, max_total_degree):
+    """(k, points): the idempotent filter's field L = GF(p^k) and its points, each a list of nonzero codes of L, one per variable.
+
+    L is the largest shipped extension of F_p, and F_p itself (k = 1) for a
+    prime without one.  The coordinates are drawn from a generator seeded
+    with (p, |S|, d).
+    """
+    k = max([e for r, e in IRREDUCIBLE if r == p], default=1)
+    rng = random.Random("idempotent filter %d %d %d" % (p, support_size, max_total_degree))
+    return k, [[rng.randrange(1, p**k) for _ in range(universe_size)] for _ in range(FILTER_POINTS)]
+
+
+class _IdempotentFilter:
+    """The filter's tables for one idempotent search, and its test of an alpha.
+
+    The index of alpha is high * split + low, low holding its last m - m//2
+    digits.  For each point x, and for each shift table and the canonical
+    monomials, one table per part holds, for each value of that part, the
+    log of sum_i a_i ev_x(X^key_i) over the part's digits a_i.  Logs are to
+    the base of the generator of ``field_tables``, LOG_ZERO for 0.
+    """
+
+    def __init__(self, fast, universe_size, width, max_total_degree):
+        p, m = fast.p, len(fast.monomials)
+        k, points = filter_points(p, universe_size, len(fast.shift_tables), max_total_degree)
+        _, log, self.zech = field_tables(p, k)
+        self.factors = fast.factors
+        self.split = p ** (m - m // 2)
+        self.digit_logs = log[:p]
+        n, mask = len(self.zech), (1 << width) - 1
+
+        def parts(keys, logs):
+            """(high, low) for the packed monomials ``keys``, at the point whose coordinates have these logs."""
+            terms = []
+            for key in keys:
+                total = pos = 0
+                while key:
+                    total += (key & mask) * logs[pos]
+                    key >>= width
+                    pos += 1
+                terms.append([LOG_ZERO] + [(log[d] + total) % n for d in range(1, p)])
+            out = []
+            for lo, hi in ((0, m // 2), (m // 2, m)):
+                table = [LOG_ZERO]
+                for i in range(lo, hi):
+                    table = [log_add(table[v // p], terms[i][v % p], self.zech) for v in range(len(table) * p)]
+                out.append(table)
+            return out
+
+        self.points = []
+        for codes in points:
+            logs = [log[c] for c in codes]
+            self.points.append(([parts(table, logs) for table in fast.shift_tables], parts(fast.mono_keys, logs)))
+
+    def rejecting_point(self, index, digits):
+        """The first point x with ev_x(alpha star alpha) != ev_x(alpha), for alpha of that index and digits; None if none.
+
+        Each y_g and ev_x(alpha) is one Zech step over the logs of the
+        index's two parts, each monomial's value one product from an earlier
+        one's by ``factors``, and their sum goes by Zech's logarithm.
+        """
+        zech, digit_logs, factors = self.zech, self.digit_logs, self.factors
+        n = len(zech)
+        high, low = divmod(index, self.split)
+        for point, (shifts, (plain_high, plain_low)) in enumerate(self.points):
+            ys = [log_add(h[high], l[low], zech) for h, l in shifts]
+            values = [0]
+            for v, k in factors:
+                values.append(values[v] + ys[k])
+            acc = LOG_ZERO
+            for d, v in zip(digits, values):
+                if d and v < LOG_ZERO:
+                    acc = log_add(acc, (digit_logs[d] + v) % n, zech)
+            if acc != log_add(plain_high[high], plain_low[low], zech):
+                return point
+        return None
+
+
 class _FastPoly:
     """Shared data for the integer-mod-p polynomial fast path of one search.
 
@@ -669,6 +766,7 @@ class _FastPoly:
             rest = dict(u.items)
             rest[g] = e - 1
             self.factors.append((position[ExponentVector(group, rest)], elems.index(g)))
+        self.filter = _IdempotentFilter(self, len(universe), width, max_total_degree) if kind == "idempotent" else None
 
     def admits(self, digits):
         """Whether the augmentation eps = sum_k s_k t^k of the digits allows a finding of the search's kind."""
@@ -771,6 +869,8 @@ def _idempotents(fast, ranges):
     p = fast.p
     found = []
     for index, digits in _walk(fast, ranges):
+        if fast.filter.rejecting_point(index, digits) is not None:
+            continue
         acc = {}
         for d, col in zip(digits, fast.columns(digits)):
             if d:

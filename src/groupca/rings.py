@@ -11,7 +11,9 @@ No floating point is used anywhere; every operation is exact.
 
 from __future__ import annotations
 
+import functools
 import heapq
+import itertools
 import operator
 import re
 from fractions import Fraction
@@ -145,20 +147,17 @@ class FpElement:
         self.p = p
         self.v = v % p
 
-    def _lift(self, other):
+    def _value(self, other):
+        """The value of an element of this field or of an int, None for any other operand."""
         if isinstance(other, FpElement):
             if other.p != self.p:
                 raise RingError("mixed prime fields F_%d and F_%d" % (self.p, other.p))
-            return other
-        if isinstance(other, int):
-            return FpElement(self.p, other)
-        return NotImplemented
+            return other.v
+        return other if isinstance(other, int) else None
 
     def __add__(self, other):
-        other = self._lift(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FpElement(self.p, self.v + other.v)
+        b = self._value(other)
+        return NotImplemented if b is None else FpElement(self.p, self.v + b)
 
     __radd__ = __add__
 
@@ -166,19 +165,15 @@ class FpElement:
         return FpElement(self.p, -self.v)
 
     def __sub__(self, other):
-        other = self._lift(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FpElement(self.p, self.v - other.v)
+        b = self._value(other)
+        return NotImplemented if b is None else FpElement(self.p, self.v - b)
 
     def __rsub__(self, other):
         return (-self).__add__(other)
 
     def __mul__(self, other):
-        other = self._lift(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FpElement(self.p, self.v * other.v)
+        b = self._value(other)
+        return NotImplemented if b is None else FpElement(self.p, self.v * b)
 
     __rmul__ = __mul__
 
@@ -188,10 +183,8 @@ class FpElement:
         return FpElement(self.p, pow(self.v, self.p - 2, self.p))
 
     def __truediv__(self, other):
-        other = self._lift(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
+        b = self._value(other)
+        return NotImplemented if b is None else self * FpElement(self.p, b).inverse()
 
     def __pow__(self, n: int):
         if n < 0:
@@ -260,7 +253,7 @@ class PrimeField:
 
 
 # fixed irreducible polynomials (coefficients ascending, leading 1 included)
-_IRREDUCIBLE = {
+IRREDUCIBLE = {
     (2, 2): (1, 1, 1),
     (2, 3): (1, 1, 0, 1),
     (2, 4): (1, 1, 0, 0, 1),
@@ -273,80 +266,117 @@ _IRREDUCIBLE = {
 }
 
 
+LOG_ZERO = 1 << 62  # the log of 0: a sum of logs that holds it stays above every log of a nonzero element
+
+
+@functools.cache
+def field_tables(p: int, k: int):
+    """(exp, log, zech) of GF(p^k) on int codes, O(p^k) entries each, built on first use.
+
+    c_0 + c_1 w + ... + c_(k-1) w^(k-1) has code sum c_i p^i, w a root of the
+    shipped modulus, and F_p = F_p[w]/(w) is k = 1.  For g the first code of
+    order q - 1 (a modulus need not be primitive), exp[i] = g^i for
+    i < 2(q - 1), log[g^i] = i < q - 1 with log[0] = LOG_ZERO, and
+    zech[n] = log(1 + g^n); ``log_add`` adds by it.
+    """
+    q, modulus = p**k, IRREDUCIBLE.get((p, k), (0, 1))
+    digits = [[code // p**i % p for i in range(k)] for code in range(q)]
+
+    def times(a, b):  # digit lists; a * b = (...(b_(k-1) a) w + ...) w + b_0 a, with w^k reduced by the modulus
+        acc = [0] * k
+        for c in reversed(b):
+            top = acc[-1]
+            acc = [(x + c * y - top * m) % p for x, y, m in zip([0] + acc[:-1], a, modulus)]
+        return acc
+
+    for g in range(1, q):
+        exp, x = [1], digits[g]
+        while x != digits[1]:
+            exp.append(sum(c * p**i for i, c in enumerate(x)))
+            x = times(x, digits[g])
+        if len(exp) == q - 1:
+            break
+    log = [LOG_ZERO] * q
+    for i, code in enumerate(exp):
+        log[code] = i
+    return exp * 2, log, [log[code - code % p + (code + 1) % p] for code in exp]
+
+
+def log_add(a, b, zech):
+    """log(g^a + g^b) = a + zech[b - a] mod q - 1 (Zech's logarithm), for a and b logs below q - 1 or LOG_ZERO."""
+    if a == LOG_ZERO or b == LOG_ZERO:
+        return b if a == LOG_ZERO else a
+    z = zech[b - a]
+    return z if z == LOG_ZERO else (a + z) % len(zech)
+
+
 class ExtElement:
-    """Element of GF(p^k), stored as a coefficient tuple of length k."""
+    """Element of GF(p^k), held as its int code (see ``field_tables``)."""
 
-    __slots__ = ("field", "c")
+    __slots__ = ("field", "code")
 
-    def __init__(self, field, c):
+    def __init__(self, field, code):
         self.field = field
-        self.c = tuple(v % field.p for v in c)
+        self.code = code
 
-    def _lift(self, other):
+    def _code(self, other):
+        """The code of an element of this field or of an int, None for any other operand."""
         if isinstance(other, ExtElement):
-            if other.field != self.field:
+            if other.field is not self.field and other.field != self.field:
                 raise RingError("mixed extension fields")
-            return other
-        if isinstance(other, int):
-            return self.field.from_int(other)
-        return NotImplemented
+            return other.code
+        return other % self.field.p if isinstance(other, int) else None
 
     def __add__(self, other):
-        other = self._lift(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return ExtElement(self.field, tuple(a + b for a, b in zip(self.c, other.c)))
+        b = self._code(other)
+        return NotImplemented if b is None else ExtElement(self.field, self.field._add(self.code, b))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ExtElement(self.field, tuple(-a for a in self.c))
+        return ExtElement(self.field, self.field._mul(self.code, self.field.p - 1))
 
     def __sub__(self, other):
-        other = self._lift(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return ExtElement(self.field, tuple(a - b for a, b in zip(self.c, other.c)))
+        b = self._code(other)
+        return NotImplemented if b is None else ExtElement(self.field, self.field._add(self.code, self.field._mul(b, self.field.p - 1)))
 
     def __rsub__(self, other):
         return (-self).__add__(other)
 
     def __mul__(self, other):
-        other = self._lift(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return ExtElement(self.field, self.field._polymul(self.c, other.c))
+        b = self._code(other)
+        return NotImplemented if b is None else ExtElement(self.field, self.field._mul(self.code, b))
 
     __rmul__ = __mul__
 
     def inverse(self):
-        if not self:
+        if not self.code:
             raise RingError("division by zero in %r" % self.field)
-        return self ** (self.field.q - 2)
+        field = self.field
+        return ExtElement(field, field._exp[field.q - 1 - field._log[self.code]])
 
     def __truediv__(self, other):
-        other = self._lift(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
+        b = self._code(other)
+        return NotImplemented if b is None else self * ExtElement(self.field, b).inverse()
 
     def __pow__(self, n: int):
         if n < 0:
             return self.inverse() ** (-n)
-        return power(self, n, self.field.one())
+        field = self.field  # 0^0 = 1
+        return ExtElement(field, field._exp[field._log[self.code] * n % (field.q - 1)] if self.code else int(n == 0))
 
     def __bool__(self):
-        return any(self.c)
+        return self.code != 0
 
     def __eq__(self, other):
         if isinstance(other, ExtElement):
-            return self.field == other.field and self.c == other.c
+            return self.code == other.code and (self.field is other.field or self.field == other.field)
         if isinstance(other, int):
-            return self == self.field.from_int(other)
+            return self.code == other % self.field.p
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.field.p, self.field.k, self.c))
+        return hash((self.field.p, self.field.k, self.field.coefficients(self)))
 
     def __repr__(self):
         return self.field.format(self)
@@ -360,46 +390,46 @@ _GF_TERM = re.compile(r"([+-]?)\s*(?:(?:(\d+)\s*\*\s*)?w(?:\^(\d+))?|(\d+))")
 
 
 class ExtensionField:
-    """GF(p^k) modulo a fixed irreducible polynomial, shipped for p in {2,3,5}, k <= 4."""
+    """GF(p^k) modulo a fixed irreducible polynomial, shipped for p in {2,3,5}, k <= 4.
+
+    Its elements are int codes, and sums, products and inverses are
+    lookups in the exp, log and Zech tables of ``field_tables``.
+    """
 
     def __init__(self, p: int, k: int):
         if k < 2:
             raise RingError("use PrimeField for k=1")
-        if (p, k) not in _IRREDUCIBLE:
+        if (p, k) not in IRREDUCIBLE:
             raise RingError("no shipped modulus for GF(%d^%d)" % (p, k))
         self.p = p
         self.k = k
         self.q = p**k
         self.characteristic = p
-        self.modulus = _IRREDUCIBLE[(p, k)]
+        self.modulus = IRREDUCIBLE[(p, k)]
+        self._exp, self._log, self._zech = field_tables(p, k)
 
-    def _polymul(self, a, b):
-        p, k = self.p, self.k
-        prod = [0] * (2 * k - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    prod[i + j] += ai * bj
-        # reduce by the modulus (monic)
-        for d in range(2 * k - 2, k - 1, -1):
-            c = prod[d] % p
-            if c:
-                for j in range(k):
-                    prod[d - k + j] -= c * self.modulus[j]
-            prod[d] = 0
-        return tuple(v % p for v in prod[:k])
+    def _add(self, a, b):
+        s = log_add(self._log[a], self._log[b], self._zech)
+        return 0 if s == LOG_ZERO else self._exp[s]
+
+    def _mul(self, a, b):
+        return self._exp[self._log[a] + self._log[b]] if a and b else 0
+
+    def coefficients(self, x):
+        """The coefficients (c_0, ..., c_(k-1)) of x = c_0 + c_1 w + ... + c_(k-1) w^(k-1)."""
+        return tuple(x.code // self.p**i % self.p for i in range(self.k))
 
     def zero(self):
-        return ExtElement(self, (0,) * self.k)
+        return ExtElement(self, 0)
 
     def one(self):
-        return ExtElement(self, (1,) + (0,) * (self.k - 1))
+        return ExtElement(self, 1)
 
     def gen(self):
-        return ExtElement(self, (0, 1) + (0,) * (self.k - 2))
+        return ExtElement(self, self.p)
 
     def from_int(self, n):
-        return ExtElement(self, (n,) + (0,) * (self.k - 1))
+        return ExtElement(self, n % self.p)
 
     def spec_string(self):
         return "gf%d" % self.q
@@ -408,25 +438,13 @@ class ExtensionField:
         return self.q
 
     def elements(self):
-        out = []
-        for idx in range(self.q):
-            c = []
-            m = idx
-            for _ in range(self.k):
-                c.append(m % self.p)
-                m //= self.p
-            out.append(ExtElement(self, tuple(c)))
-        return out
+        return [ExtElement(self, code) for code in range(self.q)]
 
     def format(self, x) -> str:
-        terms = []
-        for e in range(self.k - 1, 0, -1):
-            c = x.c[e]
-            if c == 0:
-                continue
-            terms.append(("w^%d" % e) if c == 1 else ("%d*w^%d" % (c, e)))
-        if x.c[0] or not terms:
-            terms.append(str(x.c[0]))
+        c = self.coefficients(x)
+        terms = [("w^%d" % e) if c[e] == 1 else ("%d*w^%d" % (c[e], e)) for e in range(self.k - 1, 0, -1) if c[e]]
+        if c[0] or not terms:
+            terms.append(str(c[0]))
         return "+".join(terms) + " in GF(%d)" % self.q
 
     def parse(self, text: str):
@@ -466,12 +484,8 @@ def field_from_spec(spec: str):
         if q < 2:
             raise RingError("field size must be at least 2 (got %d)" % q)
         for p in (2, 3, 5):
-            k = 0
-            m = q
-            while m % p == 0:
-                m //= p
-                k += 1
-            if m == 1 and k >= 1:
+            k = len(base_digits(q, p)) - 1  # p^k <= q < p^(k+1)
+            if q == p**k:
                 return PrimeField(p) if k == 1 else ExtensionField(p, k)
         raise RingError("unsupported field size %d" % q)
     if spec.startswith("f"):
@@ -572,8 +586,6 @@ class ExactMatrix:
                             acc = acc + a * b
                     row.append(acc)
                 out.append(row)
-            if not cols:
-                out = [[] for _ in self.rows]
             return ExactMatrix(self.field, out)
         # scalar
         return ExactMatrix(self.field, [[a * other for a in r] for r in self.rows])
@@ -826,11 +838,8 @@ class TwistedPoly:
 
     def __add__(self, other):
         self._compat(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        z = self.field.zero()
-        a = list(self.coeffs) + [z] * (n - len(self.coeffs))
-        b = list(other.coeffs) + [z] * (n - len(other.coeffs))
-        return TwistedPoly(self.field, [x + y for x, y in zip(a, b)])
+        pairs = itertools.zip_longest(self.coeffs, other.coeffs, fillvalue=self.field.zero())
+        return TwistedPoly(self.field, [x + y for x, y in pairs])
 
     def __neg__(self):
         return TwistedPoly(self.field, [-x for x in self.coeffs])
@@ -850,13 +859,11 @@ class TwistedPoly:
         if size > TERM_CAP:
             raise RingError("a twisted product of %d coefficients exceeds %d" % (size, TERM_CAP))
         out = [self.field.zero()] * size
+        nonzero = [(j, b) for j, b in enumerate(other.coeffs) if b]
         for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if not b:
-                    continue
-                out[i + j] = out[i + j] + a * frobenius(b, i)
+            if a:
+                for j, b in nonzero:
+                    out[i + j] = out[i + j] + a * frobenius(b, i)
         return TwistedPoly(self.field, out)
 
     def __eq__(self, other):

@@ -113,6 +113,38 @@ def field_scalar(field, rng):
     return rng.choice(field.elements())
 
 
+def gf_oracle_mul(field, a, b):
+    """The product of two coefficient tuples of GF(p^k): schoolbook product, then reduction by the field's monic modulus."""
+    p, k, modulus = field.p, field.k, field.modulus
+    prod = [0] * (2 * k - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                prod[i + j] += ai * bj
+    for d in range(2 * k - 2, k - 1, -1):
+        c = prod[d] % p
+        if c:
+            for j in range(k):
+                prod[d - k + j] -= c * modulus[j]
+        prod[d] = 0
+    return tuple(v % p for v in prod[:k])
+
+
+def evaluate(a, point, field):
+    """ev_x(a) = sum_u c_u prod_g x_g^(u_g) in ``field``, a field containing a's prime field, x_g = point[g].
+
+    A coefficient c of F_p is the element field.from_int(c.v).  Uses only
+    the public arithmetic of ``field`` and of the element.
+    """
+    acc = field.zero()
+    for u, c in a.terms.items():
+        term = field.from_int(c.v)
+        for g, e in u.items:
+            term = term * point[g] ** e
+        acc = acc + term
+    return acc
+
+
 def rank_kernel_reference(field, rows, ncols, want_kernel=True):
     """rank_kernel_sparse as a plain scan over the rows, for differential tests.
 

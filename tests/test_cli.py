@@ -415,6 +415,14 @@ def test_twisted_power_reduces_the_frobenius_exponent(capsys):
     assert json.loads(capsys.readouterr().out)["command"] == "embed"
 
 
+def test_dense_twisted_embedding_is_not_quadratic(capsys):
+    """(1+t)^8191 over F_2 has 8192 terms, whose images X[(0)]^(2^j) hash apart and whose powers skip zero coefficients."""
+    with cpu_budget(2.0):
+        assert run_job(["embed", "--group", "zd:1", "--field", "f2", "--kind", "j", "--element", "(1+t)^8191*[(0)]"]) == 0
+    image = json.loads(capsys.readouterr().out)["image"]
+    assert image.count(" + ") == 8191 and image.endswith(" + X[(0)]")
+
+
 def test_malformed_rule_files_exit_2(tmp_path):
     no_payload = tmp_path / "no_payload.json"
     no_payload.write_text(json.dumps({"group": "zd:1", "variant": "linear"}))

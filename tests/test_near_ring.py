@@ -11,6 +11,7 @@ import sympy
 from support import (
     cpu_budget,
     cyclic_group,
+    evaluate,
     field_scalar,
     rand_exponent_vector,
     rand_group_element,
@@ -44,7 +45,7 @@ from groupca.rings import QQ, ExtensionField, PrimeField, TwistedPoly, rank_kern
 Z = ZdGroup(1)
 Z2 = ZdGroup(2)
 FREE2 = FreeGroup(2)
-F2, F3, F5 = PrimeField(2), PrimeField(3), PrimeField(5)
+F2, F3, F5, F7 = PrimeField(2), PrimeField(3), PrimeField(5), PrimeField(7)
 GF4 = ExtensionField(2, 2)
 
 
@@ -1287,3 +1288,115 @@ def test_finding_dataclass_shape():
     res = exhaustive_search("idempotent", F2, support_pm1(), 1)
     assert all(isinstance(f, Finding) for f in res.findings)
     assert res.space_size == 2 ** len(res.monomials)
+
+
+# -- the idempotent filter: evaluation at points of GF(p^k) -------------------
+
+# the field of the filter's points for each p: the largest shipped extension, and F_p itself for 7 and 13
+FILTER_FIELDS = {2: ExtensionField(2, 4), 3: ExtensionField(3, 4), 5: ExtensionField(5, 4), 7: F7, 13: PrimeField(13)}
+
+
+@pytest.mark.parametrize(
+    "group", [Z, Z2, FREE2, cyclic_group(3)], ids=["zd:1", "zd:2", "free:2", "cyclic:3"]
+)
+def test_evaluation_takes_substitution_to_evaluation_at_the_shifts(group):
+    """ev_x(alpha star beta) = sum_u a_u prod_g ev_x(shift(g, beta))^(u_g), the fact the idempotent filter rests on."""
+    rng = random.Random(21)
+    variables = list(ball(group, 2))  # alpha, beta and their shifts have variables in ball(1) and ball(1).ball(1)
+    for p, L in FILTER_FIELDS.items():
+        field, values = PrimeField(p), L.elements()
+        for _ in range(10):
+            alpha = rand_near_ring(group, field, rng, radius=1)
+            beta = alpha if rng.random() < 0.3 else rand_near_ring(group, field, rng, radius=1)
+            point = {g: rng.choice(values) for g in variables}
+            substituted = L.zero()
+            for u, c in alpha.terms.items():
+                term = L.from_int(c.v)
+                for g, e in u.items:
+                    term = term * evaluate(beta.shift(g), point, L) ** e
+                substituted = substituted + term
+            assert evaluate(alpha.star(beta), point, L) == substituted
+
+
+FILTER_SPACES = [
+    (F2, support_pm1(), 2),
+    (F2, FiniteSubset(Z2, [Z2.identity(), Z2.element((1, 0)), Z2.element((0, 1))]), 2),
+    (F2, ball(cyclic_group(3), 1), 2),
+    (F3, FiniteSubset(Z, [zel(0), zel(1)]), 2),
+    (F5, FiniteSubset(Z, [zel(0), zel(1)]), 2),
+    (F5, ball(FREE2, 1), 1),
+    (F7, support_pm1(), 1),
+    (PrimeField(13), support_pm1(), 1),
+]
+FILTER_IDS = ["F2-zd:1", "F2-zd:2", "F2-cyclic:3", "F3-zd:1", "F5-zd:1", "F5-free:2", "F7-zd:1", "F13-zd:1"]
+
+
+@pytest.mark.parametrize("field, support, degree", FILTER_SPACES, ids=FILTER_IDS)
+def test_filtered_idempotent_records_equal_unfiltered(monkeypatch, field, support, degree):
+    """The filter only skips alphas that are not idempotent: the records match a walk without points."""
+    fast = nr_mod._FastPoly("idempotent", field, support, degree)
+    ranges = [range(field.p ** len(fast.monomials))]
+    rejected = [index for index, digits in nr_mod._walk(fast, ranges) if fast.filter.rejecting_point(index, digits) is not None]
+    records = nr_mod._idempotents(fast, ranges)
+    monkeypatch.setattr(nr_mod, "FILTER_POINTS", 0)
+    unfiltered = nr_mod._FastPoly("idempotent", field, support, degree)
+    assert unfiltered.filter.points == []
+    assert nr_mod._idempotents(unfiltered, ranges) == records
+    admitted = sum(1 for _ in nr_mod._walk(fast, ranges))
+    assert records and len(rejected) >= 0.9 * (admitted - len(records))
+
+
+@pytest.mark.parametrize("field, support, degree", FILTER_SPACES, ids=FILTER_IDS)
+def test_rejected_alphas_fail_at_their_rejecting_point(field, support, degree):
+    """Each rejection is a certificate: at the rejecting point, alpha star alpha and alpha evaluate apart.
+
+    A seeded sample of alphas from the whole space is re-checked with the
+    public elements, the generic star and the field's own arithmetic, at the
+    point's coordinates on U = {e} u S u S.S in canonical order, without
+    _FastPoly's tables or the filter's.
+    """
+    p, group = field.p, support.group
+    monos = search_monomials(support, degree)
+    universe = FiniteSubset(group, [group.identity(), *support, *support.product(support)])
+    _, points = nr_mod.filter_points(p, len(universe), len(support), degree)
+    values = FILTER_FIELDS[p].elements()
+    fast = nr_mod._FastPoly("idempotent", field, support, degree)
+    rng = random.Random(17)
+    checked = 0
+    while checked < 30:
+        index = rng.randrange(p ** len(monos))
+        digits = nr_mod._index_to_digits(index, p, len(monos))
+        point = fast.filter.rejecting_point(index, digits)
+        if point is None:
+            continue
+        alpha = NearRingElement(group, field, {u: field.from_int(d) for u, d in zip(monos, digits) if d})
+        x = {g: values[code] for g, code in zip(universe, points[point])}
+        assert evaluate(alpha.star(alpha), x, FILTER_FIELDS[p]) != evaluate(alpha, x, FILTER_FIELDS[p]), digits
+        checked += 1
+
+
+def test_filter_points_follow_the_fixed_rule():
+    """The points depend on (p, |U|, |S|, d) alone, have nonzero coordinates in the largest shipped extension, and F7 uses F7."""
+    for p, L in FILTER_FIELDS.items():
+        k, points = nr_mod.filter_points(p, 9, 3, 2)
+        assert p**k == L.size() and len(points) == nr_mod.FILTER_POINTS
+        assert all(len(x) == 9 and all(0 < c < p**k for c in x) for x in points)
+        assert (k, points) == nr_mod.filter_points(p, 9, 3, 2) != nr_mod.filter_points(p, 9, 3, 1)
+    k, points = nr_mod.filter_points(1021, 3, 1, 1)  # the largest prime of a search space, p^2 <= 2^20
+    assert k == 1 and len(points) == nr_mod.FILTER_POINTS and all(0 < c < 1021 for x in points for c in x)
+
+
+def test_idempotent_search_over_fifteen_monomials_within_one_second():
+    """zd:1 support {-2..1} at degree 2 (m = 15, 12 288 alphas past eps) keeps its 3 idempotents."""
+    support = FiniteSubset(Z, [zel(n) for n in range(-2, 2)])
+    with cpu_budget(1.0):
+        result = exhaustive_search("idempotent", F2, support, 2)
+    assert len(result.monomials) == 15 and len(result.findings) == 3
+
+
+def test_monomials_with_huge_exponents_of_two_hash_apart():
+    """Ints hash modulo 2^61 - 1, so 2^j repeats every 61 values of j; the monomials X^(2^j) must not."""
+    vectors = [ExponentVector.unit(zel(0), 2**j) for j in range(300)]
+    assert len({hash(u) for u in vectors}) == 300
+    assert ExponentVector.unit(zel(0), 2**100) == ExponentVector(Z, {zel(0): 2**100})
+    assert hash(ExponentVector.unit(zel(0), 2**100)) == hash(ExponentVector(Z, {zel(0): 2**100}))

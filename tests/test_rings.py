@@ -1,14 +1,17 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
-from support import field_scalar, forbid_q_pivots, rank_kernel_reference, solve_reduced
+from support import field_scalar, forbid_q_pivots, gf_oracle_mul, rank_kernel_reference, solve_reduced
 
 from groupca.rings import (
-    _IRREDUCIBLE,
     CERTIFY_PRIME,
+    IRREDUCIBLE,
     QQ,
     Echelon,
     ExactMatrix,
@@ -33,7 +36,7 @@ GF4 = ExtensionField(2, 2)
 
 def test_shipped_moduli_are_irreducible():
     # brute force: no monic factor of degree <= k/2 divides the modulus
-    for (p, k), coeffs in _IRREDUCIBLE.items():
+    for (p, k), coeffs in IRREDUCIBLE.items():
         def polydiv_rem(a, b):
             a = list(a)
             while len(a) >= len(b):
@@ -51,6 +54,48 @@ def test_shipped_moduli_are_irreducible():
             for tail in itertools.product(range(p), repeat=d):
                 factor = list(tail) + [1]
                 assert polydiv_rem(coeffs, factor), (p, k, factor)
+
+
+SHIPPED_EXTENSIONS = [ExtensionField(p, k) for p, k in sorted(IRREDUCIBLE)]
+
+
+@pytest.mark.parametrize("field", SHIPPED_EXTENSIONS, ids=lambda field: field.spec_string())
+def test_int_coded_arithmetic_matches_the_polynomial_oracle(field):
+    """Sums and products on all q^2 pairs, and negations, inverses, p-th powers and texts, against coefficient tuples."""
+    p, k, q = field.p, field.k, field.q
+    elems = field.elements()
+    coeffs = [field.coefficients(x) for x in elems]
+    # elements() lists c_0 + c_1 w + ... + c_(k-1) w^(k-1) at index sum c_i p^i
+    assert coeffs == [tuple(i // p**j % p for j in range(k)) for i in range(q)]
+    index = {c: i for i, c in enumerate(coeffs)}
+    one = (1,) + (0,) * (k - 1)
+    for x, a in zip(elems, coeffs):
+        for y, b in zip(elems, coeffs):
+            assert x + y == elems[index[tuple((s + t) % p for s, t in zip(a, b))]], (x, y)
+            assert x * y == elems[index[gf_oracle_mul(field, a, b)]] and x - y == x + (-y), (x, y)
+        assert -x == elems[index[tuple(-s % p for s in a)]]
+        power = one
+        for _ in range(p):
+            power = gf_oracle_mul(field, power, a)
+        assert frobenius(x, 1) == elems[index[power]] and x ** p == frobenius(x, 1)
+        assert field.parse(field.format(x)) == x and hash(x) == hash((p, k, a))
+        if x:
+            assert gf_oracle_mul(field, a, field.coefficients(x.inverse())) == one
+            assert x ** (q - 1) == field.one() and x ** -1 == x.inverse()
+    assert field.zero() ** 0 == field.one() and field.zero() ** 3 == field.zero()
+
+
+def test_importing_groupca_builds_no_field_table():
+    """The exp, log and Zech tables are built on first use of a field, once per (p, k), never at import."""
+    code = (
+        "import groupca, groupca.near_ring, groupca.rings as rings\n"
+        "print(rings.field_tables.cache_info().currsize)\n"
+        "rings.ExtensionField(5, 4), rings.field_from_spec('gf625')\n"
+        "print(rings.field_tables.cache_info().currsize)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env).stdout
+    assert out.split() == ["0", "1"]
 
 
 def test_field_axioms_sampled():
@@ -113,7 +158,7 @@ def test_scalar_parse_format_round_trip():
 
 def test_extension_field_texts():
     """Every element of the nine shipped fields round-trips; malformed and foreign texts raise."""
-    for p, k in _IRREDUCIBLE:
+    for p, k in IRREDUCIBLE:
         field = ExtensionField(p, k)
         for x in field.elements():
             assert field.parse(field.format(x)) == x

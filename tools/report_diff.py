@@ -28,14 +28,20 @@ nontrivial units, idempotents and zero divisors, so a search that loses a
 finding changes the records.  A ninth, ``POOLED_SEARCH`` (162 unit
 findings), runs at ``--workers 2``: its first round of 9841 betas is
 large enough to be cut into chunks for a worker pool, so the pooled path is
-compared with findings too.  Each writes its ``--findings`` file into the
-temporary directory.  Then ``ca-step``, ``ca-compose`` and ``ca-invert`` run on the
-rule files of ``CA_RULES``, of all three kinds, among them the zero linear
-rule, a free:2 rule over GF(4), and a linear and a table rule whose memory
-lacks the identity, so that their M-interiors leave the pattern's domain:
+compared with findings too.  A tenth, ``FILTER_SEARCH``, looks for the
+idempotents over 15 monomials, where the point filter skips all but a few
+of its 12 288 alphas.  Each writes its ``--findings`` file into the
+temporary directory.  Two ``star`` and two ``embed`` jobs follow for each
+of the seven shipped extensions that no workload job reaches
+(``EXTENSION_FIELDS``), with powers in their texts, so that near-ring,
+group-ring and twisted powers are compared on int-coded fields.  Then
+``ca-step``, ``ca-compose`` and ``ca-invert`` run on the rule files of
+``CA_RULES``, of all three kinds, among them the zero linear rule, a
+free:2 rule over GF(4), and a linear and a table rule whose memory lacks
+the identity, so that their M-interiors leave the pattern's domain:
 each rule steps its pattern in minus mode and in plus mode at ``--window``
 0 and 1 (24 jobs), ``CA_COMPOSE`` composes rules of one kind and of two
-kinds (9 jobs) and ``CA_INVERT`` inverts three of them.  That makes 1127
+kinds (9 jobs) and ``CA_INVERT`` inverts three of them.  That makes 1156
 jobs for every seed.  It runs every job through
 ``groupca.cli.run_job`` twice, each time in one fresh interpreter: once on
 REF's ``src/`` (extracted with ``git archive``) and once on this
@@ -110,6 +116,18 @@ CYCLIC_SEARCHES = (
 )
 # a search with findings whose first round forks a worker pool at SEARCH_WORKERS
 POOLED_SEARCH = ("units", "cyclic:3", "f3", 2)
+# an idempotent search over m = 15 monomials, 12 288 alphas past eps, whose 3 findings the point filter must keep
+FILTER_SEARCH = ["idem", "--group", "zd:1", "--field", "f2", "--degree", "2", "--support=(-2);(-1);(0);(1)"]
+# the shipped extensions that no workload job reaches (those use gf9, and CA_RULES gf4), and texts with
+# powers for them: the near-ring and group-ring powers go by base-p digits through the Frobenius map,
+# and the twisted power through Frobenius-twisted products, all on int codes
+EXTENSION_FIELDS = ("gf8", "gf16", "gf27", "gf81", "gf25", "gf125", "gf625")
+EXTENSION_JOBS = (
+    ["star", "--group", "zd:1", "--alpha=(w*X[(0)] + X[(1)])^7 + w^2", "--beta=(X[(0)] + w)^2 + w^3*X[(-1)]"],
+    ["star", "--group", "free:2", "--alpha=X[a]^2*(w + X[b])^6", "--beta=w^2*X[1] + (X[a^-1] - w)^2"],
+    ["embed", "--group", "zd:1", "--kind", "iota", "--element=(w*[(0)] + [(1)])^5 + w^2*[(2)]"],
+    ["embed", "--group", "zd:2", "--kind", "j", "--element=(w + t)^7*[(1,0)] + w^3*t^2*[(0,1)]"],
+)
 # pattern domains: the radius-2 balls of Z, Z^2 and free:2; letter i ^ 1 is the inverse of letter i
 _LETTERS = ("a", "a^-1", "b", "b^-1")
 CA_DOMAINS = {
@@ -199,6 +217,8 @@ def build_jobs(seed, tmp):
         workers = ["--workers", str(SEARCH_WORKERS)] if i == len(CYCLIC_SEARCHES) else []
         argvs.append([cmd, "--group", group, "--field", field, "--degree", str(degree), "--radius", "1", *workers,
                       "--findings", "findings_%d.jsonl" % i])
+    argvs.append(FILTER_SEARCH + ["--findings", "findings_filter.jsonl"])
+    argvs.extend(job + ["--field", field] for field in EXTENSION_FIELDS for job in EXTENSION_JOBS)
     for fname in CA_RULES:
         rule, pattern = ca_files(fname)
         (tmp / "jobs" / fname).write_text(json.dumps(rule), encoding="utf-8")
