@@ -11,25 +11,21 @@ Polynomial rules are near-ring elements acting by substitution on scalar
 configurations; linear rules are finitely supported matrix symbols acting
 by convolution on vector configurations.  Both directions of the
 rule-to-automaton dictionaries live here: near-ring elements to polynomial
-automata (and syntactically back), and matrix group-ring elements to
-linear automata.
+automata, and matrix group-ring elements to linear automata and back.
 
 Each rule kind is one class that owns its memory, its local map on the
-cell values in memory order, the set its cell values come from, a random
-cell value, its JSON payload and its cell-value codec; evaluation,
-probing, composition checks and the JSON forms call those methods instead
-of testing which kind a rule is.
+cell values in memory order, the set its cell values come from, its JSON
+payload and its cell-value codec; evaluation, composition checks and the
+JSON forms call those methods instead of testing which kind a rule is.
 """
 
 from __future__ import annotations
 
 import itertools
-import random
-from dataclasses import dataclass
 
 from .expressions import format_element, parse_element
 from .group_ring import GroupRingElement
-from .groups import FiniteSubset, GroupElement, ball, parse_group_spec, subset_calculus
+from .groups import FiniteSubset, GroupElement, parse_group_spec, subset_calculus
 from .near_ring import NearRingElement
 from .rings import ExactMatrix, field_from_spec
 
@@ -58,11 +54,6 @@ class Pattern:
 
     def __getitem__(self, g):
         return self.values[g]
-
-    def translate(self, g: GroupElement):
-        """The shifted pattern (g p)(h) = p(g^-1 h) on the domain g*domain."""
-        vals = {g * h: v for h, v in self.values.items()}
-        return Pattern(FiniteSubset(self.domain.group, vals), vals)
 
     def __eq__(self, other):
         if not isinstance(other, Pattern):
@@ -101,9 +92,6 @@ class TableRule:
 
     def cells(self):
         return self.alphabet
-
-    def random_value(self, rng):
-        return rng.choice(self.alphabet)
 
     def format_value(self, value):
         return value
@@ -163,9 +151,6 @@ class LinearRule:
     def cells(self):
         return self.field, self.n
 
-    def random_value(self, rng):
-        return tuple(self.field.from_int(rng.randrange(-3, 4)) for _ in range(self.n))
-
     def format_value(self, value):
         return [self.field.format(x) for x in value]
 
@@ -213,9 +198,6 @@ class PolynomialRule:
 
     def cells(self):
         return self.field
-
-    def random_value(self, rng):
-        return self.field.from_int(rng.randrange(-3, 4))
 
     def format_value(self, value):
         return self.field.format(value)
@@ -314,17 +296,6 @@ def ca_from_polynomial(poly: NearRingElement) -> CellularAutomaton:
     return CellularAutomaton(poly.group, PolynomialRule(poly))
 
 
-def polynomial_of(ca: CellularAutomaton) -> NearRingElement:
-    """Read back the stored polynomial; purely syntactic.
-
-    Semantic identification is refused by design: over a finite field,
-    distinct polynomials can induce the same map on every window.
-    """
-    if not isinstance(ca.rule, PolynomialRule):
-        raise CAError("not a polynomial-rule automaton")
-    return ca.rule.poly
-
-
 def ca_from_group_ring(alpha: GroupRingElement) -> CellularAutomaton:
     """Linear automaton of a matrix group-ring element: x |-> sum_h alpha(h) x(g h)."""
     if alpha.shape is None:
@@ -336,90 +307,6 @@ def group_ring_of(ca: CellularAutomaton) -> GroupRingElement:
     if not isinstance(ca.rule, LinearRule):
         raise CAError("not a linear-rule automaton")
     return GroupRingElement(ca.group, ca.rule.field, dict(ca.rule.symbol), shape=ca.rule.n)
-
-
-@dataclass
-class MemoryReport:
-    memory: FiniteSubset
-    verified: bool
-
-
-def minimal_memory_set(ca: CellularAutomaton, probes: int = 8, seed: int = 0) -> MemoryReport:
-    """Memory set read from the rule, probed for minimality.
-
-    For linear and polynomial rules the declared support is returned and
-    probed: perturbing inputs at sampled points just outside the set must
-    not change the output at the identity, and each member must admit a
-    perturbation that does.  Table rules return their declared memory
-    unverified.
-    """
-    memory = ca.memory_set()
-    if isinstance(ca.rule, TableRule):
-        return MemoryReport(memory, False)
-    rng = random.Random(seed)
-    sample = ca.rule.random_value
-    group = ca.group
-    near = ball(group, 1).product(memory.union([group.identity()]))
-    outside = [g for g in near if g not in memory]
-    domain = memory.union(outside)
-
-    verified = True
-    for _ in range(probes):
-        base = {g: sample(rng) for g in domain}
-        ref = ca._evaluate_at(Pattern(domain, base), group.identity())
-        for g in outside:
-            changed = dict(base)
-            changed[g] = sample(rng)
-            if ca._evaluate_at(Pattern(domain, changed), group.identity()) != ref:
-                return MemoryReport(memory, False)
-    for g in memory:
-        hit = False
-        for _ in range(probes * 4):
-            base = {h: sample(rng) for h in domain}
-            changed = dict(base)
-            changed[g] = sample(rng)
-            ref = ca._evaluate_at(Pattern(domain, base), group.identity())
-            new = ca._evaluate_at(Pattern(domain, changed), group.identity())
-            if new != ref:
-                hit = True
-                break
-        if not hit:
-            verified = False
-    return MemoryReport(memory, verified)
-
-
-@dataclass
-class EquivarianceReport:
-    ok: bool
-    samples: int
-    witness: object = None
-
-
-def equivariance_check(ca, samples: int = 20, seed: int = 0, radius: int = 2) -> EquivarianceReport:
-    """Sampled check that shifting a pattern commutes with the automaton.
-
-    ``ca`` only needs apply_interior and a group; test fixtures may pass
-    position-dependent evaluators to exercise the failure path.
-    """
-    rng = random.Random(seed)
-    group = ca.group
-    memory = ca.memory_set()
-    shifts = list(ball(group, radius))
-    base_domain = ball(group, radius)
-    if len(memory):
-        base_domain = base_domain.product(memory.union([group.identity()]))
-
-    for i in range(samples):
-        pattern = Pattern(base_domain, {g: ca.rule.random_value(rng) for g in base_domain})
-        g = shifts[rng.randrange(len(shifts))]
-        out = ca.apply_interior(pattern)
-        shifted_out = ca.apply_interior(pattern.translate(g))
-        expected = out.translate(g)
-        common = shifted_out.domain.intersection(expected.domain)
-        for h in common:
-            if shifted_out[h] != expected[h]:
-                return EquivarianceReport(False, i + 1, witness=(g, h))
-    return EquivarianceReport(True, samples)
 
 
 # ---------------------------------------------------------------------------

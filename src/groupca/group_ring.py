@@ -2,19 +2,14 @@
 
 Elements are sparse maps from group elements to coefficients with the
 convolution product (a*b)(t) = sum_h a(h) b(h^-1 t).  The module also
-provides the entrywise transport between Mat_n(R)[G] and Mat_n(R[G]),
-one-sided-inverse audits, twisted group rings over K[t;F], and an
-exhaustive direct-finiteness scan for small finite coefficient rings.
+provides twisted group rings over K[t;F].
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-import random
-from dataclasses import dataclass
 
-from .groups import FiniteGroup, FiniteSubset, FreeGroup, GroupElement, ZdGroup
+from .groups import FiniteSubset, FreeGroup, GroupElement, ZdGroup
 from .rings import TERM_CAP, ExactMatrix, RingError, TwistedPoly, chain_products, frobenius, power
 
 
@@ -144,18 +139,6 @@ class GroupRingElement:
             out[h] = out[h] + c if h in out else c
         return GroupRingElement(self.group, self.field, out)
 
-    def scale(self, c):
-        if self.shape is None:
-            return GroupRingElement(
-                self.group, self.field, {g: v * c for g, v in self.coeffs.items()}
-            )
-        return GroupRingElement(
-            self.group,
-            self.field,
-            {g: v.scale(c) for g, v in self.coeffs.items()},
-            shape=self.shape,
-        )
-
     def __bool__(self):
         return bool(self.coeffs)
 
@@ -181,113 +164,6 @@ class GroupRingElement:
         from .expressions import format_element  # expressions imports this module
 
         return format_element(self)
-
-
-def gr_convolve(a: GroupRingElement, b: GroupRingElement) -> GroupRingElement:
-    return a * b
-
-
-def mat_transport(a: GroupRingElement):
-    """Mat_n(R)[G] -> Mat_n(R[G]): entry (i,j) collects the (i,j) entries of all coefficients."""
-    if a.shape is None:
-        return [[GroupRingElement(a.group, a.field, dict(a.coeffs))]]
-    n = a.shape
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            row.append(
-                GroupRingElement(
-                    a.group, a.field, {g: m.rows[i][j] for g, m in a.coeffs.items()}
-                )
-            )
-        out.append(row)
-    return out
-
-
-def transported_product(ta, tb):
-    """Multiply two matrices of scalar group-ring elements (for transport checks)."""
-    n = len(ta)
-    sample = ta[0][0]
-    zero = GroupRingElement.zero(sample.group, sample.field)
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            acc = zero
-            for k in range(n):
-                acc = acc + ta[i][k] * tb[k][j]
-            row.append(acc)
-        out.append(row)
-    return out
-
-
-@dataclass
-class InverseAudit:
-    verdict: str  # "not_one_sided" | "two_sided" | "direct_finiteness_violation"
-    witness: object = None  # group element where b*a differs from the identity
-
-
-def one_sided_inverse_audit(a: GroupRingElement, b: GroupRingElement) -> InverseAudit:
-    """If a*b = 1, check b*a = 1 and report a witness element on failure."""
-    ident = GroupRingElement.identity(a.group, a.field, a.shape)
-    if a * b != ident:
-        return InverseAudit("not_one_sided")
-    back = b * a
-    if back == ident:
-        return InverseAudit("two_sided")
-    diff = back - ident
-    witness = sorted(diff.coeffs, key=lambda e: e.sort_key())[0]
-    return InverseAudit("direct_finiteness_violation", witness=witness)
-
-
-def direct_finiteness_scan(group: FiniteGroup, field, shape=None, cap=2**20, samples=20000, seed=0):
-    """Scan pairs of a finite group ring for one-sided inverses that are not two-sided.
-
-    Enumerates every pair when the ring has at most ``cap`` elements,
-    otherwise samples pairs with a fixed seed.  Returns (pairs_checked,
-    one_sided_found, violations) where violations is a list of (a, b).
-    """
-    if not isinstance(group, FiniteGroup):
-        raise GroupRingError("exhaustive scan needs a finite group")
-    if field.size() is None:
-        raise GroupRingError("exhaustive scan needs a finite coefficient field")
-    n = 1 if shape is None else shape
-    slots = group.order * n * n
-    ring_size = field.size() ** slots
-    elems = group.elements()
-    scalars = field.elements()
-
-    def element_from_digits(digits):
-        if shape is None:
-            return GroupRingElement(group, field, dict(zip(elems, digits)))
-        coeffs = {}
-        for idx, g in enumerate(elems):
-            block = digits[idx * n * n : (idx + 1) * n * n]
-            coeffs[g] = ExactMatrix(field, [list(block[r * n : (r + 1) * n]) for r in range(n)])
-        return GroupRingElement(group, field, coeffs, shape=shape)
-
-    if ring_size * ring_size <= cap:
-        space = [element_from_digits(d) for d in itertools.product(scalars, repeat=slots)]
-        pairs = itertools.product(space, repeat=2)
-    else:
-        rng = random.Random(seed)
-
-        def draw():
-            return element_from_digits([scalars[rng.randrange(len(scalars))] for _ in range(slots)])
-
-        pairs = ((draw(), draw()) for _ in range(samples))
-    pairs_checked = 0
-    one_sided = 0
-    violations = []
-    for a, b in pairs:
-        pairs_checked += 1
-        audit = one_sided_inverse_audit(a, b)
-        if audit.verdict != "not_one_sided":
-            one_sided += 1
-        if audit.verdict == "direct_finiteness_violation":
-            violations.append((a, b))
-    return pairs_checked, one_sided, violations
 
 
 class TwistedGroupRingElement:

@@ -557,24 +557,6 @@ def ball(group, radius: int, gens=None) -> FiniteSubset:
     return FiniteSubset(group, ball_plan(group, radius, tuple(gens)).elements)
 
 
-def word_distance(g: GroupElement, h: GroupElement = None, gens=None) -> int:
-    """d_S(g, h): the first radius whose (uncached) ball plan holds g^-1 h, with closed forms for default S."""
-    group = g.group
-    target = g.inverse() * h if h is not None else g
-    if gens is None:
-        if isinstance(group, ZdGroup):
-            return sum(abs(x) for x in target.value)
-        if isinstance(group, FreeGroup):
-            return len(target.value)
-        gens = group.generators()
-    for r in itertools.count():
-        plan = BallPlan(group, r, gens)
-        if target in plan.index:
-            return r
-        if not plan.outside:  # the ball is the whole generated subgroup
-            raise GroupError("element not generated by the given set")
-
-
 def box_window(group: ZdGroup, radius: int) -> FiniteSubset:
     """Box [-r, r]^d; the window chain used for Z^d checks."""
     if not isinstance(group, ZdGroup):
@@ -700,11 +682,3 @@ class MagnusOrder:
     def less(self, g, h) -> bool:
         return self.compare(g, h) < 0
 
-
-def default_order(group):
-    """The bi-invariant order shipped for a group kind, if any."""
-    if isinstance(group, ZdGroup):
-        return LexOrder(group)
-    if isinstance(group, FreeGroup):
-        return MagnusOrder(group)
-    raise GroupError("no bi-invariant order shipped for %r" % group)

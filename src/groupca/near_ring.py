@@ -43,6 +43,10 @@ from .rings import frobenius, log_add, power, scalar_inverse
 
 
 _HASH_MODULUS = sys.hash_info.modulus
+# most decimal digits of an exponent in a monomial's text: the interpreter's own
+# int-to-text limit, 4300 by default, would otherwise refuse it in its own terms
+EXPONENT_DIGITS = 4300
+_EXPONENT_BOUND = 10**EXPONENT_DIGITS
 
 
 class NearRingError(ValueError):
@@ -158,6 +162,8 @@ class ExponentVector:
             name = names.get(g.value)
             if name is None:
                 name = names[g.value] = "X[%s]" % g
+            if e >= _EXPONENT_BOUND:
+                raise NearRingError("the exponent of %s has more than %d digits, the most a text may hold" % (name, EXPONENT_DIGITS))
             out.append(name if e == 1 else "%s^%d" % (name, e))
         return "*".join(out) or "1"
 
@@ -363,12 +369,6 @@ class NearRingElement:
     def constant_coefficient(self):
         return self.terms.get(ExponentVector.empty(self.group), self.field.zero())
 
-    def coefficient_sum(self):
-        acc = self.field.zero()
-        for c in self.terms.values():
-            acc = acc + c
-        return acc
-
     def star(self, other: "NearRingElement") -> "NearRingElement":
         """Substitution product: replace X_g in self by shift(g, other)."""
         out = {}
@@ -414,26 +414,8 @@ def star(a: NearRingElement, b: NearRingElement) -> NearRingElement:
     return a.star(b)
 
 
-def exp_convolve(u: ExponentVector, v: ExponentVector) -> ExponentVector:
-    return u.convolve(v)
-
-
 def shift(g: GroupElement, a: NearRingElement) -> NearRingElement:
     return a.shift(g)
-
-
-def polynomial_apply(coeffs, a: NearRingElement) -> NearRingElement:
-    """Evaluate c_0 + sum_{n>=1} c_n a^(star n); coeffs listed from degree 0 up."""
-    coeffs = list(coeffs)
-    if not coeffs:
-        raise NearRingError("empty coefficient list")
-    out = {ExponentVector.empty(a.group): coeffs[0]}
-    power = None
-    for n, c in enumerate(coeffs[1:], start=1):
-        power = a if n == 1 else a.star(power)
-        if c:
-            _accumulate(out, power, c)
-    return NearRingElement._trusted(a.group, a.field, out)
 
 
 # ---------------------------------------------------------------------------
@@ -491,19 +473,16 @@ class MonomialOrder:
     def less(self, u, v) -> bool:
         return self.compare(u, v) < 0
 
-    def leading_term(self, a: NearRingElement):
-        """Order-maximal monomial and its coefficient; errors on the zero element."""
-        if not a:
-            raise NearRingError("zero element has no leading term")
-        best = None
-        for u in a.terms:
-            if best is None or self.less(best, u):
-                best = u
-        return a.terms[best], best
-
 
 def leading_term(a: NearRingElement, order: MonomialOrder):
-    return order.leading_term(a)
+    """Order-maximal monomial of ``a`` and its coefficient; errors on the zero element."""
+    if not a:
+        raise NearRingError("zero element has no leading term")
+    best = None
+    for u in a.terms:
+        if best is None or order.less(best, u):
+            best = u
+    return a.terms[best], best
 
 
 # ---------------------------------------------------------------------------

@@ -506,17 +506,6 @@ def frobenius(a, n: int):
     raise RingError("not a scalar: %r" % (a,))
 
 
-def scalar_field(x):
-    """Field object a scalar belongs to."""
-    if isinstance(x, Fraction):
-        return QQ
-    if isinstance(x, FpElement):
-        return PrimeField(x.p)
-    if isinstance(x, ExtElement):
-        return x.field
-    raise RingError("not a scalar: %r" % (x,))
-
-
 # ---------------------------------------------------------------------------
 # exact matrices
 
@@ -537,15 +526,6 @@ class ExactMatrix:
     def identity(cls, field, n):
         z, o = field.zero(), field.one()
         return cls(field, [[o if i == j else z for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def zeros(cls, field, nrows, ncols):
-        z = field.zero()
-        return cls(field, [[z] * ncols for _ in range(nrows)])
-
-    @classmethod
-    def from_ints(cls, field, rows):
-        return cls(field, [[field.from_int(v) for v in r] for r in rows])
 
     def __add__(self, other):
         self._compat(other)
@@ -590,12 +570,6 @@ class ExactMatrix:
         # scalar
         return ExactMatrix(self.field, [[a * other for a in r] for r in self.rows])
 
-    def scale(self, c):
-        return ExactMatrix(self.field, [[a * c for a in r] for r in self.rows])
-
-    def transpose(self):
-        return ExactMatrix(self.field, [list(c) for c in zip(*self.rows)]) if self.rows and self.ncols else ExactMatrix.zeros(self.field, self.ncols, self.nrows)
-
     def apply(self, vec):
         if len(vec) != self.ncols:
             raise RingError("vector length mismatch")
@@ -622,16 +596,6 @@ class ExactMatrix:
 
     def __hash__(self):
         return hash((self.nrows, self.ncols, tuple(tuple(r) for r in self.rows)))
-
-    def rank_kernel(self):
-        """Rank and a deterministic reduced-echelon kernel basis."""
-        sparse = [{j: v for j, v in enumerate(r) if v} for r in self.rows]
-        return rank_kernel_sparse(self.field, sparse, self.ncols, want_kernel=True)
-
-    def rank(self) -> int:
-        sparse = [{j: v for j, v in enumerate(r) if v} for r in self.rows]
-        rank, _ = rank_kernel_sparse(self.field, sparse, self.ncols, want_kernel=False)
-        return rank
 
     def __repr__(self):
         return "ExactMatrix(%dx%d over %r)" % (self.nrows, self.ncols, self.field)
@@ -790,13 +754,6 @@ def scalar_inverse(x):
     return x.inverse()
 
 
-def matrix_rank_kernel(m: ExactMatrix):
-    """Public rank/kernel oracle: rank plus reduced-echelon kernel basis."""
-    if not isinstance(m.field, (Rationals, PrimeField, ExtensionField)):
-        raise RingError("rank/kernel requires a field")
-    return m.rank_kernel()
-
-
 # ---------------------------------------------------------------------------
 # twisted polynomials K[t;F], t*a = a^p*t
 
@@ -888,10 +845,6 @@ class TwistedPoly:
                 tpow = "t" if i == 1 else "t^%d" % i
                 parts.append(tpow if c == self.field.one() else "(%r)*%s" % (c, tpow))
         return " + ".join(parts)
-
-
-def twisted_multiply(a: TwistedPoly, b: TwistedPoly) -> TwistedPoly:
-    return a * b
 
 
 def exact_decimal(x: Fraction, places: int = 6) -> str:

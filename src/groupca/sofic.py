@@ -22,7 +22,6 @@ from fractions import Fraction
 
 from .groups import (
     BALL_CAP,
-    BallPlan,  # noqa: F401  (exported with ball_iso, which replays it)
     FiniteGroup,
     FreeGroup,
     ZdGroup,
@@ -73,14 +72,6 @@ class LabeledGraph:
 
     def step(self, v, s):
         return self.step_maps.get(s, {}).get(v)
-
-    def edges(self):
-        for s in self.labels:
-            for v, w in sorted(self.step_maps.get(s, {}).items()):
-                yield (v, s, w)
-
-    def edge_count(self):
-        return sum(len(self.step_maps.get(s, {})) for s in self.labels)
 
     def ball_vertices(self, v, r):
         """BFS ball in the graph metric (labels are symmetric, so this is undirected)."""
@@ -393,14 +384,6 @@ def graph_ca_rank_audit(graph: LabeledGraph, ca, r: int, left_inverse=None) -> R
 
 # ---------------------------------------------------------------------------
 # graph files
-
-
-def graph_to_text(graph: LabeledGraph) -> str:
-    lines = ["labels: " + " ".join(str(s) for s in graph.labels)]
-    lines.append("vertices: %d" % graph.n)
-    for v, s, w in graph.edges():
-        lines.append("%d %s %d" % (v, s, w))
-    return "\n".join(lines) + "\n"
 
 
 def graph_from_text(group, text: str) -> LabeledGraph:

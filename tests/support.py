@@ -4,7 +4,7 @@ import contextlib
 import signal
 from fractions import Fraction
 
-from groupca.ca import CellularAutomaton, LinearRule, Pattern, compose, group_ring_of
+from groupca.ca import CellularAutomaton, LinearRule, Pattern, TableRule, compose, group_ring_of
 from groupca.groups import FiniteGroup, FreeGroup, ZdGroup, ball
 from groupca.linear_ca import LeftInverseReport, PreInjectivityReport, SurjectivityReport, chain_window, window_matrix
 from groupca.near_ring import ExponentVector, NearRingElement
@@ -295,18 +295,19 @@ def left_inverse_reference(ca, r_max):
 # linear fixture suite (10 automata over Z and Z^2)
 
 
-def _mat(field, rows):
-    return ExactMatrix.from_ints(field, rows)
+def from_ints(field, rows):
+    """The matrix over ``field`` of a table of ints."""
+    return ExactMatrix(field, [[field.from_int(v) for v in r] for r in rows])
 
 
 def z_fixtures():
     Z = ZdGroup(1)
     el = lambda n: Z.element((n,))
     F = QQ
-    identity = CellularAutomaton(Z, LinearRule(1, F, {el(0): _mat(F, [[1]])}))
-    shift = CellularAutomaton(Z, LinearRule(1, F, {el(1): _mat(F, [[1]])}))
+    identity = CellularAutomaton(Z, LinearRule(1, F, {el(0): from_ints(F, [[1]])}))
+    shift = CellularAutomaton(Z, LinearRule(1, F, {el(1): from_ints(F, [[1]])}))
     diff = CellularAutomaton(
-        Z, LinearRule(1, F, {el(0): _mat(F, [[-1]]), el(1): _mat(F, [[1]])})
+        Z, LinearRule(1, F, {el(0): from_ints(F, [[-1]]), el(1): from_ints(F, [[1]])})
     )
     rank1 = CellularAutomaton(
         Z,
@@ -314,16 +315,16 @@ def z_fixtures():
             2,
             F,
             {
-                el(0): _mat(F, [[1, 0], [0, 0]]),
-                el(1): _mat(F, [[0, 1], [1, 0]]),
-                el(2): _mat(F, [[0, 0], [0, 1]]),
+                el(0): from_ints(F, [[1, 0], [0, 0]]),
+                el(1): from_ints(F, [[0, 1], [1, 0]]),
+                el(2): from_ints(F, [[0, 0], [0, 1]]),
             },
         ),
     )
     pair_tau = CellularAutomaton(
         Z,
         LinearRule(
-            2, F, {el(0): ExactMatrix.identity(F, 2), el(1): _mat(F, [[0, 1], [0, 0]])}
+            2, F, {el(0): ExactMatrix.identity(F, 2), el(1): from_ints(F, [[0, 1], [0, 0]])}
         ),
     )
     return {
@@ -343,7 +344,7 @@ def pair_sigma():
         LinearRule(
             2,
             QQ,
-            {el(0): ExactMatrix.identity(QQ, 2), el(1): _mat(QQ, [[0, -1], [0, 0]])},
+            {el(0): ExactMatrix.identity(QQ, 2), el(1): from_ints(QQ, [[0, -1], [0, 0]])},
         ),
     )
 
@@ -352,10 +353,10 @@ def z2_fixtures():
     Z2 = ZdGroup(2)
     el = lambda x, y: Z2.element((x, y))
     F2, F3 = PrimeField(2), PrimeField(3)
-    identity_f3 = CellularAutomaton(Z2, LinearRule(1, F3, {el(0, 0): _mat(F3, [[1]])}))
-    shift_e1 = CellularAutomaton(Z2, LinearRule(1, QQ, {el(1, 0): _mat(QQ, [[1]])}))
+    identity_f3 = CellularAutomaton(Z2, LinearRule(1, F3, {el(0, 0): from_ints(F3, [[1]])}))
+    shift_e1 = CellularAutomaton(Z2, LinearRule(1, QQ, {el(1, 0): from_ints(QQ, [[1]])}))
     diff_e1 = CellularAutomaton(
-        Z2, LinearRule(1, QQ, {el(0, 0): _mat(QQ, [[-1]]), el(1, 0): _mat(QQ, [[1]])})
+        Z2, LinearRule(1, QQ, {el(0, 0): from_ints(QQ, [[-1]]), el(1, 0): from_ints(QQ, [[1]])})
     )
     zero = CellularAutomaton(Z2, LinearRule(1, QQ, {}))
     corner_f2 = CellularAutomaton(
@@ -363,7 +364,7 @@ def z2_fixtures():
         LinearRule(
             1,
             F2,
-            {el(0, 0): _mat(F2, [[1]]), el(1, 0): _mat(F2, [[1]]), el(0, 1): _mat(F2, [[1]])},
+            {el(0, 0): from_ints(F2, [[1]]), el(1, 0): from_ints(F2, [[1]]), el(0, 1): from_ints(F2, [[1]])},
         ),
     )
     return {
@@ -468,3 +469,27 @@ def perturb_graph(graph, rng, moves):
         bwd[d], bwd[b] = a, c
     meta = dict(graph.meta, perturbed=moves)
     return LabeledGraph(graph.group, graph.labels, graph.n, steps, meta=meta)
+
+
+def graph_edges(graph):
+    """Every edge (v, s, w) of a labeled graph, by label and then by v."""
+    for s in graph.labels:
+        for v, w in sorted(graph.step_maps.get(s, {}).items()):
+            yield (v, s, w)
+
+
+def graph_to_text(graph):
+    """The graph-file text of a labeled graph, as ``sofic.graph_from_text`` reads it."""
+    lines = ["labels: " + " ".join(str(s) for s in graph.labels), "vertices: %d" % graph.n]
+    lines += ["%d %s %d" % edge for edge in graph_edges(graph)]
+    return "\n".join(lines) + "\n"
+
+
+def random_cell_value(rule, rng):
+    """A random value of one cell of ``rule``: a symbol of its alphabet, or scalars drawn from -3..3."""
+    if isinstance(rule, TableRule):
+        return rng.choice(rule.alphabet)
+    scalar = rule.field.from_int
+    if isinstance(rule, LinearRule):
+        return tuple(scalar(rng.randrange(-3, 4)) for _ in range(rule.n))
+    return scalar(rng.randrange(-3, 4))

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from support import rand_group_ring, rand_near_ring
+from support import from_ints, rand_group_ring, rand_near_ring, random_cell_value
 
 from groupca.ca import (
     CAError,
@@ -16,12 +16,9 @@ from groupca.ca import (
     ca_from_group_ring,
     ca_from_polynomial,
     compose,
-    equivariance_check,
     group_ring_of,
-    minimal_memory_set,
     pattern_from_json,
     pattern_to_json,
-    polynomial_of,
     rule_from_json,
     rule_to_json,
 )
@@ -53,7 +50,7 @@ def qpat(pairs):
 
 def pair_tau_sigma():
     ident = ExactMatrix.identity(QQ, 2)
-    upper = ExactMatrix.from_ints(QQ, [[0, 1], [0, 0]])
+    upper = from_ints(QQ, [[0, 1], [0, 0]])
     tau = CellularAutomaton(Z, LinearRule(2, QQ, {zel(0): ident, zel(1): upper}))
     sigma = CellularAutomaton(Z, LinearRule(2, QQ, {zel(0): ident, zel(1): -upper}))
     return tau, sigma
@@ -107,7 +104,7 @@ def test_compose_shifts_to_identity():
     left = ca_from_polynomial(X(1, field=QQ))
     right = ca_from_polynomial(X(-1, field=QQ))
     comp = compose(left, right)
-    assert polynomial_of(comp) == X(0)
+    assert comp.rule.poly == X(0)
 
 
 def test_compose_pair_both_orders_identity():
@@ -121,8 +118,8 @@ def test_compose_polynomial_matches_star():
     a = ca_from_polynomial(X(0, 2))
     b = ca_from_polynomial(X(1))
     comp = compose(a, b)
-    assert polynomial_of(comp) == X(1, 2)
-    assert polynomial_of(comp) == star(X(0, 2), X(1))
+    assert comp.rule.poly == X(1, 2)
+    assert comp.rule.poly == star(X(0, 2), X(1))
 
 
 def test_compose_agrees_with_chained_windows():
@@ -236,7 +233,7 @@ def test_phi_injective_over_q_and_not_over_fp():
     Fp = PrimeField(p_char)
     lhs = ca_from_polynomial(NearRingElement.variable(zel(0), Fp, p_char))
     rhs = ca_from_polynomial(NearRingElement.variable(zel(0), Fp, 1))
-    assert polynomial_of(lhs) != polynomial_of(rhs)
+    assert lhs.rule.poly != rhs.rule.poly
     for v in range(p_char):
         pat = Pattern(fsub(0), {zel(0): Fp.from_int(v)})
         assert lhs.apply_interior(pat).values == rhs.apply_interior(pat).values
@@ -271,22 +268,6 @@ def test_psi_multiplicative_random():
     assert ca_from_group_ring(a * b).memory_set() == (a * b).support()
 
 
-def test_minimal_memory_set():
-    alpha = X(1) ** 3 * X(0) + NearRingElement.one(Z, QQ)
-    report = minimal_memory_set(ca_from_polynomial(alpha))
-    assert set(report.memory) == set(fsub(0, 1))
-    assert report.verified
-
-    tau, _ = pair_tau_sigma()
-    report = minimal_memory_set(tau)
-    assert set(report.memory) == set(fsub(0, 1))
-    assert report.verified
-
-    table = CellularAutomaton(Z, TableRule([0, 1], fsub(0), {(0,): 0, (1,): 1}))
-    report = minimal_memory_set(table)
-    assert not report.verified
-
-
 def test_locality_probe():
     rng = random.Random(5)
     alpha = X(1, field=F5) * X(0, field=F5)
@@ -303,11 +284,33 @@ def test_locality_probe():
             assert ca._evaluate_at(Pattern(domain, changed), zel(0)) == ref
 
 
+def _translated(pattern, g):
+    """The shifted pattern (g p)(h) = p(g^-1 h) on the domain g*domain."""
+    values = {g * h: v for h, v in pattern.values.items()}
+    return Pattern(FiniteSubset(pattern.domain.group, values), values)
+
+
+def _shift_mismatch(ca, samples, seed, radius=2):
+    """A (shift, point) where stepping a shifted pattern differs from shifting the stepped one, or None."""
+    rng = random.Random(seed)
+    group = ca.group
+    shifts = list(ball(group, radius))
+    domain = ball(group, radius).product(ca.memory_set().union([group.identity()]))
+    for _ in range(samples):
+        pattern = Pattern(domain, {g: random_cell_value(ca.rule, rng) for g in domain})
+        g = shifts[rng.randrange(len(shifts))]
+        shifted_out = ca.apply_interior(_translated(pattern, g))
+        expected = _translated(ca.apply_interior(pattern), g)
+        for h in shifted_out.domain.intersection(expected.domain):
+            if shifted_out[h] != expected[h]:
+                return g, h
+    return None
+
+
 def test_equivariance_pass_and_fail():
-    shift_ca = ca_from_polynomial(X(1))
-    assert equivariance_check(shift_ca, samples=20, seed=0).ok
+    assert _shift_mismatch(ca_from_polynomial(X(1)), samples=20, seed=0) is None
     tau, _ = pair_tau_sigma()
-    assert equivariance_check(tau, samples=100, seed=1).ok
+    assert _shift_mismatch(tau, samples=100, seed=1) is None
 
     class PositionDependent(CellularAutomaton):
         def _evaluate_at(self, pattern, g):
@@ -316,10 +319,7 @@ def test_equivariance_pass_and_fail():
                 return value + Fraction(1)
             return value
 
-    broken = PositionDependent(Z, PolynomialRule(X(0)))
-    report = equivariance_check(broken, samples=50, seed=2)
-    assert not report.ok
-    assert report.witness is not None
+    assert _shift_mismatch(PositionDependent(Z, PolynomialRule(X(0))), samples=50, seed=2) is not None
 
 
 def test_rule_json_round_trips():
@@ -330,7 +330,7 @@ def test_rule_json_round_trips():
 
     poly_ca = ca_from_polynomial(X(1) ** 2 - X(0))
     doc = rule_to_json(poly_ca)
-    assert polynomial_of(rule_from_json(doc)) == polynomial_of(poly_ca)
+    assert rule_from_json(doc).rule.poly == poly_ca.rule.poly
 
     table = CellularAutomaton(Z, TableRule([0, 1], fsub(0, 1), {
         k: (k[0] + k[1]) % 2 for k in itertools.product([0, 1], repeat=2)
@@ -355,7 +355,7 @@ def test_rule_kinds_own_their_values_and_payloads():
     for ca in (tau, ca_from_polynomial(X(1, field=F5) ** 2), table, zero):
         rule = ca.rule
         for _ in range(10):
-            value = rule.random_value(rng)
+            value = random_cell_value(rule, rng)
             assert rule.parse_value(rule.format_value(value)) == value
         assert type(rule).from_payload(Z, rule.payload()).payload() == rule.payload()
         assert rule_to_json(rule_from_json(rule_to_json(ca))) == rule_to_json(ca)

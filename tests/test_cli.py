@@ -6,7 +6,7 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from support import SELF_INVERSE_LOOP_5, cpu_budget, pair_sigma, z_fixtures
+from support import SELF_INVERSE_LOOP_5, cpu_budget, graph_to_text, pair_sigma, z_fixtures
 
 from groupca import __version__, cli
 from groupca.ca import rule_to_json
@@ -423,6 +423,14 @@ def test_dense_twisted_embedding_is_not_quadratic(capsys):
     assert image.count(" + ") == 8191 and image.endswith(" + X[(0)]")
 
 
+def test_an_image_exponent_past_the_text_bound_exits_2(capsys):
+    """(1+t)^16383 maps t^16383 to X[(0)]^(2^16383), an exponent of 4932 digits: past EXPONENT_DIGITS = 4300."""
+    assert run_job(["embed", "--group", "zd:1", "--field", "f2", "--kind", "j", "--element", "(1+t)^16383*[(0)]"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the exponent of X[(0)] has more than 4300 digits, the most a text may hold\n"
+
+
 def test_malformed_rule_files_exit_2(tmp_path):
     no_payload = tmp_path / "no_payload.json"
     no_payload.write_text(json.dumps({"group": "zd:1", "variant": "linear"}))
@@ -463,7 +471,7 @@ def test_element_texts_starting_with_minus(tmp_path):
 
 def test_graph_file_input(tmp_path):
     from groupca.groups import ZdGroup
-    from groupca.sofic import cycle_graph, graph_to_text
+    from groupca.sofic import cycle_graph
 
     gpath = tmp_path / "g.txt"
     gpath.write_text(graph_to_text(cycle_graph(ZdGroup(1), 10)))

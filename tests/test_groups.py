@@ -19,11 +19,9 @@ from groupca.groups import (
     ball,
     ball_plan,
     box_window,
-    default_order,
     folner_box,
     parse_group_spec,
     subset_calculus,
-    word_distance,
 )
 from groupca.rings import power
 
@@ -215,32 +213,22 @@ def _bfs_distance(group, gens, target):
 
 
 def test_word_metric_properties_and_bfs_oracle():
-    rng = random.Random(2)
+    """Balls are the word metric's: g is in ball(r) exactly when a breadth-first search reaches it in r steps."""
     for group in (Z2, F2, Z4):
         gens = group.generators()
-        elems = list(ball(group, 2))
-        for _ in range(40):
-            g, h, k = (elems[rng.randrange(len(elems))] for _ in range(3))
-            dgh = word_distance(g, h)
-            assert dgh == word_distance(h, g)
-            assert word_distance(g, k) <= dgh + word_distance(h, k)
-            assert dgh == _bfs_distance(group, gens, g.inverse() * h)
-
-
-def test_word_distance_with_explicit_generators():
+        elems = list(ball(group, 3))
+        for r in range(3):
+            inner = ball(group, r)
+            assert set(inner) == {g for g in elems if _bfs_distance(group, gens, g) <= r}
+            assert set(inner.inverses()) == set(inner)
+            assert set(inner.product(ball(group, 1))) == set(ball(group, r + 1))
+    # explicit generators; on C6 the even ones stop at the subgroup they generate
     gens = [zel(2), zel(-2), zel(3), zel(-3)]
-    for n in range(-12, 13):
-        assert word_distance(zel(n), gens=gens) == _bfs_distance(Z, gens, zel(n))
-    assert word_distance(zel(1), zel(6), gens=gens) == 2
+    for r in range(4):
+        assert {g.value[0] for g in ball(Z, r, gens)} == {n for n in range(-12, 13) if _bfs_distance(Z, gens, zel(n)) <= r}
     z6 = FiniteGroup.cyclic(6)
     evens = [z6.element(2), z6.element(4)]
-    for n in (0, 2, 4):
-        assert word_distance(z6.element(n), gens=evens) == _bfs_distance(z6, evens, z6.element(n))
-    for n in (1, 3, 5):
-        with pytest.raises(GroupError):
-            word_distance(z6.element(n), gens=evens)
-    with pytest.raises(GroupError):
-        word_distance(z6.element(0), z6.element(3), gens=evens)
+    assert set(ball(z6, 5, evens)) == {z6.element(n) for n in (0, 2, 4)}
 
 
 def test_lex_order_examples():
@@ -432,6 +420,3 @@ def test_element_text_round_trip():
 def test_box_window():
     w = box_window(Z2, 1)
     assert len(w) == 9
-    assert default_order(Z) is not None
-    with pytest.raises(GroupError):
-        default_order(Z4)

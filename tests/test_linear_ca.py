@@ -7,6 +7,7 @@ from support import (
     fixture_suite,
     forbid_q_pivots,
     free2,
+    from_ints,
     left_inverse_reference,
     pair_sigma,
     preinjectivity_reference,
@@ -220,14 +221,14 @@ def test_find_left_inverse_diff_never():
 def test_non_homothety_one_cell_automaton():
     # an invertible matrix at the identity that is not a scalar multiple of
     # the identity: invertible at radius 0, yet not an affine shift
-    m = ExactMatrix.from_ints(QQ, [[1, 1], [0, 1]])
+    m = from_ints(QQ, [[1, 1], [0, 1]])
     ca = CellularAutomaton(Z, LinearRule(2, QQ, {zel(0): m}))
     report = find_left_inverse(ca, 2)
     assert report.found and report.radius == 0
     inv_symbol = report.inverse.rule.symbol[zel(0)]
-    assert inv_symbol == ExactMatrix.from_ints(QQ, [[1, -1], [0, 1]])
+    assert inv_symbol == from_ints(QQ, [[1, -1], [0, 1]])
     diag = m.rows[0][0]
-    assert m != ExactMatrix.identity(QQ, 2).scale(diag)
+    assert m != ExactMatrix.identity(QQ, 2) * diag
 
 
 def _chain_rules():
@@ -239,7 +240,7 @@ def _chain_rules():
     z/rank1_2x2 along a, so its first rank-deficient window is the
     radius-1 ball; free2/w_shift_gf4 has a left inverse of radius 1.
     """
-    mat = lambda rows: ExactMatrix.from_ints(QQ, rows)
+    mat = lambda rows: from_ints(QQ, rows)
     F = free2()
     a = F.parse_element("a")
     gf4 = ExtensionField(2, 2)
@@ -442,7 +443,7 @@ def test_window_eliminations_match_reference_scan():
 def _scaled(ca, c):
     """The linear automaton with every symbol entry multiplied by ``c``."""
     rule = ca.rule
-    return CellularAutomaton(ca.group, LinearRule(rule.n, rule.field, {g: m.scale(c) for g, m in rule.symbol.items()}))
+    return CellularAutomaton(ca.group, LinearRule(rule.n, rule.field, {g: m * c for g, m in rule.symbol.items()}))
 
 
 def test_certified_window_ranks_match_reference_scan():

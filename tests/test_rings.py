@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from support import field_scalar, forbid_q_pivots, gf_oracle_mul, rank_kernel_reference, solve_reduced
+from support import field_scalar, forbid_q_pivots, from_ints, gf_oracle_mul, rank_kernel_reference, solve_reduced
 
 from groupca.rings import (
     CERTIFY_PRIME,
@@ -23,11 +23,8 @@ from groupca.rings import (
     exact_decimal,
     field_from_spec,
     frobenius,
-    matrix_rank_kernel,
     rank_kernel_sparse,
-    scalar_field,
     scalar_inverse,
-    twisted_multiply,
 )
 
 F2, F3, F5 = PrimeField(2), PrimeField(3), PrimeField(5)
@@ -178,21 +175,26 @@ def test_field_from_spec():
     assert field_from_spec("gf5") == PrimeField(5)
     with pytest.raises(RingError):
         field_from_spec("gf6")
-    assert scalar_field(GF4.gen()) == GF4
+
+
+def _rank_kernel(m, want_kernel=True):
+    """rank_kernel_sparse on the rows of a dense matrix."""
+    rows = [{j: v for j, v in enumerate(r) if v} for r in m.rows]
+    return rank_kernel_sparse(m.field, rows, m.ncols, want_kernel)
 
 
 def test_rank_kernel_examples():
     ident = ExactMatrix.identity(QQ, 3)
-    rank, kernel = matrix_rank_kernel(ident)
+    rank, kernel = _rank_kernel(ident)
     assert rank == 3 and kernel == []
 
-    m = ExactMatrix.from_ints(QQ, [[1, 2], [2, 4]])
-    rank, kernel = matrix_rank_kernel(m)
+    m = from_ints(QQ, [[1, 2], [2, 4]])
+    rank, kernel = _rank_kernel(m)
     assert rank == 1
     assert kernel == [(Fraction(-2), Fraction(1))]
 
-    m2 = ExactMatrix.from_ints(F2, [[1, 1], [1, 1]])
-    rank, kernel = matrix_rank_kernel(m2)
+    m2 = from_ints(F2, [[1, 1], [1, 1]])
+    rank, kernel = _rank_kernel(m2)
     assert rank == 1
     assert kernel == [(F2.one(), F2.one())]
 
@@ -208,7 +210,7 @@ def test_kernel_vectors_annihilate():
             for _ in range(rng.randint(0, 4)):
                 rows.append([field.from_int(rng.randint(-3, 3)) for _ in range(ncols)])
             m = ExactMatrix(field, rows)
-            rank, kernel = matrix_rank_kernel(m)
+            rank, kernel = _rank_kernel(m)
             assert rank + len(kernel) == ncols
             for vec in kernel:
                 assert all(not x for x in m.apply(list(vec)))
@@ -254,7 +256,7 @@ def test_rank_against_second_elimination_order():
             m = ExactMatrix(
                 field, [[field.from_int(rng.randint(-2, 2)) for _ in range(nc)] for _ in range(nr)]
             )
-            assert m.rank() == _alt_rank_span(field, m)
+            assert _rank_kernel(m, want_kernel=False)[0] == _alt_rank_span(field, m)
 
 
 def _dense(field, coords, size, p):
@@ -468,22 +470,11 @@ def test_full_rank_integer_rows_are_ranked_without_fractions(monkeypatch):
         rank_kernel_sparse(QQ, [{0: Fraction(1), 1: Fraction(1)}] * 2, 2, want_kernel=False)
 
 
-def test_rank_kernel_rejects_non_field():
-    class FakeRing:
-        pass
-
-    m = ExactMatrix.from_ints(QQ, [[1]])
-    m.field = FakeRing()
-    with pytest.raises(RingError):
-        matrix_rank_kernel(m)
-
-
 def test_matrix_arithmetic():
-    a = ExactMatrix.from_ints(QQ, [[1, 2], [3, 4]])
-    b = ExactMatrix.from_ints(QQ, [[0, 1], [1, 0]])
+    a = from_ints(QQ, [[1, 2], [3, 4]])
+    b = from_ints(QQ, [[0, 1], [1, 0]])
     assert (a * b).rows[0] == [Fraction(2), Fraction(1)]
     assert (a + b - b) == a
-    assert a.transpose().rows[0] == [Fraction(1), Fraction(3)]
     assert a.apply([Fraction(1), Fraction(1)]) == [Fraction(3), Fraction(7)]
     with pytest.raises(RingError):
         a * ExactMatrix.identity(F2, 2)
@@ -493,10 +484,10 @@ def test_twisted_examples():
     w = GF4.gen()
     t = TwistedPoly.t(GF4)
     const_w = TwistedPoly.constant(GF4, w)
-    prod = twisted_multiply(t, const_w)
+    prod = t * const_w
     assert prod.coeffs == (GF4.zero(), w * w)  # t*w = w^2 t, and w^2 = w+1
     assert w * w == w + GF4.one()
-    assert twisted_multiply(t, t).coeffs == (GF4.zero(), GF4.zero(), GF4.one())
+    assert (t * t).coeffs == (GF4.zero(), GF4.zero(), GF4.one())
 
 
 def test_twisted_product_uses_the_frobenius_power():

@@ -34,15 +34,22 @@ of its 12 288 alphas.  Each writes its ``--findings`` file into the
 temporary directory.  Two ``star`` and two ``embed`` jobs follow for each
 of the seven shipped extensions that no workload job reaches
 (``EXTENSION_FIELDS``), with powers in their texts, so that near-ring,
-group-ring and twisted powers are compared on int-coded fields.  Then
+group-ring and twisted powers are compared on int-coded fields.  The six
+``PATH_JOBS`` enter CLI paths that no other job does: a ``sofic-check`` on
+the full Cayley graph of cyclic:6, an ``embed`` whose Q power of
+commuting free:2 terms is bounded through their root word, two ``star``
+products whose substituted monomial exceeds ``TERM_CAP`` by its
+multinomial count, so that its box of exponents decides: it refuses the
+first (exit 2) and lets the second through, a ``star`` on texts of
+cyclic:3 elements and one on a text that does not parse (exit 2).  Then
 ``ca-step``, ``ca-compose`` and ``ca-invert`` run on the rule files of
 ``CA_RULES``, of all three kinds, among them the zero linear rule, a
-free:2 rule over GF(4), and a linear and a table rule whose memory lacks
-the identity, so that their M-interiors leave the pattern's domain:
-each rule steps its pattern in minus mode and in plus mode at ``--window``
-0 and 1 (24 jobs), ``CA_COMPOSE`` composes rules of one kind and of two
-kinds (9 jobs) and ``CA_INVERT`` inverts three of them.  That makes 1156
-jobs for every seed.  It runs every job through
+free:2 rule over GF(4), a rule on cyclic:3, and a linear and a table rule
+whose memory lacks the identity, so that their M-interiors leave the
+pattern's domain: each rule steps its pattern in minus mode and in plus
+mode at ``--window`` 0 and 1 (27 jobs), ``CA_COMPOSE`` composes rules of
+one kind and of two kinds (10 jobs) and ``CA_INVERT`` inverts three of
+them.  That makes 1166 jobs for every seed.  It runs every job through
 ``groupca.cli.run_job`` twice, each time in one fresh interpreter: once on
 REF's ``src/`` (extracted with ``git archive``) and once on this
 checkout's ``src/``.  For each job it records the argv, the exit code,
@@ -128,12 +135,26 @@ EXTENSION_JOBS = (
     ["embed", "--group", "zd:1", "--kind", "iota", "--element=(w*[(0)] + [(1)])^5 + w^2*[(2)]"],
     ["embed", "--group", "zd:2", "--kind", "j", "--element=(w + t)^7*[(1,0)] + w^3*t^2*[(0,1)]"],
 )
-# pattern domains: the radius-2 balls of Z, Z^2 and free:2; letter i ^ 1 is the inverse of letter i
+# CLI paths that no job above enters: the full Cayley graph of a finite group, the size bound of a Q power
+# whose free-group terms commute (through FreeGroup.root), the box bound of star's substituted monomials,
+# which refuses the first product (exit 2) and lets the second through, texts of finite-group elements,
+# and a text that does not parse (exit 2)
+PATH_JOBS = (
+    ["sofic-check", "--group", "cyclic:6", "--graph", "full", "--radius", "1", "--epsilon", "0.1"],
+    ["embed", "--group", "free:2", "--field", "q", "--kind", "iota", "--element=([a] + 2*[a^2] + [a^-1])^4"],
+    ["star", "--group", "zd:1", "--field", "q", "--alpha=X[(0)]^600*X[(1)]^600", "--beta=X[(0)] + X[(1)] + 1"],
+    ["star", "--group", "zd:1", "--field", "q", "--alpha=X[(0)]^8*X[(1)]^8",
+     "--beta=1 + X[(0)] + X[(0)]^2 + X[(0)]^3 + X[(0)]^4 + X[(0)]^5"],
+    ["star", "--group", "cyclic:3", "--field", "f2", "--alpha=X[#1]*X[#2] + 1", "--beta=X[#0] + X[#1]"],
+    ["star", "--group", "zd:1", "--field", "q", "--alpha=X[(0)] X[(1)]", "--beta=1"],
+)
+# pattern domains: the radius-2 balls of Z, Z^2 and free:2, and all of cyclic:3; letter i ^ 1 is the inverse of letter i
 _LETTERS = ("a", "a^-1", "b", "b^-1")
 CA_DOMAINS = {
     "zd:1": ["(%d)" % k for k in range(-2, 3)],
     "zd:2": ["(%d,%d)" % (x, y) for x in range(-2, 3) for y in range(-2, 3) if abs(x) + abs(y) <= 2],
     "free:2": ["1", *_LETTERS] + ["%s*%s" % (_LETTERS[i], _LETTERS[j]) for i in range(4) for j in range(4) if j != i ^ 1],
+    "cyclic:3": ["#0", "#1", "#2"],
 }
 # rule files of all three kinds: file name -> (group, variant, payload, cell value texts of its pattern)
 CA_RULES = {
@@ -153,6 +174,7 @@ CA_RULES = {
         [1, 0, 1, 1, 0],
     ),
     "ca_swap.json": ("zd:1", "table", {"alphabet": ["x", "y"], "memory": ["(1)"], "map": [[["x"], "y"], [["y"], "x"]]}, ["x", "y", "y"]),
+    "ca_cyclic3_f2.json": ("cyclic:3", "linear", {"n": 1, "field": "f2", "symbol": [["#0", [["1"]]], ["#1", [["1"]]]]}, ["1", "0", "1"]),
 }
 # (tau, sigma) of the ca-compose jobs: the same kind, and the last two of different kinds
 CA_COMPOSE = (
@@ -163,6 +185,7 @@ CA_COMPOSE = (
     ("ca_poly_free2_f5.json", "ca_poly_free2_f5.json"),
     ("ca_xor.json", "ca_xor.json"),
     ("ca_swap.json", "ca_swap.json"),
+    ("ca_cyclic3_f2.json", "ca_cyclic3_f2.json"),
     ("ca_shift_q.json", "ca_poly_q.json"),
     ("ca_xor.json", "ca_shift_q.json"),
 )
@@ -219,6 +242,7 @@ def build_jobs(seed, tmp):
                       "--findings", "findings_%d.jsonl" % i])
     argvs.append(FILTER_SEARCH + ["--findings", "findings_filter.jsonl"])
     argvs.extend(job + ["--field", field] for field in EXTENSION_FIELDS for job in EXTENSION_JOBS)
+    argvs.extend(PATH_JOBS)
     for fname in CA_RULES:
         rule, pattern = ca_files(fname)
         (tmp / "jobs" / fname).write_text(json.dumps(rule), encoding="utf-8")
