@@ -112,6 +112,12 @@ def test_matrix_pair_inverse_both_ways():
     alpha, beta = make_invertible_pair()
     assert (alpha * beta).is_identity()
     assert (beta * alpha).is_identity()
+
+
+def test_audit_examples():
+    """The matrix pair and g, g^-1 are two-sided inverses; g, g is not even one-sided."""
+    alpha, beta = make_invertible_pair()
+    assert (alpha * beta).is_identity() and (beta * alpha).is_identity()
     g = scalar_elem(Z, QQ, {(1,): 1})
     ginv = scalar_elem(Z, QQ, {(-1,): 1})
     assert (g * ginv).is_identity() and (ginv * g).is_identity()

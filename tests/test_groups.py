@@ -222,10 +222,15 @@ def test_word_metric_properties_and_bfs_oracle():
             assert set(inner) == {g for g in elems if _bfs_distance(group, gens, g) <= r}
             assert set(inner.inverses()) == set(inner)
             assert set(inner.product(ball(group, 1))) == set(ball(group, r + 1))
-    # explicit generators; on C6 the even ones stop at the subgroup they generate
+
+
+def test_word_distance_with_explicit_generators():
+    """Balls on explicit generators; on C6 the even ones stop at the subgroup they generate."""
     gens = [zel(2), zel(-2), zel(3), zel(-3)]
     for r in range(4):
         assert {g.value[0] for g in ball(Z, r, gens)} == {n for n in range(-12, 13) if _bfs_distance(Z, gens, zel(n)) <= r}
+    # 1 and 6 are two steps apart: 1^-1 * 6 = 5 = 2 + 3
+    assert zel(5) not in set(ball(Z, 1, gens)) and zel(5) in set(ball(Z, 2, gens))
     z6 = FiniteGroup.cyclic(6)
     evens = [z6.element(2), z6.element(4)]
     assert set(ball(z6, 5, evens)) == {z6.element(n) for n in (0, 2, 4)}
