@@ -197,7 +197,7 @@ def _cmd_goe(args):
         "q_sequence": [str(q) for q in report.mdim.sequence],
         "preinjectivity": report.preinjectivity.verdict,
         "preinjectivity_witness": pattern_to_json(witness, ca) if witness is not None else None,
-        "surjectivity": report.surjectivity.verdict,
+        "surjectivity": report.surjectivity,
         "notes": report.notes,
     }
     return fields, report.alarm

@@ -21,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .group_ring import GroupRingElement, TwistedGroupRingElement
-from .near_ring import ExponentVector, NearRingElement
+from .near_ring import EXPONENT_DIGITS, ExponentVector, NearRingElement
 from .rings import ExtensionField, TwistedPoly
 
 
@@ -44,6 +44,8 @@ def _tokenize(text):
             j = i
             while j < n and text[j].isdigit():
                 j += 1
+            if j - i > EXPONENT_DIGITS:
+                raise ParseError("a number of more than %d digits, the most a text may hold" % EXPONENT_DIGITS, i)
             tokens.append(("num", int(text[i:j]), i))
             i = j
             continue
@@ -108,7 +110,7 @@ class _Parser:
     def parse_group_element(self, text, position):
         try:
             return self.group.parse_element(text)
-        except Exception as exc:
+        except ValueError as exc:
             raise ParseError("bad group element %r (%s)" % (text, exc), position)
 
     # grammar ------------------------------------------------------------

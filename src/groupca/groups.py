@@ -17,6 +17,8 @@ from __future__ import annotations
 import functools
 import itertools
 
+from .rings import TERM_CAP
+
 
 class GroupError(ValueError):
     pass
@@ -237,7 +239,7 @@ class FreeGroup(Group):
         text = text.strip()
         if text == "1":
             return self.identity()
-        word = []
+        powers = []
         for part in text.split("*"):
             part = part.strip()
             if "^" in part:
@@ -248,9 +250,10 @@ class FreeGroup(Group):
             idx = _LETTERS.find(name.strip())
             if idx < 0 or idx >= self.rank:
                 raise GroupError("unknown generator %r" % part)
-            letter = idx + 1 if exp > 0 else -(idx + 1)
-            word.extend([letter] * abs(exp))
-        return self.element(tuple(word))
+            powers.append((idx + 1 if exp > 0 else -(idx + 1), abs(exp)))
+        if sum(count for _, count in powers) > TERM_CAP:
+            raise GroupError("the word %r has more than %d letters" % (text, TERM_CAP))
+        return self.element(tuple(itertools.chain.from_iterable([letter] * count for letter, count in powers)))
 
     def spec_string(self):
         return "free:%d" % self.rank
@@ -409,7 +412,7 @@ def parse_group_spec(spec: str) -> Group:
 class FiniteSubset:
     """Deduplicated ordered set of group elements; iteration order is canonical."""
 
-    __slots__ = ("group", "elements", "_set", "_pos")
+    __slots__ = ("group", "elements", "_pos")
 
     def __init__(self, group, elements):
         seen = {}
@@ -420,7 +423,6 @@ class FiniteSubset:
         ordered = sorted(seen, key=lambda e: e.sort_key())
         self.group = group
         self.elements = tuple(ordered)
-        self._set = frozenset(ordered)
         self._pos = {e: i for i, e in enumerate(ordered)}
 
     def __iter__(self):
@@ -430,7 +432,7 @@ class FiniteSubset:
         return len(self.elements)
 
     def __contains__(self, e):
-        return e in self._set
+        return e in self._pos
 
     def position(self, e):
         """The index of e in the canonical order, None when e is not in the subset."""

@@ -3,14 +3,15 @@
 Window restrictions of a linear automaton are exact block matrices; their
 ranks and kernels drive everything here: the algebraic mean dimension
 along boxes (exact rationals, never floats), pre-injectivity via
-finite-support kernels, surjectivity via full-rank windows, left-inverse
+finite-support kernels, surjectivity via the rank of one box, left-inverse
 synthesis by solving a linear system per radius, and a consistency report
 tying the three verdicts together.
 
 All verdicts are window-bounded semi-decisions: a negative verdict carries
 a finite witness, a positive one certifies the chain's windows up to
-r_max.  Each audit walks the chain once (``_walk_chain``) for a property
-that persists from a window to every larger one.
+r_max.  Each audit rests on a property that persists from a window to
+every larger one: kernels and left inverses walk the chain once
+(``_walk_chain``), and surjectivity reads the last window's rank.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
 from .ca import CAError, CellularAutomaton, LinearRule, Pattern, compose, group_ring_of
-from .groups import BALL_CAP, FiniteSubset, GroupError, ZdGroup, ball, box_window, folner_box, subset_calculus
+from .groups import BALL_CAP, FiniteSubset, GroupError, ZdGroup, ball, box_window, folner_box
 from .rings import Echelon, ExactMatrix, rank_kernel_sparse
 
 
@@ -84,7 +85,6 @@ def window_matrix(ca: CellularAutomaton, mode: str, window: FiniteSubset) -> Win
     """Block matrix of a window restriction.
 
     mode "plus": inputs on window*M, outputs on the window.
-    mode "minus": inputs on the window, outputs on its M-interior.
     mode "supported": inputs are configurations supported in the window
     (zero background); outputs on window*(M u M^-1), which contains the
     full support of any image of such a configuration.
@@ -95,11 +95,6 @@ def window_matrix(ca: CellularAutomaton, mode: str, window: FiniteSubset) -> Win
     if mode == "plus":
         in_domain = window.product(memory) if len(memory) else FiniteSubset(group, [])
         out_domain = window
-    elif mode == "minus":
-        in_domain = window
-        if len(memory) == 0:
-            raise CAError("minus window undefined for an empty memory set")
-        out_domain, _, _ = subset_calculus(window, memory)
     elif mode == "supported":
         in_domain = window
         sym = memory.union(memory.inverses())
@@ -109,14 +104,8 @@ def window_matrix(ca: CellularAutomaton, mode: str, window: FiniteSubset) -> Win
     n, hs, position = rule.n, list(rule.symbol), in_domain.position
     # the cells of output point g are g*h, h in the memory
     rows = placed_rows(rule.symbol, n, ([position(g * h) for h in hs] for g in out_domain))
-    return WindowMatrix(
-        matrix_rows=rows,
-        nrows=n * len(out_domain),
-        ncols=n * len(in_domain),
-        in_domain=in_domain,
-        out_domain=out_domain,
-        field=rule.field,
-    )
+    return WindowMatrix(matrix_rows=rows, nrows=n * len(out_domain), ncols=n * len(in_domain),
+                        in_domain=in_domain, out_domain=out_domain, field=rule.field)
 
 
 def gamma_dim(ca: CellularAutomaton, window: FiniteSubset) -> int:
@@ -135,7 +124,7 @@ class MdimReport:
 
 def mdim_estimate(ca: CellularAutomaton, i_max: int) -> MdimReport:
     """q_i = gamma_dim on the box [0,i)^d divided by i^d; estimate = max of the tail half."""
-    rule = _require_linear(ca)
+    _require_linear(ca)
     group = ca.group
     if not isinstance(group, ZdGroup):
         raise CAError("mean dimension estimates need Z^d")
@@ -200,30 +189,18 @@ def preinjectivity_check(ca: CellularAutomaton, r_max: int = 8) -> PreInjectivit
     return _walk_chain(ca.group, witness, r_max) or PreInjectivityReport("kernel_free_up_to", r_max)
 
 
-@dataclass
-class SurjectivityReport:
-    verdict: str  # "not_surjective" | "full_rank_up_to"
-    r_max: int
-    window: FiniteSubset = None
-    rank: int = None
-    full: int = None
-
-
-def surjectivity_check(ca: CellularAutomaton, r_max: int = 8) -> SurjectivityReport:
-    """Full-rank test of the window restrictions along the window chain.
+def surjectivity_check(ca: CellularAutomaton, md: MdimReport, r_max: int) -> str:
+    """Surjectivity verdict on the chain's windows [-r, r]^d, r <= r_max, from one rank.
 
     Rank deficiency persists along the chain: outputs on W read only inputs
     on W*M, so a full-rank plus window on W' containing W also reaches every
-    pattern on W.  The first rank-deficient window is reported.
+    pattern on W, and the last window decides.  Its plus window is that of
+    the box [0, s)^d, s = 2*r_max + 1, translated (which keeps the order of
+    positions), so mdim's q_s holds its rank when s <= i_max.
     """
-    n = _require_linear(ca).n
-
-    def deficient(r):
-        window = chain_window(ca.group, r)
-        rank, full = gamma_dim(ca, window), n * len(window)
-        return SurjectivityReport("not_surjective", r_max, window, rank, full) if rank < full else None
-
-    return _walk_chain(ca.group, deficient, r_max) or SurjectivityReport("full_rank_up_to", r_max)
+    s = 2 * r_max + 1
+    q = md.sequence[s - 1] if s <= md.i_max else Fraction(gamma_dim(ca, folner_box(ca.group, s)), s**ca.group.d)
+    return "not_surjective" if q < ca.rule.n else "full_rank_up_to"
 
 
 @dataclass
@@ -286,27 +263,26 @@ class GoeReport:
     alarm: bool
     mdim: MdimReport = None
     preinjectivity: PreInjectivityReport = None
-    surjectivity: SurjectivityReport = None
+    surjectivity: str = None  # "not_surjective" | "full_rank_up_to"
     notes: list = dc_field(default_factory=list)
 
 
 def goe_report(ca: CellularAutomaton, i_max: int = 16, r_max: int = 8) -> GoeReport:
     """Garden-of-Eden consistency audit.
 
-    Runs the mean-dimension estimate, the kernel search, and the full-rank
-    windows, then checks the combination: a kernel witness must come with a
-    rank-deficient window and an estimate below the alphabet dimension;
-    all-positive results are consistent with surjectivity.  A witness-backed
-    contradiction raises the alarm flag.
+    Runs the mean-dimension estimate, the kernel search, and the rank of the
+    chain's last window, in that order, then checks the combination: a
+    kernel witness must come with a rank-deficient window and an estimate
+    below the alphabet dimension; all-positive results are consistent with
+    surjectivity.  A witness-backed contradiction raises the alarm flag.
     """
-    rule = _require_linear(ca)
-    n = rule.n
+    n = _require_linear(ca).n
     md = mdim_estimate(ca, i_max)
     pre = preinjectivity_check(ca, r_max)
-    sur = surjectivity_check(ca, r_max)
+    sur = surjectivity_check(ca, md, r_max)
     notes = []
     negative = pre.verdict == "not_pre_injective"
-    rank_deficient = sur.verdict == "not_surjective"
+    rank_deficient = sur == "not_surjective"
     estimate_below = md.estimate < n
     alarm = False
     if negative:
@@ -315,9 +291,7 @@ def goe_report(ca: CellularAutomaton, i_max: int = 16, r_max: int = 8) -> GoeRep
         else:
             classification = "theorem_violation"
             alarm = True
-            notes.append(
-                "kernel witness without matching rank deficiency or mean-dimension drop"
-            )
+            notes.append("kernel witness without matching rank deficiency or mean-dimension drop")
     elif not rank_deficient and not estimate_below:
         classification = "consistent_surjective"
     else:

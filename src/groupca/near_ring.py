@@ -410,14 +410,6 @@ def _accumulate(out, a: NearRingElement, c):
         out[u] = out[u] + v * c if u in out else v * c
 
 
-def star(a: NearRingElement, b: NearRingElement) -> NearRingElement:
-    return a.star(b)
-
-
-def shift(g: GroupElement, a: NearRingElement) -> NearRingElement:
-    return a.shift(g)
-
-
 # ---------------------------------------------------------------------------
 # embeddings
 
@@ -597,7 +589,6 @@ class Finding:
 
 @dataclass
 class SearchResult:
-    kind: str
     findings: list
     monomials: list
     space_size: int
@@ -944,7 +935,7 @@ def exhaustive_search(
         for pool in pools:
             pool.terminate()
     findings = [finding for record in records for finding in _certify(kind, fast, record)]
-    return SearchResult(kind=kind, findings=findings, monomials=fast.monomials, space_size=size, workers=nworkers)
+    return SearchResult(findings=findings, monomials=fast.monomials, space_size=size, workers=nworkers)
 
 
 # Fewest indices in a chunk: a worker pool costs about 20 ms to fork, feed
@@ -1017,10 +1008,7 @@ def _certify(kind, fast, record):
             cls = classify_unit_pair(alpha, beta, product)  # forms beta * alpha
             if cls.verdict == "not_unit_pair":
                 raise NearRingError("fast path disagreed with the generic star product")
-            detail = {"reverse_product": cls.reverse_product}
-            if cls.verdict == "trivial_unit":
-                detail.update({"a": cls.a, "g": cls.g, "b": cls.b})
-            findings.append(Finding("unit", alpha, beta, cls.product, cls.verdict, detail))
+            findings.append(Finding("unit", alpha, beta, cls.product, cls.verdict, {"reverse_product": cls.reverse_product}))
             continue
         if product:
             raise NearRingError("fast path disagreed with the generic star product")

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 from groupca.ca import CellularAutomaton, LinearRule, Pattern, TableRule, compose, group_ring_of
 from groupca.groups import FiniteGroup, FreeGroup, ZdGroup, ball
-from groupca.linear_ca import LeftInverseReport, PreInjectivityReport, SurjectivityReport, chain_window, window_matrix
+from groupca.linear_ca import LeftInverseReport, PreInjectivityReport, chain_window, window_matrix
 from groupca.near_ring import ExponentVector, NearRingElement
 import groupca.rings as rings_mod
 from groupca.rings import QQ, ExactMatrix, PrimeField, rank_kernel_sparse, scalar_inverse
@@ -218,10 +218,11 @@ def preinjectivity_reference(ca, r_max):
 
 
 def surjectivity_reference(ca, r_max):
-    """surjectivity_check as a plain scan r = 0, 1, ..., r_max, for differential tests.
+    """The Garden-of-Eden audit's surjectivity verdict as a plain scan r = 0, 1, ..., r_max, for differential tests.
 
-    Every plus window is ranked by rank_kernel_reference in order until the
-    first rank-deficient one, which is reported.
+    Every plus window of the chain is ranked by rank_kernel_reference in
+    order until the first rank-deficient one.  Returns the verdict and that
+    window, or None when every window up to r_max has full rank.
     """
     n = ca.rule.n
     for r in range(r_max + 1):
@@ -229,8 +230,8 @@ def surjectivity_reference(ca, r_max):
         wm = window_matrix(ca, "plus", window)
         rank, _ = rank_kernel_reference(wm.field, [dict(row) for row in wm.matrix_rows], wm.ncols, want_kernel=False)
         if rank < n * len(window):
-            return SurjectivityReport("not_surjective", r_max, window, rank, n * len(window))
-    return SurjectivityReport("full_rank_up_to", r_max)
+            return "not_surjective", window
+    return "full_rank_up_to", None
 
 
 def solve_reduced(field, rows, rhs, ncols):

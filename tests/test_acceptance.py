@@ -52,7 +52,6 @@ from groupca.near_ring import (
     embed_twisted,
     exhaustive_search,
     leading_term,
-    star,
 )
 from groupca.rings import QQ, ExactMatrix, ExtensionField, PrimeField, TwistedPoly
 from groupca.sofic import certificate, cycle_graph, graph_ca_rank_audit, schreier_graph, torus_graph
@@ -82,7 +81,7 @@ def test_criterion_01_star_worked_example():
     started = time.time()
     alpha = parse_element("X[(1)]^3*X[(0)] + 1", Z, QQ)
     beta = parse_element("X[(2)]^2 - X[(3)]^2", Z, QQ)
-    product = star(alpha, beta)
+    product = alpha.star(beta)
     # independent oracle: expand the closed form with sympy
     x = {n: sympy.Symbol("x_%d" % n) for n in range(-1, 6)}
     closed = (x[3] ** 2 - x[4] ** 2) ** 3 * (x[2] ** 2 - x[3] ** 2) + 1
@@ -95,7 +94,7 @@ def test_criterion_01_star_worked_example():
         got += term
     assert sympy.expand(got - expanded) == 0
     # and the reverse order against its printed closed form
-    reverse = star(beta, alpha)
+    reverse = beta.star(alpha)
     rev_expected = parse_element(
         "(X[(3)]^3*X[(2)] + 1)^2 - (X[(4)]^3*X[(3)] + 1)^2", Z, QQ
     )
@@ -113,15 +112,15 @@ def test_criterion_02_near_ring_axioms():
                 a = rand_near_ring(group, field, rng, radius=2, max_degree=3, max_terms=2)
                 b = rand_near_ring(group, field, rng, radius=2, max_degree=3, max_terms=2)
                 c = rand_near_ring(group, field, rng, radius=2, max_degree=3, max_terms=2)
-                assert star(a + b, c) == star(a, c) + star(b, c)
-                assert star(star(a, b), c) == star(a, star(b, c))
+                assert (a + b).star(c) == a.star(c) + b.star(c)
+                assert a.star(b).star(c) == a.star(b.star(c))
                 count += 1
     assert count == 1000
     # right-distributivity failure witness
     sq = NearRingElement.variable(zel(0), QQ, 2)
     x0 = NearRingElement.variable(zel(0), QQ)
-    lhs = star(sq, x0 + x0)
-    rhs = star(sq, x0) + star(sq, x0)
+    lhs = sq.star(x0 + x0)
+    rhs = sq.star(x0) + sq.star(x0)
     assert lhs == sq.scale(Fraction(4)) and rhs == sq.scale(Fraction(2)) and lhs != rhs
     print(
         "right-distributivity witness: X[(0)]^2 * (X[(0)]+X[(0)]) = %s != %s"
@@ -155,7 +154,7 @@ def _leading_term_instance(order, group, field, rng):
         return
     ca_, ua = leading_term(a, order)
     cb_, ub = leading_term(b, order)
-    cp, up = leading_term(star(a, b), order)
+    cp, up = leading_term(a.star(b), order)
     assert up == ua.convolve(ub)
     assert cp == ca_ * cb_ ** ua.degree()
 
@@ -214,7 +213,7 @@ def test_criterion_05_embedding_homomorphisms():
     for _ in range(500):
         a = rand_group_ring(Z2, QQ, rng)
         b = rand_group_ring(Z2, QQ, rng)
-        assert embed_group_ring(a * b) == star(embed_group_ring(a), embed_group_ring(b))
+        assert embed_group_ring(a * b) == embed_group_ring(a).star(embed_group_ring(b))
         assert embed_group_ring(a + b) == embed_group_ring(a) + embed_group_ring(b)
         if a != b:
             assert embed_group_ring(a) != embed_group_ring(b)
@@ -235,7 +234,7 @@ def test_criterion_05_embedding_homomorphisms():
         for _ in range(250):
             a = rand_twisted(field)
             b = rand_twisted(field)
-            assert embed_twisted(a * b) == star(embed_twisted(a), embed_twisted(b))
+            assert embed_twisted(a * b) == embed_twisted(a).star(embed_twisted(b))
             assert embed_twisted(a + b) == embed_twisted(a) + embed_twisted(b)
             if a != b:
                 assert embed_twisted(a) != embed_twisted(b)
@@ -250,7 +249,7 @@ def test_criterion_06_induced_map_dictionaries():
         for _ in range(50):
             a = rand_near_ring(Z, field, rng, radius=1, max_degree=2, nonzero=True)
             b = rand_near_ring(Z, field, rng, radius=1, max_degree=2, nonzero=True)
-            ca_ab = ca_from_polynomial(star(a, b))
+            ca_ab = ca_from_polynomial(a.star(b))
             ca_a, ca_b = ca_from_polynomial(a), ca_from_polynomial(b)
             domain = ball(Z, 3)
             if field is QQ:
@@ -346,10 +345,10 @@ def test_criterion_08_goe_consistency():
         assert not rep.alarm, name
         assert rep.classification in ("consistent_surjective", "consistent_not_surjective"), name
         if rep.preinjectivity.verdict == "not_pre_injective":
-            assert rep.surjectivity.verdict == "not_surjective", name
+            assert rep.surjectivity == "not_surjective", name
             assert rep.mdim.estimate < ca.rule.n, name
         else:
-            assert rep.surjectivity.verdict == "full_rank_up_to", name
+            assert rep.surjectivity == "full_rank_up_to", name
             assert rep.mdim.estimate == ca.rule.n, name
     # pinned exact mean-dimension values
     assert reports["z/identity"].mdim.estimate == Fraction(1)

@@ -431,6 +431,23 @@ def test_an_image_exponent_past_the_text_bound_exits_2(capsys):
     assert captured.err == "error: the exponent of X[(0)] has more than 4300 digits, the most a text may hold\n"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["units", "--group", "free:2", "--field", "f2", "--degree", "1", "--support", "a^10000000000000"],
+         "error: the word 'a^10000000000000' has more than 1000000 letters\n"),
+        (["star", "--group", "zd:1", "--field", "q", "--alpha", "X[(0)]^" + "9" * 5000, "--beta", "1"],
+         "error: syntax error at offset 7: a number of more than 4300 digits, the most a text may hold\n"),
+    ],
+    ids=["free-word", "exponent-literal"],
+)
+def test_input_past_a_text_bound_exits_2_naming_the_bound(capsys, argv, message):
+    """A word of 10^13 letters is refused before it is built, and a 5000-digit literal before the interpreter converts it."""
+    assert run_job(argv) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", message)
+
+
 def test_malformed_rule_files_exit_2(tmp_path):
     no_payload = tmp_path / "no_payload.json"
     no_payload.write_text(json.dumps({"group": "zd:1", "variant": "linear"}))

@@ -10,7 +10,7 @@ from groupca.cli import _ERRORS
 from groupca.expressions import ParseError, format_element, parse_element
 from groupca.group_ring import GroupRingElement, TwistedGroupRingElement
 from groupca.groups import FreeGroup, ZdGroup, parse_group_spec
-from groupca.near_ring import ExponentVector, NearRingElement
+from groupca.near_ring import EXPONENT_DIGITS, ExponentVector, NearRingElement
 from groupca.rings import QQ, ExtensionField, PrimeField, RingError, TwistedPoly, field_from_spec
 
 Z = ZdGroup(1)
@@ -37,6 +37,30 @@ def test_unbalanced_bracket_position():
         parse_element("X[(1)", Z, QQ)
     assert err.value.position == 4
     assert "offset 4" in str(err.value)
+
+
+def test_number_literals_past_exponent_digits_are_refused_at_their_offset():
+    """A digit run may hold EXPONENT_DIGITS digits, the most an exponent text may hold; a longer one is a ParseError."""
+    most = "9" * EXPONENT_DIGITS
+    assert parse_element("X[(0)]^" + most, Z, QQ) == NearRingElement.variable(Z.element((0,)), QQ, int(most))
+    assert parse_element(most + "*X[(0)]", Z, QQ).terms == {ExponentVector.unit(Z.element((0,))): int(most)}
+    for text, offset in (("X[(0)]^9" + most, 7), ("2 + 9%s*X[(1)]" % most, 4)):
+        with pytest.raises(ParseError, match="more than %d digits" % EXPONENT_DIGITS) as err:
+            parse_element(text, Z, QQ)
+        assert err.value.position == offset
+
+
+def test_group_element_texts_turn_only_value_errors_into_parse_errors(monkeypatch):
+    """A bad word is a ParseError naming the element; any other failure inside the group's parser is not disguised as one."""
+    with pytest.raises(ParseError, match="bad group element 'a\\^10000000000000' .*more than 1000000 letters"):
+        parse_element("X[a^10000000000000]", FREE2, QQ)
+
+    def out_of_memory(text):
+        raise MemoryError
+
+    monkeypatch.setattr(FREE2, "parse_element", out_of_memory)
+    with pytest.raises(MemoryError):
+        parse_element("X[a]", FREE2, QQ)
 
 
 def test_unknown_element_and_coefficient_errors():

@@ -60,6 +60,15 @@ def test_free_words_stay_reduced():
     assert w.value == (1,)
 
 
+def test_free_words_longer_than_term_cap_are_refused_before_they_are_built():
+    """The exponents of a word text are summed first: 10^6 = TERM_CAP letters parse, one more is refused."""
+    assert len(F2.parse_element("a^1000000").value) == 1000000
+    assert F2.parse_element("a^999999*b^-1").value[-2:] == (1, -2)
+    for text in ("a^1000001", "a^10000000000000", "a^600000*b^-600000"):
+        with pytest.raises(GroupError, match="has more than 1000000 letters"):
+            F2.parse_element(text)
+
+
 def test_free_root_words():
     """e = w^m for root(e) = (w, m); two elements commute exactly when one is 1 or their roots agree."""
     assert F2.root(F2.identity()) == (F2.identity(), 0)

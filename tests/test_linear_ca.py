@@ -18,7 +18,7 @@ from support import (
 )
 
 from groupca.ca import CAError, CellularAutomaton, LinearRule, Pattern, ca_from_polynomial, compose, group_ring_of
-from groupca.groups import FiniteSubset, GroupError, ZdGroup, ball
+from groupca.groups import FiniteSubset, GroupError, ZdGroup, ball, box_window, folner_box
 import groupca.linear_ca as lca_mod
 from groupca.linear_ca import (
     chain_window,
@@ -27,11 +27,10 @@ from groupca.linear_ca import (
     goe_report,
     mdim_estimate,
     preinjectivity_check,
-    surjectivity_check,
     window_matrix,
 )
 from groupca.near_ring import NearRingElement
-from groupca.rings import CERTIFY_PRIME, QQ, ExactMatrix, ExtensionField, _full_rank_mod_prime, rank_kernel_sparse
+from groupca.rings import CERTIFY_PRIME, QQ, ExactMatrix, ExtensionField, PrimeField, _full_rank_mod_prime, rank_kernel_sparse
 
 Z = ZdGroup(1)
 Z2 = ZdGroup(2)
@@ -66,7 +65,7 @@ def test_window_chains_past_the_ball_cap_are_refused_before_any_rank(monkeypatch
     # 1 + ... + 362 = 65 703 and 1 + 3 + ... + 513 = 257^2 = 66 049 pass 2^16 = 65 536
     with pytest.raises(GroupError):
         mdim_estimate(diff, 362)
-    for audit in (preinjectivity_check, surjectivity_check, find_left_inverse):
+    for audit in (preinjectivity_check, find_left_inverse):
         with pytest.raises(GroupError):
             audit(diff, 256)
     lca_mod._check_boxes(Z, range(1, 362))  # 65 341 elements
@@ -81,11 +80,19 @@ def test_window_matrix_identity_is_restriction():
     assert rank_kernel_sparse(wm.field, wm.matrix_rows, wm.ncols, want_kernel=False)[0] == len(window)
 
 
-def test_window_matrix_minus_shape():
-    diff = z_fixtures()["diff"]
-    wm = window_matrix(diff, "minus", fsub(0, 1, 2, 3))
-    assert (wm.nrows, wm.ncols) == (3, 4)
-    assert [e.value[0] for e in wm.out_domain] == [0, 1, 2]
+def test_goe_refuses_an_oversized_chain_before_its_last_rank(monkeypatch):
+    """goe ranks mdim's boxes, then walks the kernel chain, whose box check refuses
+    r_max = 256 before the rank of the last window [0, 513) is taken."""
+    sides = []
+
+    def counted(ca, window):
+        sides.append(len(window))
+        return gamma_dim(ca, window)
+
+    monkeypatch.setattr(lca_mod, "gamma_dim", counted)
+    with pytest.raises(GroupError, match="would hold more than 65536 elements"):
+        goe_report(z_fixtures()["diff"], i_max=2, r_max=256)
+    assert sides == [1, 2]
 
 
 def test_window_matrix_applies_like_the_automaton():
@@ -176,13 +183,12 @@ def test_preinjectivity_examples():
 
 
 def test_surjectivity_examples():
-    assert surjectivity_check(z_fixtures()["diff"], 6).verdict == "full_rank_up_to"
-    report = surjectivity_check(z_fixtures()["rank1_2x2"], 6)
-    assert report.verdict == "not_surjective"
-    zero = z2_fixtures()["zero"]
-    report = surjectivity_check(zero, 4)
-    assert report.verdict == "not_surjective"
-    assert len(report.window) == 1  # fails already at the singleton window
+    """goe reads the verdict from mdim's q_13 at i_max = 16 and ranks [0, 13) itself at i_max = 4."""
+    for i_max in (16, 4):
+        assert goe_report(z_fixtures()["diff"], i_max, 6).surjectivity == "full_rank_up_to"
+        assert goe_report(z_fixtures()["rank1_2x2"], i_max, 6).surjectivity == "not_surjective"
+    # the zero rule fails already at the singleton window
+    assert goe_report(z2_fixtures()["zero"], 1, 0).surjectivity == "not_surjective"
 
 
 def test_find_left_inverse_shift():
@@ -275,19 +281,20 @@ def test_preinjectivity_probe_matches_the_plain_scan():
 
 
 def test_surjectivity_probe_matches_the_plain_scan():
-    """The probes r = 0, r = r_max and the scan give the plain scan's report: window, rank and full."""
+    """goe's verdict from the one rank of the box [0, 2 r_max + 1)^d is the plain scan's verdict on the
+    Z^d chain rules, r_max = 0..4, whether mdim's boxes reach that side (i_max >= 2 r_max + 1) or not."""
     first_deficient = {}
     for name, ca in _chain_rules().items():
+        if not isinstance(ca.group, ZdGroup):
+            continue
         for r_max in range(5):
-            got, want = surjectivity_check(ca, r_max), surjectivity_reference(ca, r_max)
-            assert (got.verdict, got.r_max, got.rank, got.full) == (want.verdict, want.r_max, want.rank, want.full), name
-            assert (got.window is None) == (want.window is None), name
-            if want.window is not None:
-                assert list(got.window) == list(want.window), name
-        first_deficient[name] = None if want.window is None else len(want.window)
-    # every branch runs: deficient at 0, full rank up to 4, and a first deficiency found by the scan
-    assert first_deficient["z2/zero"] == 1 and first_deficient["free2/one_minus_a"] is None
-    assert first_deficient["z/rank1_2x2"] == 3 and first_deficient["free2/rank1_2x2"] == 5
+            want, window = surjectivity_reference(ca, r_max)
+            for i_max in {max(1, 2 * r_max), 2 * r_max + 1, 9}:
+                assert goe_report(ca, i_max, r_max).surjectivity == want, (name, i_max, r_max)
+        first_deficient[name] = None if window is None else len(window)
+    # deficient at 0, full rank up to 4, and a first deficiency at r = 1 that r_max = 4 must still see
+    assert first_deficient["z2/zero"] == 1 and first_deficient["z/diff"] is None
+    assert first_deficient["z/rank1_2x2"] == 3
 
 
 def test_find_left_inverse_matches_the_transposed_system():
@@ -320,6 +327,28 @@ def test_finite_support_kernels_grow_along_the_chain():
             _, kernel = rank_kernel_sparse(wm.field, wm.matrix_rows, wm.ncols, want_kernel=True)
             assert bool(kernel) or not had_kernel, (name, r)
             had_kernel = bool(kernel)
+
+
+def test_box_ranks_are_translation_invariant():
+    """The plus window on [-r, r]^d has the rank of the plus window on [0, 2r + 1)^d, its translate,
+    on the Z and Z^2 fixtures and on GF(4) rules, r <= 4; goe reads its surjectivity verdict from the latter."""
+    gf4 = ExtensionField(2, 2)
+    w, one = gf4.gen(), gf4.one()
+    mat = lambda rows: ExactMatrix(gf4, rows)
+    gf4_rules = [
+        CellularAutomaton(Z, LinearRule(1, gf4, {zel(0): mat([[one]]), zel(1): mat([[w]])})),
+        # rank 1 over GF(4)(t): the second row is w times the first
+        CellularAutomaton(Z, LinearRule(2, gf4, {zel(0): mat([[one, w], [w, w * w]]), zel(1): mat([[w, one], [w * w, w]])})),
+        CellularAutomaton(Z2, LinearRule(1, gf4, {Z2.element((0, 0)): mat([[one]]), Z2.element((1, 1)): mat([[w + one]])})),
+    ]
+    fields, deficient = set(), 0
+    for ca in list(z_fixtures().values()) + list(z2_fixtures().values()) + gf4_rules:
+        fields.add(ca.rule.field)
+        for r in range(5):
+            rank = gamma_dim(ca, box_window(ca.group, r))
+            assert rank == gamma_dim(ca, folner_box(ca.group, 2 * r + 1)), (ca.rule.symbol, r)
+            deficient += rank < ca.rule.n * (2 * r + 1) ** ca.group.d
+    assert fields == {QQ, PrimeField(2), PrimeField(3), gf4} and deficient
 
 
 def test_rank_deficiency_persists_along_the_chain():
@@ -397,14 +426,15 @@ def test_goe_fixture_suite_consistency():
         if expected_mdim is not None:
             assert report.mdim.estimate == expected_mdim, name
         if report.preinjectivity.verdict == "not_pre_injective":
-            assert report.surjectivity.verdict == "not_surjective", name
+            assert report.surjectivity == "not_surjective", name
             assert report.mdim.estimate < ca.rule.n, name
 
 
 def test_window_matrix_modes_validate():
     diff = z_fixtures()["diff"]
-    with pytest.raises(CAError):
-        window_matrix(diff, "sideways", fsub(0))
+    for mode in ("sideways", "minus"):
+        with pytest.raises(CAError):
+            window_matrix(diff, mode, fsub(0))
     with pytest.raises(CAError):
         window_matrix(ca_from_polynomial(NearRingElement.variable(zel(0), QQ)), "plus", fsub(0))
 
@@ -421,23 +451,24 @@ def test_supported_mode_covers_inverse_side():
 
 def test_window_eliminations_match_reference_scan():
     """rank_kernel_sparse against the plain scan on the fixture rules' window
-    matrices, r <= 4, in every mode and both want_kernel modes; the rows
-    stay unchanged."""
-    checked = 0
+    matrices, r <= 4, in both modes and both want_kernel modes; the rows
+    stay unchanged.  Plus windows give matrices with more columns than rows,
+    and supported windows matrices with more rows than columns."""
+    checked, shapes = 0, set()
     for ca in list(z_fixtures().values()) + list(z2_fixtures().values()):
         for r in range(5):
             window = chain_window(ca.group, r)
-            for mode in ("plus", "minus", "supported"):
-                if mode == "minus" and not len(ca.memory_set()):
-                    continue
+            for mode in ("plus", "supported"):
                 wm = window_matrix(ca, mode, window)
+                shapes.add((mode, (wm.nrows > wm.ncols) - (wm.nrows < wm.ncols)))
                 for want_kernel in (True, False):
                     before = [dict(row) for row in wm.matrix_rows]
                     got = rank_kernel_sparse(wm.field, wm.matrix_rows, wm.ncols, want_kernel)
                     assert got == rank_kernel_reference(wm.field, [dict(row) for row in before], wm.ncols, want_kernel)
                     assert wm.matrix_rows == before
                     checked += 1
-    assert checked == 2 * 5 * (3 * 10 - 1)
+    assert checked == 2 * 5 * 2 * 10
+    assert {("plus", -1), ("supported", 1)} <= shapes
 
 
 def _scaled(ca, c):
@@ -459,9 +490,7 @@ def test_certified_window_ranks_match_reference_scan():
             scaled = _scaled(ca, c)
             for r in range(5):
                 window = chain_window(ca.group, r)
-                for mode in ("plus", "minus", "supported"):
-                    if mode == "minus" and not len(ca.memory_set()):
-                        continue
+                for mode in ("plus", "supported"):
                     wm = window_matrix(scaled, mode, window)
                     rank = rank_kernel_reference(QQ, [dict(row) for row in wm.matrix_rows], wm.ncols, False)[0]
                     full = rank == min(len(wm.matrix_rows), wm.ncols)

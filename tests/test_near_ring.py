@@ -37,8 +37,6 @@ from groupca.near_ring import (
     exhaustive_search,
     leading_term,
     search_monomials,
-    shift,
-    star,
 )
 from groupca.rings import QQ, ExtensionField, PrimeField, TwistedPoly, rank_kernel_sparse
 
@@ -106,9 +104,9 @@ def test_exp_convolve_support_and_degree_laws():
 
 def test_shift_examples():
     a = NearRingElement(Z, QQ, {ev({0: 2, 2: 1}): Fraction(1)})
-    assert shift(zel(1), a) == NearRingElement(Z, QQ, {ev({1: 2, 3: 1}): Fraction(1)})
+    assert a.shift(zel(1)) == NearRingElement(Z, QQ, {ev({1: 2, 3: 1}): Fraction(1)})
     c = const(7)
-    assert shift(zel(5), c) == c
+    assert c.shift(zel(5)) == c
 
 
 def test_shift_is_group_action():
@@ -117,8 +115,8 @@ def test_shift_is_group_action():
         a = rand_near_ring(Z2, F5, rng)
         g = Z2.element((rng.randint(-2, 2), rng.randint(-2, 2)))
         h = Z2.element((rng.randint(-2, 2), rng.randint(-2, 2)))
-        assert shift(g, shift(h, a)) == shift(g * h, a)
-        assert shift(g.inverse(), shift(g, a)) == a
+        assert a.shift(h).shift(g) == a.shift(g * h)
+        assert a.shift(g).shift(g.inverse()) == a
 
 
 # -- star ----------------------------------------------------------------
@@ -127,7 +125,7 @@ def test_shift_is_group_action():
 def to_sympy(a: NearRingElement, g=None):
     """a as a sympy expression over Z or Q, one symbol per variable, named by the group element's text.
 
-    With g given, each X_h is written as X_{g*h}: the shift of a by g, formed here and not by ``shift``.
+    With g given, each X_h is written as X_{g*h}: the shift of a by g, formed here and not by ``NearRingElement.shift``.
     """
     expr = 0
     for u, c in a.terms.items():
@@ -152,11 +150,11 @@ def sympy_star(a: NearRingElement, b: NearRingElement):
 def test_star_worked_example():
     alpha = NearRingElement(Z, QQ, {ev({1: 3, 0: 1}): Fraction(1)}) + const(1)
     beta = X(2, 2) - X(3, 2)
-    prod = star(alpha, beta)
+    prod = alpha.star(beta)
     expected = (X(3, 2) - X(4, 2)) ** 3 * (X(2, 2) - X(3, 2)) + const(1)
     assert prod == expected
     assert to_sympy(prod) == sympy_star(alpha, beta)
-    reverse = star(beta, alpha)
+    reverse = beta.star(alpha)
     expected_rev = (X(3, 1) ** 3 * X(2) + const(1)) ** 2 - (X(4) ** 3 * X(3) + const(1)) ** 2
     assert reverse == expected_rev
 
@@ -166,8 +164,8 @@ def test_star_identity_element():
     ident = NearRingElement.identity(Z, QQ)
     for _ in range(100):
         a = rand_near_ring(Z, QQ, rng)
-        assert star(ident, a) == a
-        assert star(a, ident) == a
+        assert ident.star(a) == a
+        assert a.star(ident) == a
 
 
 def test_star_one_absorbs():
@@ -175,13 +173,13 @@ def test_star_one_absorbs():
     one = NearRingElement.one(Z2, F5)
     for _ in range(100):
         a = rand_near_ring(Z2, F5, rng)
-        assert star(one, a) == one
-        assert star(a, one) == NearRingElement.constant(Z2, F5, sum(a.terms.values(), F5.zero()))
+        assert one.star(a) == one
+        assert a.star(one) == NearRingElement.constant(Z2, F5, sum(a.terms.values(), F5.zero()))
 
 
 def test_constant_minus_and_star_one_is_zero():
     a = X(0) - const(1)
-    assert not star(a, const(1))
+    assert not a.star(const(1))
 
 
 def test_star_against_sympy_oracle():
@@ -195,7 +193,7 @@ def test_star_against_sympy_oracle():
         for _ in range(draws):
             a = rand_near_ring(group, field, rng, radius=1, max_degree=3)
             b = rand_near_ring(group, field, rng, radius=1, max_degree=2)
-            got, want = to_sympy(star(a, b)), sympy_star(a, b)
+            got, want = to_sympy(a.star(b)), sympy_star(a, b)
             if not p:
                 assert got == want
                 continue
@@ -209,11 +207,11 @@ def test_star_left_distributive_right_fails():
         a = rand_near_ring(Z2, QQ, rng)
         b = rand_near_ring(Z2, QQ, rng)
         c = rand_near_ring(Z2, QQ, rng)
-        assert star(a + b, c) == star(a, c) + star(b, c)
+        assert (a + b).star(c) == a.star(c) + b.star(c)
     # recorded witness for the failure of right distributivity
     sq = X(0, 2)
-    lhs = star(sq, X(0) + X(0))
-    rhs = star(sq, X(0)) + star(sq, X(0))
+    lhs = sq.star(X(0) + X(0))
+    rhs = sq.star(X(0)) + sq.star(X(0))
     assert lhs == sq.scale(Fraction(4))
     assert rhs == sq.scale(Fraction(2))
     assert lhs != rhs
@@ -227,14 +225,14 @@ def test_star_associative_random():
                 a = rand_near_ring(group, field, rng, max_terms=2)
                 b = rand_near_ring(group, field, rng, max_terms=2)
                 c = rand_near_ring(group, field, rng, max_terms=2)
-                assert star(star(a, b), c) == star(a, star(b, c))
+                assert a.star(b).star(c) == a.star(b.star(c))
 
 
 def test_term_cap_guard(monkeypatch):
     monkeypatch.setattr(nr_mod, "TERM_CAP", 5)
     big = sum((X(i) for i in range(1, 4)), X(0))
     with pytest.raises(TermCapExceeded):
-        star(big ** 3, big)
+        (big ** 3).star(big)
 
 
 def test_power_size_bound_rejects_before_expanding(capsys):
@@ -483,7 +481,7 @@ def test_star_size_bound_matches_its_formula(monkeypatch):
             count = math.prod(math.comb(e + k - 1, k - 1) for e in exps.values())
             bound = min(count, math.prod(side + 1 for side in sides.values()))
             try:
-                size = len(star(alpha, beta).terms)
+                size = len(alpha.star(beta).terms)
             except TermCapExceeded as exc:  # before any factor is expanded
                 assert bound > cap and str(exc).startswith("substituting")
             else:
@@ -545,7 +543,7 @@ def test_trusted_constructors_match_the_validating_ones(group):
             for w in (u.add(v), u.translate(g), u.convolve(v), v.add(u)):
                 check_monomial(w)
             a, b = (rand_near_ring(group, field, rng, radius=1, max_degree=3, max_terms=4) for _ in range(2))
-            for c in (a._times(b), a.shift(g), a.scale(field_scalar(field, rng)), a + b, -a, star(a, b), a**3):
+            for c in (a._times(b), a.shift(g), a.scale(field_scalar(field, rng)), a + b, -a, a.star(b), a**3):
                 check_poly(c)
             assert not a.scale(field.zero()).terms
     foreign = ZdGroup(3).element((1, 0, 0))
@@ -572,7 +570,7 @@ def test_embed_group_ring_examples():
     one_plus = GroupRingElement(Z, QQ, {zel(0): Fraction(1), zel(1): Fraction(1)})
     one_minus = GroupRingElement(Z, QQ, {zel(0): Fraction(1), zel(1): Fraction(-1)})
     lhs = embed_group_ring(one_plus * one_minus)
-    rhs = star(embed_group_ring(one_plus), embed_group_ring(one_minus))
+    rhs = embed_group_ring(one_plus).star(embed_group_ring(one_minus))
     # both sides are the embedded 1 - g^2; the group-ring unit maps to the
     # identity variable, not to the constant 1
     assert lhs == rhs == X(0) - X(2)
@@ -591,7 +589,7 @@ def test_embed_group_ring_homomorphism_random():
     for _ in range(300):
         a = rand_group_ring(Z2, QQ, rng)
         b = rand_group_ring(Z2, QQ, rng)
-        assert embed_group_ring(a * b) == star(embed_group_ring(a), embed_group_ring(b))
+        assert embed_group_ring(a * b) == embed_group_ring(a).star(embed_group_ring(b))
         assert embed_group_ring(a + b) == embed_group_ring(a) + embed_group_ring(b)
         if a != b:
             assert embed_group_ring(a) != embed_group_ring(b)
@@ -604,7 +602,7 @@ def test_embed_twisted_examples():
     th = TwistedGroupRingElement(Z, F2, {zel(2): t})
     both = embed_twisted(tg * th)
     assert both == NearRingElement.variable(zel(3), F2, 4)
-    assert both == star(embed_twisted(tg), embed_twisted(th))
+    assert both == embed_twisted(tg).star(embed_twisted(th))
     ident = TwistedGroupRingElement.identity(Z, F2)
     assert embed_twisted(ident) == NearRingElement.identity(Z, F2)
 
@@ -627,7 +625,7 @@ def test_embed_twisted_homomorphism_random():
         for _ in range(150):
             a = rand_twisted(Z, field, rng)
             b = rand_twisted(Z, field, rng)
-            assert embed_twisted(a * b) == star(embed_twisted(a), embed_twisted(b))
+            assert embed_twisted(a * b) == embed_twisted(a).star(embed_twisted(b))
             assert embed_twisted(a + b) == embed_twisted(a) + embed_twisted(b)
             if a != b:
                 assert embed_twisted(a) != embed_twisted(b)
@@ -669,7 +667,7 @@ def test_leading_term_product_law_on_worked_example():
     beta = X(2, 2) - X(3, 2)
     ca, ua = leading_term(alpha, order)
     cb, ub = leading_term(beta, order)
-    cp, up = leading_term(star(alpha, beta), order)
+    cp, up = leading_term(alpha.star(beta), order)
     assert up == ua.convolve(ub)
     assert cp == ca * cb ** ua.degree()
 
@@ -715,7 +713,7 @@ def test_leading_term_product_formula_random():
                     continue
                 ca, ua = leading_term(a, order)
                 cb, ub = leading_term(b, order)
-                cp, up = leading_term(star(a, b), order)
+                cp, up = leading_term(a.star(b), order)
                 assert up == ua.convolve(ub)
                 assert cp == ca * cb ** ua.degree()
 
@@ -860,12 +858,12 @@ def brute_force_search(kind, field, support, degree):
     out = []
     if kind == "idempotent":
         for a in space:
-            if star(a, a) == a:
+            if a.star(a) == a:
                 out.append(a)
         return out
     for b in space:
         for a in space:
-            p = star(a, b)
+            p = a.star(b)
             if kind == "unit" and p == ident:
                 out.append((a, b))
             if kind == "zero_divisor" and not p and a and not b.is_constant():

@@ -62,6 +62,8 @@ DELETED = {
     "near_ring.exp_convolve",
     "near_ring.NearRingElement.coefficient_sum",
     "near_ring.MonomialOrder.leading_term",
+    "near_ring.star",
+    "near_ring.shift",
     "rings.scalar_field",
     "rings.matrix_rank_kernel",
     "rings.twisted_multiply",
@@ -74,6 +76,7 @@ DELETED = {
     "sofic.LabeledGraph.edge_count",
     "sofic.LabeledGraph.edges",
     "sofic.graph_to_text",
+    "linear_ca.SurjectivityReport",
 }
 
 

@@ -5,19 +5,23 @@
 
 Builds the seed-N ``exact`` and ``kaplansky`` job lists with this
 checkout's ``perfbench/workloads.py`` and writes their input files to one
-temporary directory that both sides share.  A ``ca-invert --radius 3``
-job follows for each of the 17 rule files of the ``exact`` list, whose
+temporary directory that both sides share.  A ``ca-invert --radius 3`` job
+follows for each of the 17 rule files of the ``exact`` list, whose
 workload inverts only one rule, so that left-inverse synthesis is compared
-over Q, F3 and GF(4), on Z and Z^2, with and without an inverse.  Three
-more invert free:2 rules (``FREE_RULES``): the shifts by a and by a^-1,
-which are each other's inverses, and 1 - a, which has none, so that the
-walk along the window chain is compared on balls, where ``goe`` does not
-run.  A ``graph-audit`` then transports the shift by a and its inverse
-onto a 1024-vertex Schreier graph (``FREE_AUDIT_GRAPH``) at radius 1,
-where V(3r) holds 114 vertices, so that the audit's transport through
-ball copies that are not translations is compared too.  The three Q
-rule files of ``Q_RULES`` each run ``goe``, ``mdim``, ``ca-invert`` and
-``graph-audit`` on a cycle or a torus (12 jobs): the workloads' Q rules
+over Q, F3 and GF(4), on Z and Z^2, with and without an inverse, and a
+``goe`` job (``GOE_PAST_IMAX``) for each of them that is a linear rule on
+Z^d, at ``--rmax 3`` past ``--imax 4``: the last window of the chain, the
+box of side 7, is then ranked on its own rather than read off the
+mean-dimension boxes.  Three more invert free:2 rules (``FREE_RULES``):
+the shifts by a and by a^-1, which are each other's inverses, and 1 - a,
+which has none, so that the walk along the window chain is compared on
+balls, where ``goe`` does not run.  A ``graph-audit`` then transports the
+shift by a and its inverse onto a 1024-vertex Schreier graph
+(``FREE_AUDIT_GRAPH``) at radius 1, where V(3r) holds 114 vertices, so
+that the audit's transport through ball copies that are not translations
+is compared too.  The three Q rule files of ``Q_RULES`` each run ``goe``
+(at ``--imax 8`` and with ``GOE_PAST_IMAX``), ``mdim``, ``ca-invert`` and
+``graph-audit`` on a cycle or a torus (15 jobs): the workloads' Q rules
 have small integer entries, so that a window rank over Q is settled by its
 certificate modulo 2^31 - 1 whenever it is full, while these have
 fractional entries, entries that are multiples of the prime and a
@@ -49,7 +53,7 @@ whose memory lacks the identity, so that their M-interiors leave the
 pattern's domain: each rule steps its pattern in minus mode and in plus
 mode at ``--window`` 0 and 1 (27 jobs), ``CA_COMPOSE`` composes rules of
 one kind and of two kinds (10 jobs) and ``CA_INVERT`` inverts three of
-them.  That makes 1166 jobs for every seed.  It runs every job through
+them.  That makes 1186 jobs for every seed.  It runs every job through
 ``groupca.cli.run_job`` twice, each time in one fresh interpreter: once on
 REF's ``src/`` (extracted with ``git archive``) and once on this
 checkout's ``src/``.  For each job it records the argv, the exit code,
@@ -91,6 +95,8 @@ FREE_RULES = {
     "free2_shift_a_inv.json": [["a^-1", [["1"]]]],
     "free2_one_minus_a.json": [["1", [["1"]]], ["a", [["-1"]]]],
 }
+# goe options whose last window, the box of side 2 * 3 + 1 = 7, lies past the mean-dimension boxes
+GOE_PAST_IMAX = ["--imax", "4", "--rmax", "3"]
 # the graph of the free:2 graph-audit: V(r), V(2r), V(3r) hold 988, 810 and 114 of its vertices at r = 1
 FREE_AUDIT_GRAPH = "schreier:1024:1"
 # Q rules off the rank certificate's small-integer path: file name -> (group,
@@ -220,6 +226,9 @@ def build_jobs(seed, tmp):
         if name == "exact":
             rules = sorted(fname for fname in wl.files if fname.endswith(".json"))
             argvs.extend(["ca-invert", "--rule", "jobs/" + fname, "--radius", "3"] for fname in rules)
+            docs = {fname: json.loads(wl.files[fname]) for fname in rules}
+            argvs.extend(["goe", "--rule", "jobs/" + fname, *GOE_PAST_IMAX] for fname, doc in docs.items()
+                         if doc["variant"] == "linear" and doc["group"].startswith("zd:"))
     for fname, symbol in FREE_RULES.items():
         rule = {"group": "free:2", "variant": "linear", "payload": {"n": 1, "field": "q", "symbol": symbol}}
         (tmp / "jobs" / fname).write_text(json.dumps(rule), encoding="utf-8")
@@ -232,6 +241,7 @@ def build_jobs(seed, tmp):
         path = "jobs/" + fname
         argvs += [
             ["goe", "--rule", path, "--imax", "8", "--rmax", "3"],
+            ["goe", "--rule", path, *GOE_PAST_IMAX],
             ["mdim", "--rule", path, "--imax", "8"],
             ["ca-invert", "--rule", path, "--radius", "3"],
             ["graph-audit", "--group", group, "--graph", graph, "--rule", path, "--radius", "1"],
