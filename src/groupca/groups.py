@@ -17,7 +17,7 @@ from __future__ import annotations
 import functools
 import itertools
 
-from .rings import TERM_CAP
+from .rings import EXPONENT_DIGITS, TERM_CAP
 
 
 class GroupError(ValueError):
@@ -99,6 +99,13 @@ class Group:
         raise NotImplementedError
 
 
+def _number(text) -> int:
+    """int(text), with a number of more than EXPONENT_DIGITS digits refused in groupca's terms, not the interpreter's."""
+    if len(text) > EXPONENT_DIGITS and sum(map(str.isdigit, text)) > EXPONENT_DIGITS:
+        raise GroupError("a number of more than %d digits, the most a text may hold" % EXPONENT_DIGITS)
+    return int(text)
+
+
 class ZdGroup(Group):
     kind = "zd"
     commutative = True
@@ -145,7 +152,9 @@ class ZdGroup(Group):
         if text.startswith("(") and text.endswith(")"):
             text = text[1:-1]
         try:
-            coords = [int(x) for x in text.split(",") if x.strip() != ""]
+            coords = [_number(x) for x in text.split(",") if x.strip() != ""]
+        except GroupError:
+            raise
         except ValueError:
             raise GroupError("bad Z^d element %r" % text) from None
         return self.element(tuple(coords))
@@ -244,7 +253,7 @@ class FreeGroup(Group):
             part = part.strip()
             if "^" in part:
                 name, _, exp = part.partition("^")
-                exp = int(exp)
+                exp = _number(exp)
             else:
                 name, exp = part, 1
             idx = _LETTERS.find(name.strip())
@@ -365,7 +374,7 @@ class FiniteGroup(Group):
         text = text.strip()
         if not text.startswith("#"):
             raise GroupError("bad finite-group element %r" % text)
-        return self.element(int(text[1:]))
+        return self.element(_number(text[1:]))
 
     def spec_string(self):
         return "finite:order%d" % self.order
@@ -393,14 +402,14 @@ def parse_group_spec(spec: str) -> Group:
     spec = spec.strip()
     head, _, arg = spec.partition(":")
     if head == "zd":
-        return ZdGroup(int(arg))
+        return ZdGroup(_number(arg))
     if head == "free":
-        return FreeGroup(int(arg))
+        return FreeGroup(_number(arg))
     if head == "cyclic":
-        return FiniteGroup.cyclic(int(arg))
+        return FiniteGroup.cyclic(_number(arg))
     if head == "finite":
         with open(arg, "r", encoding="utf-8") as fh:
-            rows = [[int(x) for x in line.split()] for line in fh if line.strip() and not line.startswith("#")]
+            rows = [[_number(x) for x in line.split()] for line in fh if line.strip() and not line.startswith("#")]
         return FiniteGroup(rows)
     raise GroupError("unknown group spec %r" % spec)
 

@@ -38,14 +38,11 @@ from operator import itemgetter
 
 from .group_ring import GroupRingElement, TwistedGroupRingElement
 from .groups import FiniteSubset, GroupElement
-from .rings import IRREDUCIBLE, LOG_ZERO, TERM_CAP, WORK_CAP, Echelon, PrimeField, base_digits, chain_products, field_tables
-from .rings import frobenius, log_add, power, scalar_inverse
+from .rings import EXPONENT_DIGITS, IRREDUCIBLE, LOG_ZERO, TERM_CAP, WORK_CAP, Echelon, PrimeField, base_digits, chain_products
+from .rings import field_tables, frobenius, log_add, power, scalar_inverse
 
 
 _HASH_MODULUS = sys.hash_info.modulus
-# most decimal digits of an exponent in a monomial's text: the interpreter's own
-# int-to-text limit, 4300 by default, would otherwise refuse it in its own terms
-EXPONENT_DIGITS = 4300
 _EXPONENT_BOUND = 10**EXPONENT_DIGITS
 
 
@@ -719,8 +716,8 @@ class _FastPoly:
             return sum(e << (universe.position(g) * width) for g, e in items)
 
         self.monomials = search_monomials(support, max_total_degree)
-        degrees = [u.degree() for u in self.monomials]
-        self.bounds = [bisect.bisect_left(degrees, k) for k in range(max(max_total_degree, 1) + 2)]
+        self.degrees = [u.degree() for u in self.monomials]
+        self.bounds = [bisect.bisect_left(self.degrees, k) for k in range(max(max_total_degree, 1) + 2)]
         self.mono_keys = [pack(u.items) for u in self.monomials]
         self.target = {pack([(group.identity(), 1)]): 1} if kind == "unit" else {}
         # shift_tables[k][i] is the packed shift by the k-th support element
@@ -738,12 +735,15 @@ class _FastPoly:
             self.factors.append((position[ExponentVector(group, rest)], elems.index(g)))
         self.filter = _IdempotentFilter(self, len(universe), width, max_total_degree) if kind == "idempotent" else None
 
-    def admits(self, digits):
-        """Whether the augmentation eps = sum_k s_k t^k of the digits allows a finding of the search's kind."""
+    def block_sums(self, digits):
+        """[s_0, s_1, ...] of the augmentation eps = sum_k s_k t^k of the digits."""
+        return [sum(digits[a:b]) % self.p for a, b in zip(self.bounds, self.bounds[1:])]
+
+    def admits(self, sums):
+        """Whether the augmentation with these block sums allows a finding of the search's kind."""
         if self.kind == "zero_divisor":
             return True
-        p, bounds = self.p, self.bounds
-        s0, s1, *higher = [sum(digits[a:b]) % p for a, b in zip(bounds, bounds[1:])]
+        s0, s1, *higher = sums
         if any(higher):
             return False
         return s1 != 0 if self.kind == "unit" else s1 == 0 or (s1 == 1 and s0 == 0)
@@ -856,15 +856,16 @@ def _walk(fast, ranges):
     """(index, digits) for each index of the ascending enumeration-index ranges that ``fast`` admits.
 
     ``digits`` is one list per range, advanced in place from one index to
-    the next; copy it to keep it.
+    the next; copy it to keep it.  Its block sums move with it; zero divisors skip the test.
     """
-    p, m, admits = fast.p, len(fast.monomials), fast.admits
+    p, m, degrees, screened = fast.p, len(fast.monomials), fast.degrees, fast.kind != "zero_divisor"
     for r in ranges:
         digits = _index_to_digits(r.start, p, m)
+        sums = fast.block_sums(digits)
         for index in r:
-            if admits(digits):
+            if not screened or fast.admits(sums):
                 yield index, digits
-            _advance(digits, p)
+            _advance(digits, p, sums, degrees)
 
 
 def _index_to_digits(index, p, m):
@@ -882,9 +883,12 @@ def _digits_to_index(digits, p):
     return index
 
 
-def _advance(digits, p):
+def _advance(digits, p, sums, degrees):
+    """Step the digits to the next index, adding 1 mod p to the block sum of each digit that changes, a wrap to 0 too."""
     i = len(digits) - 1
     while i >= 0:
+        k = degrees[i]
+        sums[k] = (sums[k] + 1) % p
         digits[i] += 1
         if digits[i] < p:
             return
@@ -938,15 +942,21 @@ def exhaustive_search(
     return SearchResult(findings=findings, monomials=fast.monomials, space_size=size, workers=nworkers)
 
 
-# Fewest indices in a chunk: a worker pool costs about 20 ms to fork, feed
-# and stop on two cores, and lost at 512 and 1200 indices per worker (F2
-# idempotents at degree 2, F7 ones at degree 1) but won at 4920 and 7813
-# (F3 units at degree 2, free:2 F5 idempotents).
-CHUNK_MIN = 2048
+# Least estimated work in a chunk, in units of about 1 us of one core (Python 3.11.7): an admitted index costs
+# m^2 for a solve of m columns, m for a point test.  Forking, feeding and stopping a two-process pool took
+# 15-28 ms there, so a round forks only with twice this work, and each chunk outweighs the fork.
+WORK_MIN = 50000
+
+
+def _round_work(fast, count):
+    """The estimated work of ``count`` indices: the share of them that eps admits times each one's cost."""
+    p, m, kind = fast.p, len(fast.monomials), fast.kind
+    share = 1 if kind == "zero_divisor" else ((p - 1) / p if kind == "unit" else (p + 1) / p**2) / p ** (len(fast.bounds) - 3)
+    return count * share * (m if kind == "idempotent" else m * m)
 
 
 def _run_chunks(pools, fn, fast, ranges, nworkers):
-    """fn(fast, chunk) over the index ranges cut into at most nworkers chunks of at least CHUNK_MIN indices.
+    """fn(fast, chunk) over the index ranges cut into at most nworkers chunks of at least WORK_MIN estimated work.
 
     A single chunk runs in-process.  More run on the pool in ``pools``,
     forked here when the list is empty with one process per chunk, at most
@@ -954,7 +964,7 @@ def _run_chunks(pools, fn, fast, ranges, nworkers):
     changes no record.
     """
     total = sum(map(len, ranges))
-    step = max(1, -(-total // max(1, min(nworkers, total // CHUNK_MIN))))
+    step = max(1, -(-total // max(1, min(nworkers, int(_round_work(fast, total) // WORK_MIN)))))
     chunks, chunk, room = [], [], step
     for r in ranges:
         while r:

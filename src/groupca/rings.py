@@ -25,6 +25,7 @@ class RingError(ValueError):
 
 TERM_CAP = 10**6  # size bound of one polynomial or group-ring product, checked before forming it
 WORK_CAP = 10**6  # term products of one polynomial product or power chain, checked before it starts
+EXPONENT_DIGITS = 4300  # most digits of a number in a text: the interpreter's int-to-text limit would refuse more in its own terms
 CERTIFY_PRIME = 2**31 - 1  # full Q ranks are certified modulo this prime (rank_kernel_sparse)
 
 

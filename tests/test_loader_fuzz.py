@@ -10,9 +10,11 @@ import json
 import os
 import tempfile
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from groupca.cli import run_job
+from groupca.near_ring import EXPONENT_DIGITS
 
 _FUZZ = settings(derandomize=True, database=None, max_examples=150, deadline=None)
 
@@ -161,3 +163,30 @@ def test_pattern_files_exit_0_or_2(kind, data, mode):
 def test_graph_files_exit_0_or_2(text, radius):
     argv = ["sofic-check", "--group", "zd:1", "--graph", "file:{graph}", "--radius", radius, "--epsilon", "1/2"]
     assert _run_with_files(argv, graph=text) in (0, 2)
+
+
+_LONG = "9" * (EXPONENT_DIGITS + 700)
+_SEARCH = ["--field", "f2", "--degree", "1"]
+
+
+@pytest.mark.parametrize(
+    "argv, files",
+    [
+        (["units", "--group", "free:2", *_SEARCH, "--support", "a^" + _LONG], {}),
+        (["star", "--group", "zd:1", "--field", "q", "--alpha", "X[(%s)]" % _LONG, "--beta", "1"], {}),
+        (["star", "--group", "cyclic:3", "--field", "f2", "--alpha", "X[#%s]" % _LONG, "--beta", "1"], {}),
+        (["units", "--group", "zd:2", *_SEARCH, "--support", "(1,-%s)" % _LONG], {}),
+        (["units", "--group", "zd:" + _LONG, *_SEARCH], {}),
+        (["units", "--group", "free:" + _LONG, *_SEARCH], {}),
+        (["units", "--group", "cyclic:" + _LONG, *_SEARCH], {}),
+        (["units", "--group", "finite:{table}", *_SEARCH], {"table": "0 1\n1 %s\n" % _LONG}),
+    ],
+    ids=["free-power", "zd-variable", "finite-variable", "zd-support", "zd-spec", "free-spec", "cyclic-spec", "finite-table"],
+)
+def test_long_numbers_in_group_texts_exit_2_naming_the_limit(argv, files, capsys):
+    """A number of more than EXPONENT_DIGITS digits in a group element or spec is refused in groupca's terms, on one line."""
+    assert _run_with_files(argv, **files) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "a number of more than %d digits, the most a text may hold" % EXPONENT_DIGITS in err
+    assert "int_max_str_digits" not in err

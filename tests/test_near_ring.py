@@ -946,7 +946,7 @@ def cyclic_spaces():
 
 def test_pooled_search_matches_in_process(monkeypatch):
     """With every round cut into chunks, the pooled findings at 2 and 4 workers equal the in-process ones."""
-    monkeypatch.setattr(nr_mod, "CHUNK_MIN", 1)
+    monkeypatch.setattr(nr_mod, "WORK_MIN", 1)
     for kind, field, support, degree in cyclic_spaces():
         res1 = exhaustive_search(kind, field, support, degree, workers=1)
         assert res1.findings
@@ -954,8 +954,21 @@ def test_pooled_search_matches_in_process(monkeypatch):
             assert search_key(exhaustive_search(kind, field, support, degree, workers=workers)) == search_key(res1)
 
 
+# the spaces of perfbench's kaplansky workload; its seeded support of five zd:2 elements, no two of them
+# inverse, is one such fixed support here: a round's estimated work reads only its kind, p, m and index count
+KAPLANSKY_SPACES = [
+    *[(kind, F2, support_pm1(), 2) for kind in ("unit", "idempotent", "zero_divisor")],
+    *[(kind, F2, FiniteSubset(Z2, [Z2.identity(), Z2.element((1, 0)), Z2.element((0, 1))]), 2) for kind in ("unit", "idempotent", "zero_divisor")],
+    *[(kind, F3, FiniteSubset(Z, [zel(0), zel(1)]), 2) for kind in ("unit", "idempotent", "zero_divisor")],
+    ("unit", F5, FiniteSubset(Z2, [Z2.identity(), *(Z2.element(v) for v in ((1, 0), (0, 2), (-2, 1), (1, -2)))]), 1),
+    ("idempotent", F5, ball(FREE2, 1), 1),
+    ("unit", F7, support_pm1(), 1),
+    ("zero_divisor", F7, support_pm1(), 1),
+]
+
+
 def test_small_searches_fork_no_pool(monkeypatch):
-    """Rounds below CHUNK_MIN indices per worker run in-process at any worker count."""
+    """Rounds below twice WORK_MIN of estimated work run in-process at any worker count, the kaplansky workload's at 2."""
     import multiprocessing
 
     def refuse(*args, **kwargs):
@@ -964,6 +977,23 @@ def test_small_searches_fork_no_pool(monkeypatch):
     monkeypatch.setattr(multiprocessing, "Pool", refuse)
     for kind, field, support, degree in [*cyclic_spaces(), ("unit", F2, support_pm1(), 2), ("idempotent", F3, support_pm1(), 1)]:
         assert exhaustive_search(kind, field, support, degree, workers=2).findings
+    for kind, field, support, degree in KAPLANSKY_SPACES:
+        assert exhaustive_search(kind, field, support, degree, workers=2).findings or kind == "zero_divisor"
+
+
+class InProcessPool:
+    """A stand-in for multiprocessing.Pool that records its size and runs the chunks in order, in-process."""
+
+    sizes = []
+
+    def __init__(self, processes):
+        self.sizes.append(processes)
+
+    def starmap(self, fn, chunks):
+        return list(itertools.starmap(fn, chunks))
+
+    def terminate(self):
+        pass
 
 
 def test_pool_forks_one_process_per_chunk_at_most_one_per_core(monkeypatch):
@@ -971,18 +1001,7 @@ def test_pool_forks_one_process_per_chunk_at_most_one_per_core(monkeypatch):
     import multiprocessing
     import os
 
-    sizes = []
-
-    class InProcessPool:
-        def __init__(self, processes):
-            sizes.append(processes)
-
-        def starmap(self, fn, chunks):
-            return list(itertools.starmap(fn, chunks))
-
-        def terminate(self):
-            pass
-
+    sizes = InProcessPool.sizes
     space = ("unit", F3, ball(cyclic_group(3), 1), 2)
     expected = search_key(exhaustive_search(*space, workers=1))
     monkeypatch.setattr(multiprocessing, "Pool", InProcessPool)
@@ -993,6 +1012,51 @@ def test_pool_forks_one_process_per_chunk_at_most_one_per_core(monkeypatch):
         assert sizes == [forked]
 
 
+def test_pooled_search_of_report_diff_forks_at_its_workers(monkeypatch):
+    """POOLED_SEARCH of tools/report_diff.py forks a pool at SEARCH_WORKERS, as its docstring says."""
+    import multiprocessing
+    import os
+
+    from groupca.groups import parse_group_spec
+    from groupca.rings import field_from_spec
+
+    cmd, spec, field, degree = report_diff_constant("POOLED_SEARCH")
+    workers = report_diff_constant("SEARCH_WORKERS")
+    monkeypatch.setattr(multiprocessing, "Pool", InProcessPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    InProcessPool.sizes.clear()
+    kinds = {"units": "unit", "idem": "idempotent", "zerodiv": "zero_divisor"}
+    assert exhaustive_search(kinds[cmd], field_from_spec(field), ball(parse_group_spec(spec), 1), degree, workers=workers).findings
+    assert InProcessPool.sizes == [workers]
+
+
+def test_pool_placement_at_the_work_minimum(monkeypatch):
+    """A round of just under twice WORK_MIN runs in-process and one of twice WORK_MIN forks; findings match at 1, 2 and 4 workers."""
+    import multiprocessing
+    import os
+
+    kind, field, support, degree = cyclic_spaces()[1]  # idempotents: a single round of p^m alphas
+    fast = nr_mod._FastPoly(kind, field, support, degree)
+    work = nr_mod._round_work(fast, field.p ** len(fast.monomials))
+    expected = search_key(exhaustive_search(kind, field, support, degree, workers=1))
+    assert expected
+    forks, pool = [], multiprocessing.Pool
+
+    def counting_pool(processes):
+        forks.append(processes)
+        return pool(processes=processes)
+
+    monkeypatch.setattr(multiprocessing, "Pool", counting_pool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    for minimum, forked in ((work / 2 * (1 + 1e-9), []), (work / 2, [2, 2])):
+        monkeypatch.setattr(nr_mod, "WORK_MIN", minimum)
+        forks.clear()
+        for workers in (1, 2, 4):
+            assert search_key(exhaustive_search(kind, field, support, degree, workers=workers)) == expected
+        assert forks == forked
+    assert multiprocessing.active_children() == []
+
+
 def _raising_chunk(fast, ranges):
     raise RuntimeError("chunk failed")
 
@@ -1000,7 +1064,7 @@ def _raising_chunk(fast, ranges):
 def test_failing_chunk_leaves_no_worker(monkeypatch):
     import multiprocessing
 
-    monkeypatch.setattr(nr_mod, "CHUNK_MIN", 1)
+    monkeypatch.setattr(nr_mod, "WORK_MIN", 1)
     monkeypatch.setattr(nr_mod, "_idempotents", _raising_chunk)
     with pytest.raises(RuntimeError, match="chunk failed"):
         exhaustive_search("idempotent", F2, support_pm1(), 2, workers=2)
@@ -1033,16 +1097,16 @@ def test_certify_refuses_a_flipped_solution_digit():
                 nr_mod._certify(kind, fast, record)
 
 
-def report_diff_cyclic_searches():
-    """CYCLIC_SEARCHES of tools/report_diff.py, read without importing the tool."""
+def report_diff_constant(name):
+    """A module-level constant of tools/report_diff.py, read without importing the tool."""
     import ast
     import pathlib
 
     tree = ast.parse((pathlib.Path(__file__).resolve().parent.parent / "tools" / "report_diff.py").read_text())
     for node in tree.body:
-        if isinstance(node, ast.Assign) and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["CYCLIC_SEARCHES"]:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets if isinstance(t, ast.Name)] == [name]:
             return ast.literal_eval(node.value)
-    raise AssertionError("tools/report_diff.py defines no CYCLIC_SEARCHES")
+    raise AssertionError("tools/report_diff.py defines no %s" % name)
 
 
 def test_cached_products_equal_the_generic_star():
@@ -1050,7 +1114,7 @@ def test_cached_products_equal_the_generic_star():
     from groupca.rings import field_from_spec
 
     kinds = {"units": "unit", "idem": "idempotent", "zerodiv": "zero_divisor"}
-    searches = report_diff_cyclic_searches()
+    searches = report_diff_constant("CYCLIC_SEARCHES")
     assert len(searches) == 8
     for cmd, spec, field, degree in searches:
         res = exhaustive_search(kinds[cmd], field_from_spec(field), ball(parse_group_spec(spec), 1), degree)
@@ -1139,6 +1203,11 @@ def test_augmentation_is_a_homomorphism(group):
         assert max(degrees) >= 2
 
 
+def admits(fast, digits):
+    """The eps test of ``fast`` on digits, with block sums computed from scratch."""
+    return fast.admits(fast.block_sums(digits))
+
+
 def _steered_digits(rng, monos, p):
     """Random digits whose degree-k digit sum is 0 for k >= 2 at least three times in four.
 
@@ -1183,9 +1252,9 @@ def test_augmentation_filters_match_eps_of_the_element(field, support, degree):
     for _ in range(300):
         digits = _steered_digits(rng, monos, p)
         eps = augmentation(units.element(digits))
-        verdicts = (units.admits(digits), idempotents.admits(digits))
+        verdicts = (admits(units, digits), admits(idempotents, digits))
         assert verdicts == (max(eps, default=-1) == 1, compose(eps, eps, field.one()) == eps), digits
-        assert zero_divisors.admits(digits)
+        assert admits(zero_divisors, digits)
         seen.add(verdicts)
     # (False, False) needs a term of degree >= 2 in eps
     assert seen == {(True, True), (True, False), (False, True)} | ({(False, False)} if degree > 1 else set())
@@ -1249,7 +1318,7 @@ def test_search_liveness_matches_generic_elimination(field, support, degree, out
     skipped = set()
     while len(skipped) < 30:
         index = representative()
-        if not units.admits(nr_mod._index_to_digits(index, p, m)):
+        if not admits(units, nr_mod._index_to_digits(index, p, m)):
             skipped.add(index)
     seen = set()
     for index in sorted(sample | skipped):
@@ -1258,16 +1327,47 @@ def test_search_liveness_matches_generic_elimination(field, support, degree, out
         fast = (bool(nr_mod._live_betas(units, beta)), bool(nr_mod._live_betas(zero_divisors, beta)))
         generic = _generic_liveness(field, monos, digits)
         assert fast == generic, digits
-        assert units.admits(digits) or not generic[0], digits
+        assert admits(units, digits) or not generic[0], digits
         seen.add(fast)
     assert seen == outcomes  # (unit live, zero divisor live)
     alphas = 0
     while alphas < 20:
         digits = _steered_digits(rng, monos, p)
-        if not idempotents.admits(digits):
+        if not admits(idempotents, digits):
             alpha = idempotents.element(digits)
             assert alpha.star(alpha) != alpha, digits
             alphas += 1
+
+
+@pytest.mark.parametrize(
+    "field, support, degree",
+    [(F2, support_pm1(), 2), (F3, FiniteSubset(Z, [zel(0), zel(1)]), 2), (F5, FiniteSubset(Z, [zel(0), zel(1)]), 2)],
+    ids=["F2-zd:1", "F3-zd:1", "F5-zd:1"],
+)
+def test_walk_block_sums_match_admits_on_every_index(field, support, degree):
+    """The walk's incremental block sums admit exactly the indices that block sums from scratch admit.
+
+    Whole spaces are walked, and seeded cuts into ranges that start and end
+    mid-range, as chunks do.
+    """
+    rng = random.Random(5)
+    p = field.p
+    for kind in ("unit", "idempotent", "zero_divisor"):
+        fast = nr_mod._FastPoly(kind, field, support, degree)
+        m = len(fast.monomials)
+        size = p**m
+        expected = [i for i in range(size) if admits(fast, nr_mod._index_to_digits(i, p, m))]
+        cuts = sorted(rng.sample(range(1, size), 7))
+        for ranges in ([range(size)], [range(a, b) for a, b in zip([0, *cuts], [*cuts, size])]):
+            walked = [(i, list(digits)) for i, digits in nr_mod._walk(fast, ranges)]
+            assert [i for i, _ in walked] == expected
+            assert all(digits == nr_mod._index_to_digits(i, p, m) for i, digits in walked)
+        admitted = set(expected)
+        for start in rng.sample(range(size), 20):
+            part = range(start, min(size, start + 3 * p + 1))
+            assert [i for i, _ in nr_mod._walk(fast, [part])] == [i for i in part if i in admitted]
+        if kind == "zero_divisor":
+            assert len(expected) == size
 
 
 def test_finding_dataclass_shape():

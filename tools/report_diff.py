@@ -30,8 +30,9 @@ Eight searches on cyclic groups follow (``CYCLIC_SEARCHES``): the
 workloads' searches have only empty or trivial findings, while these find
 nontrivial units, idempotents and zero divisors, so a search that loses a
 finding changes the records.  A ninth, ``POOLED_SEARCH`` (162 unit
-findings), runs at ``--workers 2``: its first round of 9841 betas is
-large enough to be cut into chunks for a worker pool, so the pooled path is
+findings), runs at ``--workers 2``: its first round of 9841 betas, about
+2 200 of them past eps and each a 10-column solve, holds enough estimated
+work to be cut into chunks for a worker pool, so the pooled path is
 compared with findings too.  A tenth, ``FILTER_SEARCH``, looks for the
 idempotents over 15 monomials, where the point filter skips all but a few
 of its 12 288 alphas.  Each writes its ``--findings`` file into the
