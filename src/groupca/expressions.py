@@ -21,6 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .group_ring import GroupRingElement, TwistedGroupRingElement
+from .groups import clip
 from .near_ring import EXPONENT_DIGITS, ExponentVector, NearRingElement
 from .rings import ExtensionField, TwistedPoly
 
@@ -111,7 +112,7 @@ class _Parser:
         try:
             return self.group.parse_element(text)
         except ValueError as exc:
-            raise ParseError("bad group element %r (%s)" % (text, exc), position)
+            raise ParseError("bad group element %s (%s)" % (clip(text), exc), position)
 
     # grammar ------------------------------------------------------------
 

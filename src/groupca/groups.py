@@ -99,6 +99,16 @@ class Group:
         raise NotImplementedError
 
 
+CLIP = 32  # the most characters of an input text that an error line echoes
+
+
+def clip(text) -> str:
+    """repr(text) for an error line; a text of more than CLIP characters shows only its first CLIP and its length."""
+    if len(text) <= CLIP:
+        return repr(text)
+    return "%r... (%d characters)" % (text[:CLIP], len(text))
+
+
 def _number(text) -> int:
     """int(text), with a number of more than EXPONENT_DIGITS digits refused in groupca's terms, not the interpreter's."""
     if len(text) > EXPONENT_DIGITS and sum(map(str.isdigit, text)) > EXPONENT_DIGITS:
@@ -156,7 +166,7 @@ class ZdGroup(Group):
         except GroupError:
             raise
         except ValueError:
-            raise GroupError("bad Z^d element %r" % text) from None
+            raise GroupError("bad Z^d element %s" % clip(text)) from None
         return self.element(tuple(coords))
 
     def spec_string(self):
@@ -258,10 +268,10 @@ class FreeGroup(Group):
                 name, exp = part, 1
             idx = _LETTERS.find(name.strip())
             if idx < 0 or idx >= self.rank:
-                raise GroupError("unknown generator %r" % part)
+                raise GroupError("unknown generator %s" % clip(part))
             powers.append((idx + 1 if exp > 0 else -(idx + 1), abs(exp)))
         if sum(count for _, count in powers) > TERM_CAP:
-            raise GroupError("the word %r has more than %d letters" % (text, TERM_CAP))
+            raise GroupError("the word %s has more than %d letters" % (clip(text), TERM_CAP))
         return self.element(tuple(itertools.chain.from_iterable([letter] * count for letter, count in powers)))
 
     def spec_string(self):
@@ -282,11 +292,13 @@ class FiniteGroup(Group):
 
     A table of more than BALL_CAP entries (order above 256) is refused
     before it is built or checked: each check takes n^2 steps or more.
+    ``spec`` is the group spec that ``parse_group_spec`` reads back into
+    this group; a table built in code has none.
     """
 
     kind = "finite"
 
-    def __init__(self, table, generator_indices=None):
+    def __init__(self, table, generator_indices=None, spec=None):
         _check_order(len(table))
         table = tuple(tuple(int(x) for x in row) for row in table)
         n = len(table)
@@ -338,13 +350,14 @@ class FiniteGroup(Group):
             gens.add(inverses[i])
         self.generator_indices = tuple(sorted(gens))
         self.commutative = all(table[a][b] == table[b][a] for a in range(n) for b in range(a))
+        self.spec = spec
         self._hash_seed = hash(("finite", table))
 
     @classmethod
     def cyclic(cls, n: int, generator_indices=None):
         _check_order(n)
         table = [[(a + b) % n for b in range(n)] for a in range(n)]
-        return cls(table, generator_indices=generator_indices)
+        return cls(table, generator_indices=generator_indices, spec="cyclic:%d" % n if generator_indices is None else None)
 
     def _identity_value(self):
         return self.identity_index
@@ -373,11 +386,12 @@ class FiniteGroup(Group):
     def parse_element(self, text):
         text = text.strip()
         if not text.startswith("#"):
-            raise GroupError("bad finite-group element %r" % text)
+            raise GroupError("bad finite-group element %s" % clip(text))
         return self.element(_number(text[1:]))
 
     def spec_string(self):
-        return "finite:order%d" % self.order
+        """The spec this group was read from; a table built in code has none, and its text names only the order."""
+        return self.spec or "finite:order%d" % self.order
 
     def elements(self):
         return [GroupElement(self, i) for i in range(self.order)]
@@ -410,8 +424,8 @@ def parse_group_spec(spec: str) -> Group:
     if head == "finite":
         with open(arg, "r", encoding="utf-8") as fh:
             rows = [[_number(x) for x in line.split()] for line in fh if line.strip() and not line.startswith("#")]
-        return FiniteGroup(rows)
-    raise GroupError("unknown group spec %r" % spec)
+        return FiniteGroup(rows, spec=spec)
+    raise GroupError("unknown group spec %s" % clip(spec))
 
 
 # ---------------------------------------------------------------------------

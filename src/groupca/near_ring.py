@@ -604,68 +604,89 @@ def search_monomials(support: FiniteSubset, max_total_degree: int):
     return monos
 
 
-# The idempotent filter.  For a point x of L^U, L a field containing F_p and U = {e} u S u S.S,
-# ev_x is a ring homomorphism, and substitution gives ev_x(alpha star alpha) = sum_u a_u prod_g y_g^(u_g)
-# with y_g = ev_x(shift(g, alpha)).  An idempotent alpha has ev_x(alpha star alpha) = ev_x(alpha) at every
-# x, so an alpha with a point where they differ is skipped before any product is formed.  A nonzero
-# difference of degree at most d^2 vanishes at a fraction of at most d^2/|L| of the points (Schwartz-Zippel),
-# and later points see only the alphas that earlier ones pass.  Survivors take the full path.
+# The point filters.  For a point x of L^U, L a field containing F_p and U = {e} u S u S.S, ev_x is a ring
+# homomorphism, and substitution gives ev_x(alpha star beta) = sum_u a_u prod_g y_g^(u_g) with
+# y_g = ev_x(shift(g, beta)).  An idempotent alpha has ev_x(alpha star alpha) = ev_x(alpha) at every x, so an
+# alpha with a point where they differ is skipped before any product is formed.  A nonzero difference of degree
+# at most d^2 vanishes at a fraction of at most d^2/|L| of the points (Schwartz-Zippel), and later points see
+# only the alphas that earlier ones pass.  A unit partner beta over F2 has an alpha of F2 digits with
+# sum_u a_u ev_x(X^u star beta) = ev_x(X_e) at every x: over L = GF(16) each point gives 4 equations over F2,
+# and a beta whose projected system has no solution is skipped.  Survivors take the full path.
 FILTER_POINTS = 4
 
 
-def filter_points(p, universe_size, support_size, max_total_degree):
-    """(k, points): the idempotent filter's field L = GF(p^k) and its points, each a list of nonzero codes of L, one per variable.
+def unit_point_count(m):
+    """ceil(m/4) + 1 points of GF(16) for an F2 unit search over m monomials: 4 equations each, at least m + 4 in all."""
+    return -(-m // 4) + 1
+
+
+def filter_points(p, universe_size, support_size, max_total_degree, count=FILTER_POINTS):
+    """(k, points): a filter's field L = GF(p^k) and ``count`` points, each a list of nonzero codes of L, one per variable.
 
     L is the largest shipped extension of F_p, and F_p itself (k = 1) for a
     prime without one.  The coordinates are drawn from a generator seeded
-    with (p, |S|, d).
+    with (p, |S|, d), so a longer list starts with a shorter one's points.
     """
     k = max([e for r, e in IRREDUCIBLE if r == p], default=1)
     rng = random.Random("idempotent filter %d %d %d" % (p, support_size, max_total_degree))
-    return k, [[rng.randrange(1, p**k) for _ in range(universe_size)] for _ in range(FILTER_POINTS)]
+    return k, [[rng.randrange(1, p**k) for _ in range(universe_size)] for _ in range(count)]
 
 
-class _IdempotentFilter:
-    """The filter's tables for one idempotent search, and its test of an alpha.
+class _PointFilter:
+    """A filter's tables at its points, for one search.
 
-    The index of alpha is high * split + low, low holding its last m - m//2
-    digits.  For each point x, and for each shift table and the canonical
-    monomials, one table per part holds, for each value of that part, the
-    log of sum_i a_i ev_x(X^key_i) over the part's digits a_i.  Logs are to
-    the base of the generator of ``field_tables``, LOG_ZERO for 0.
+    The index of an element is high * split + low, low holding its last
+    m - m//2 digits.  ``parts`` gives, at one point, one table per part
+    holding, for each value of that part, the log of sum_i a_i ev_x(X^key_i)
+    over the part's digits a_i.  Logs are to the base of the generator of
+    ``field_tables``, LOG_ZERO for 0.  ``points`` holds, for each point, its
+    coordinates' codes and the parts of each shift table.
     """
 
-    def __init__(self, fast, universe_size, width, max_total_degree):
+    def __init__(self, fast, universe, width, max_total_degree, count):
         p, m = fast.p, len(fast.monomials)
-        k, points = filter_points(p, universe_size, len(fast.shift_tables), max_total_degree)
-        _, log, self.zech = field_tables(p, k)
+        self.k, points = filter_points(p, len(universe), len(fast.shift_tables), max_total_degree, count)
+        self.exp, self.log, self.zech = field_tables(p, self.k)
+        self.p, self.m, self.width = p, m, width
         self.factors = fast.factors
         self.split = p ** (m - m // 2)
-        self.digit_logs = log[:p]
-        n, mask = len(self.zech), (1 << width) - 1
-
-        def parts(keys, logs):
-            """(high, low) for the packed monomials ``keys``, at the point whose coordinates have these logs."""
-            terms = []
-            for key in keys:
-                total = pos = 0
-                while key:
-                    total += (key & mask) * logs[pos]
-                    key >>= width
-                    pos += 1
-                terms.append([LOG_ZERO] + [(log[d] + total) % n for d in range(1, p)])
-            out = []
-            for lo, hi in ((0, m // 2), (m // 2, m)):
-                table = [LOG_ZERO]
-                for i in range(lo, hi):
-                    table = [log_add(table[v // p], terms[i][v % p], self.zech) for v in range(len(table) * p)]
-                out.append(table)
-            return out
-
         self.points = []
         for codes in points:
-            logs = [log[c] for c in codes]
-            self.points.append(([parts(table, logs) for table in fast.shift_tables], parts(fast.mono_keys, logs)))
+            logs = [self.log[c] for c in codes]
+            self.points.append((codes, [self.parts(table, logs) for table in fast.shift_tables]))
+
+    def parts(self, keys, logs):
+        """(high, low) for the packed monomials ``keys``, at the point whose coordinates have these logs."""
+        p, m, log, zech = self.p, self.m, self.log, self.zech
+        n, mask = len(zech), (1 << self.width) - 1
+        terms = []
+        for key in keys:
+            total = pos = 0
+            while key:
+                total += (key & mask) * logs[pos]
+                key >>= self.width
+                pos += 1
+            terms.append([LOG_ZERO] + [(log[d] + total) % n for d in range(1, p)])
+        out = []
+        for lo, hi in ((0, m // 2), (m // 2, m)):
+            table = [LOG_ZERO]
+            for i in range(lo, hi):
+                table = [log_add(table[v // p], terms[i][v % p], zech) for v in range(len(table) * p)]
+            out.append(table)
+        return out
+
+
+class _IdempotentFilter(_PointFilter):
+    """The idempotent filter: ``rejecting_point`` tests an alpha at FILTER_POINTS points.
+
+    Its ``points`` hold, for each point, the parts of each shift table and
+    those of the canonical monomials, which give ev_x(alpha).
+    """
+
+    def __init__(self, fast, universe, width, max_total_degree):
+        super().__init__(fast, universe, width, max_total_degree, FILTER_POINTS)
+        self.digit_logs = self.log[: self.p]
+        self.points = [(shifts, self.parts(fast.mono_keys, [self.log[c] for c in codes])) for codes, shifts in self.points]
 
     def rejecting_point(self, index, digits):
         """The first point x with ev_x(alpha star alpha) != ev_x(alpha), for alpha of that index and digits; None if none.
@@ -689,6 +710,61 @@ class _IdempotentFilter:
             if acc != log_add(plain_high[high], plain_low[low], zech):
                 return point
         return None
+
+
+class _UnitFilter(_PointFilter):
+    """The F2 unit projection: ``rejects`` tests a beta at unit_point_count(m) points of GF(16).
+
+    Over F2 a code of GF(2^k) is its digit vector and codes add by xor, so
+    its ``points`` hold the parts of each shift table as codes, y_g is one
+    xor, and the values at all points pack into one int per monomial:
+    ev_x(X^u star beta) in bits [k*(P-1-i), k*(P-i)) for the i-th of the P
+    points x.  ``target`` packs ev_x(X_e) = x_e the same way.
+    """
+
+    def __init__(self, fast, universe, width, max_total_degree):
+        super().__init__(fast, universe, width, max_total_degree, unit_point_count(len(fast.monomials)))
+        exp, log, q = self.exp, self.log, 1 << self.k
+        self.times = [[exp[log[a] + log[b]] if a and b else 0 for b in range(q)] for a in range(q)]
+        identity = universe.position(fast.group.identity())
+        self.target = 0
+        for codes, _ in self.points:
+            self.target = self.target << self.k | codes[identity]
+        self.points = [
+            [[[0 if v == LOG_ZERO else exp[v] for v in part] for part in parts] for parts in shifts] for _, shifts in self.points
+        ]
+
+    def rejects(self, index):
+        """Whether no alpha of F2 digits has ev_x(alpha star beta) = ev_x(X_e) at every point, for beta of that index.
+
+        Each monomial's value is one product from an earlier one's by
+        ``factors``.  beta is rejected when the target's int lies outside
+        the xor span of the m columns.
+        """
+        times, factors, k = self.times, self.factors, self.k
+        high, low = divmod(index, self.split)
+        columns = [0] * self.m
+        for shifts in self.points:
+            ys = [h[high] ^ l[low] for h, l in shifts]
+            values = [1]
+            for v, j in factors:
+                values.append(times[values[v]][ys[j]])
+            columns = [c << k | x for c, x in zip(columns, values)]
+        pivots = {}
+        for c in columns:
+            while c:
+                top = c.bit_length()
+                if top not in pivots:
+                    pivots[top] = c
+                    break
+                c ^= pivots[top]
+        t = self.target
+        while t:
+            top = t.bit_length()
+            if top not in pivots:
+                return True
+            t ^= pivots[top]
+        return False
 
 
 class _FastPoly:
@@ -733,7 +809,12 @@ class _FastPoly:
             rest = dict(u.items)
             rest[g] = e - 1
             self.factors.append((position[ExponentVector(group, rest)], elems.index(g)))
-        self.filter = _IdempotentFilter(self, len(universe), width, max_total_degree) if kind == "idempotent" else None
+        if kind == "idempotent":
+            self.filter = _IdempotentFilter(self, universe, width, max_total_degree)
+        elif kind == "unit" and self.p == 2:
+            self.filter = _UnitFilter(self, universe, width, max_total_degree)
+        else:
+            self.filter = None
 
     def block_sums(self, digits):
         """[s_0, s_1, ...] of the augmentation eps = sum_k s_k t^k of the digits."""
@@ -822,9 +903,11 @@ def _live_betas(fast, ranges):
     alpha: any solution when the target is X_e, a nonzero kernel when it
     is 0 (alpha = 0 always solves the homogeneous system).
     """
-    p = fast.p
+    p, screen = fast.p, fast.filter  # the unit projection over F2, None otherwise
     live = []
     for index, digits in _walk(fast, ranges):
+        if screen is not None and screen.rejects(index):
+            continue
         echelon = Echelon(p, coordinates=True)
         for column in fast.columns(digits):
             echelon.add(column)

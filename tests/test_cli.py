@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from support import SELF_INVERSE_LOOP_5, cpu_budget, graph_to_text, pair_sigma, z_fixtures
 
 from groupca import __version__, cli
-from groupca.ca import rule_to_json
+from groupca.ca import rule_from_json, rule_to_json
 from groupca.cli import run_job
 
 
@@ -303,6 +303,26 @@ def test_job_equals_form(tmp_path):
     assert code == 0
     assert spaced.read_bytes() == joined.read_bytes()
     assert json.loads(joined.read_text())["product"] == "X[(1)]^2 - 2*X[(1)] + 1"
+
+
+@pytest.mark.parametrize("spec", ["cyclic:3", "finite:{table}"])
+def test_composed_finite_group_rules_load_back(tmp_path, spec):
+    """ca-compose names a finite group by the spec it was read from, so its composite loads and inverts."""
+    table = tmp_path / "z3.txt"
+    table.write_text("0 1 2\n1 2 0\n2 0 1\n")
+    spec = spec.format(table=table)
+    rule = tmp_path / "rule.json"
+    symbol = [["#0", [["1"]]], ["#1", [["1"]]]]
+    rule.write_text(json.dumps({"group": spec, "variant": "linear", "payload": {"n": 1, "field": "f2", "symbol": symbol}}))
+    code, out = run_to_file(tmp_path, "comp.json", ["ca-compose", "--rule", str(rule), "--rule2", str(rule)])
+    assert code == 0
+    composite = json.loads(out.read_text())["composite"]
+    assert composite["group"] == spec
+    assert rule_to_json(rule_from_json(composite)) == composite
+    path = tmp_path / "composite.json"
+    path.write_text(json.dumps(composite))
+    code, out = run_to_file(tmp_path, "invert.json", ["ca-invert", "--rule", str(path), "--radius", "1"])
+    assert code == 0 and json.loads(out.read_text())["rule"] == composite
 
 
 def test_input_errors_exit_2(tmp_path):

@@ -175,18 +175,22 @@ _SEARCH = ["--field", "f2", "--degree", "1"]
         (["units", "--group", "free:2", *_SEARCH, "--support", "a^" + _LONG], {}),
         (["star", "--group", "zd:1", "--field", "q", "--alpha", "X[(%s)]" % _LONG, "--beta", "1"], {}),
         (["star", "--group", "cyclic:3", "--field", "f2", "--alpha", "X[#%s]" % _LONG, "--beta", "1"], {}),
+        (["star", "--group", "free:2", "--field", "q", "--alpha", "X[a^%s]" % _LONG, "--beta", "1"], {}),
         (["units", "--group", "zd:2", *_SEARCH, "--support", "(1,-%s)" % _LONG], {}),
         (["units", "--group", "zd:" + _LONG, *_SEARCH], {}),
         (["units", "--group", "free:" + _LONG, *_SEARCH], {}),
         (["units", "--group", "cyclic:" + _LONG, *_SEARCH], {}),
         (["units", "--group", "finite:{table}", *_SEARCH], {"table": "0 1\n1 %s\n" % _LONG}),
     ],
-    ids=["free-power", "zd-variable", "finite-variable", "zd-support", "zd-spec", "free-spec", "cyclic-spec", "finite-table"],
+    ids=["free-power", "zd-variable", "finite-variable", "free-variable", "zd-support", "zd-spec", "free-spec", "cyclic-spec", "finite-table"],
 )
 def test_long_numbers_in_group_texts_exit_2_naming_the_limit(argv, files, capsys):
-    """A number of more than EXPONENT_DIGITS digits in a group element or spec is refused in groupca's terms, on one line."""
+    """A number of more than EXPONENT_DIGITS digits in a group element or spec is refused in groupca's terms, on one short line.
+
+    An element text that fails to parse is echoed by a short prefix and its length, not whole.
+    """
     assert _run_with_files(argv, **files) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err.startswith("error: ") and err.count("\n") == 1 and len(err) < 200
     assert "a number of more than %d digits, the most a text may hold" % EXPONENT_DIGITS in err
     assert "int_max_str_digits" not in err

@@ -1472,6 +1472,87 @@ def test_filter_points_follow_the_fixed_rule():
     assert k == 1 and len(points) == nr_mod.FILTER_POINTS and all(0 < c < 1021 for x in points for c in x)
 
 
+# -- the unit projection: F2 unit systems evaluated at points of GF(16) --------
+
+UNIT_SPACES = [
+    (support_pm1(), 1),
+    (support_pm1(), 2),
+    (FiniteSubset(Z2, [Z2.identity(), Z2.element((1, 0)), Z2.element((0, 1))]), 1),
+    (FiniteSubset(Z2, [Z2.identity(), Z2.element((1, 0)), Z2.element((0, 1))]), 2),
+    (ball(FREE2, 1), 1),
+    (FiniteSubset(FREE2, [FREE2.identity(), *FREE2.generators()[::2]]), 2),
+    (ball(cyclic_group(2), 1), 1),
+    (ball(cyclic_group(2), 1), 2),
+    (ball(cyclic_group(3), 1), 1),
+    (ball(cyclic_group(3), 1), 2),
+]
+UNIT_IDS = ["zd:1-d1", "zd:1-d2", "zd:2-d1", "zd:2-d2", "free:2-d1", "free:2-d2", "cyclic:2-d1", "cyclic:2-d2", "cyclic:3-d1", "cyclic:3-d2"]
+
+
+@pytest.mark.parametrize("support, degree", UNIT_SPACES, ids=UNIT_IDS)
+def test_projected_unit_records_equal_unprojected(monkeypatch, support, degree):
+    """The projection only skips betas that are no unit partner: the live records match a walk without points."""
+    fast = nr_mod._FastPoly("unit", F2, support, degree)
+    ranges = [range(2 ** len(fast.monomials))]
+    rejected = [index for index, _ in nr_mod._walk(fast, ranges) if fast.filter.rejects(index)]
+    records = nr_mod._live_betas(fast, ranges)
+    monkeypatch.setattr(nr_mod, "unit_point_count", lambda m: 0)
+    unprojected = nr_mod._FastPoly("unit", F2, support, degree)
+    assert unprojected.filter.points == []
+    assert nr_mod._live_betas(unprojected, ranges) == records
+    dead = sum(1 for _ in nr_mod._walk(fast, ranges)) - len(records)
+    # a dead beta's orbit a*beta + c shares its columns' span, so on a few dead betas one orbit is a large share
+    assert records and (dead < 16 or len(rejected) >= 0.9 * dead)
+
+
+@pytest.mark.parametrize("support, degree", [UNIT_SPACES[i] for i in (1, 3, 5, 9)], ids=[UNIT_IDS[i] for i in (1, 3, 5, 9)])
+def test_rejected_betas_have_no_projected_solution(support, degree):
+    """Each rejection is a certificate: at the points, no F2 combination of the X^u star beta evaluates to X_e.
+
+    30 distinct rejections from a seeded sample of the whole space are
+    re-checked with the public elements, the generic star and the
+    arithmetic of GF(16), at the points' coordinates on U = {e} u S u S.S
+    in canonical order, without _FastPoly's tables or the filter's: each
+    column is the digit vectors of ev_x(X^u star beta) over the points,
+    and X_e's lies outside their span.
+    """
+    group, L = support.group, ExtensionField(2, 4)
+    monos = search_monomials(support, degree)
+    universe = FiniteSubset(group, [group.identity(), *support, *support.product(support)])
+    _, points = nr_mod.filter_points(2, len(universe), len(support), degree, nr_mod.unit_point_count(len(monos)))
+    values = L.elements()
+    xs = [{g: values[code] for g, code in zip(universe, point)} for point in points]
+    fast = nr_mod._FastPoly("unit", F2, support, degree)
+    sample = random.Random(23).sample(range(2 ** len(monos)), 200)
+    rejected = [index for index in sample if fast.filter.rejects(index)][:30]
+    assert len(rejected) == 30
+    for index in rejected:
+        digits = nr_mod._index_to_digits(index, 2, len(monos))
+        beta = NearRingElement(group, F2, {u: F2.one() for u, d in zip(monos, digits) if d})
+        products = [NearRingElement(group, F2, {u: F2.one()}).star(beta) for u in monos]
+        columns = [tuple(c for x in xs for c in L.coefficients(evaluate(a, x, L))) for a in products]
+        span = {(0,) * (4 * len(xs))}
+        for column in columns:
+            span |= {tuple((a + b) % 2 for a, b in zip(v, column)) for v in span}
+        target = tuple(c for x in xs for c in L.coefficients(x[group.identity()]))
+        assert target not in span, digits
+
+
+def test_unit_point_count_follows_the_fixed_rule():
+    """ceil(m/4) + 1 points give at least m + 4 equations over F2; only F2 unit searches project, on the shared points."""
+    for m in range(1, 64):
+        count = nr_mod.unit_point_count(m)
+        assert count == math.ceil(m / 4) + 1 and m + 4 <= 4 * count < m + 8
+    support = support_pm1()
+    fast = nr_mod._FastPoly("unit", F2, support, 2)
+    count = nr_mod.unit_point_count(len(fast.monomials))
+    assert len(fast.monomials) == 10 and count == 4 and len(fast.filter.points) == count
+    _, points = nr_mod.filter_points(2, 5, 3, 2, count)  # U = {-2..2}
+    assert points[: nr_mod.FILTER_POINTS] == nr_mod.filter_points(2, 5, 3, 2)[1]
+    assert nr_mod._FastPoly("unit", F3, support, 2).filter is None
+    assert nr_mod._FastPoly("zero_divisor", F2, support, 2).filter is None
+
+
 def test_idempotent_search_over_fifteen_monomials_within_one_second():
     """zd:1 support {-2..1} at degree 2 (m = 15, 12 288 alphas past eps) keeps its 3 idempotents."""
     support = FiniteSubset(Z, [zel(n) for n in range(-2, 2)])
