@@ -16,8 +16,9 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 
-from .rings import EXPONENT_DIGITS, TERM_CAP
+from .rings import TERM_CAP, RingError, _number
 
 
 class GroupError(ValueError):
@@ -109,13 +110,6 @@ def clip(text) -> str:
     return "%r... (%d characters)" % (text[:CLIP], len(text))
 
 
-def _number(text) -> int:
-    """int(text), with a number of more than EXPONENT_DIGITS digits refused in groupca's terms, not the interpreter's."""
-    if len(text) > EXPONENT_DIGITS and sum(map(str.isdigit, text)) > EXPONENT_DIGITS:
-        raise GroupError("a number of more than %d digits, the most a text may hold" % EXPONENT_DIGITS)
-    return int(text)
-
-
 class ZdGroup(Group):
     kind = "zd"
     commutative = True
@@ -123,6 +117,8 @@ class ZdGroup(Group):
     def __init__(self, d: int):
         if d < 1:
             raise GroupError("rank must be >= 1")
+        if 2 * d * d > BALL_CAP:  # the 2d generators hold d coordinates each
+            raise GroupError("rank above %d not supported" % math.isqrt(BALL_CAP // 2))
         self.d = d
         self._hash_seed = hash(("zd", d))
 
@@ -163,7 +159,7 @@ class ZdGroup(Group):
             text = text[1:-1]
         try:
             coords = [_number(x) for x in text.split(",") if x.strip() != ""]
-        except GroupError:
+        except RingError:
             raise
         except ValueError:
             raise GroupError("bad Z^d element %s" % clip(text)) from None

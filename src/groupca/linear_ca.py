@@ -90,20 +90,21 @@ def window_matrix(ca: CellularAutomaton, mode: str, window: FiniteSubset) -> Win
     full support of any image of such a configuration.
     """
     rule = _require_linear(ca)
-    group = ca.group
     memory = ca.memory_set()
+    hs = list(rule.symbol)
     if mode == "plus":
-        in_domain = window.product(memory) if len(memory) else FiniteSubset(group, [])
         out_domain = window
+        # the cells of output point g are g*h, h in the memory
+        cells = [[g * h for h in hs] for g in window]
+        in_domain = FiniteSubset(ca.group, [c for row in cells for c in row])
     elif mode == "supported":
         in_domain = window
-        sym = memory.union(memory.inverses())
-        out_domain = window.product(sym) if len(memory) else FiniteSubset(group, [])
+        out_domain = window.product(memory.union(memory.inverses()))
+        cells = [[g * h for h in hs] for g in out_domain]
     else:
         raise CAError("unknown window mode %r" % mode)
-    n, hs, position = rule.n, list(rule.symbol), in_domain.position
-    # the cells of output point g are g*h, h in the memory
-    rows = placed_rows(rule.symbol, n, ([position(g * h) for h in hs] for g in out_domain))
+    n, position = rule.n, in_domain.position
+    rows = placed_rows(rule.symbol, n, ([position(c) for c in row] for row in cells))
     return WindowMatrix(matrix_rows=rows, nrows=n * len(out_domain), ncols=n * len(in_domain),
                         in_domain=in_domain, out_domain=out_domain, field=rule.field)
 

@@ -571,7 +571,8 @@ def _trivial_unit_shape(alpha, beta):
 # Internals run on plain integers mod p.  A monomial is one int holding the
 # exponent of variable i in bits [i*w, (i+1)*w), so the monomial product is
 # integer addition, and shifting the search's own monomials is a table
-# lookup.  Every finding is re-certified through the generic star product.
+# lookup.  The generic star product re-certifies every unit and zero-divisor
+# finding and decides every idempotent.
 
 
 @dataclass
@@ -611,7 +612,8 @@ def search_monomials(support: FiniteSubset, max_total_degree: int):
 # at most d^2 vanishes at a fraction of at most d^2/|L| of the points (Schwartz-Zippel), and later points see
 # only the alphas that earlier ones pass.  A unit partner beta over F2 has an alpha of F2 digits with
 # sum_u a_u ev_x(X^u star beta) = ev_x(X_e) at every x: over L = GF(16) each point gives 4 equations over F2,
-# and a beta whose projected system has no solution is skipped.  Survivors take the full path.
+# and a beta whose projected system has no solution is skipped.  The generic star product decides each surviving
+# alpha, and each surviving beta takes the full solve.
 FILTER_POINTS = 4
 
 
@@ -771,9 +773,9 @@ class _FastPoly:
     """Shared data for the integer-mod-p polynomial fast path of one search.
 
     Polynomials are dicts packed monomial -> coefficient in [1, p).  No
-    exponent of X^u star beta or alpha star alpha exceeds d^2 for the degree
-    bound d, so fields of w = bit_length(d^2) + 1 bits never carry into each
-    other when monomials are added.  ``target`` is the right-hand side of
+    exponent of X^u star beta exceeds d^2 for the degree bound d, so fields
+    of w = bit_length(d^2) + 1 bits never carry into each other when
+    monomials are added.  ``target`` is the right-hand side of
     the search's systems: X_e for units, 0 for zero divisors.  The digits
     of the degree-k monomials are digits[bounds[k]:bounds[k+1]].
     """
@@ -918,35 +920,23 @@ def _live_betas(fast, ranges):
 
 
 def _idempotents(fast, ranges):
-    """(index, digits, None) for each alpha in the ascending index ranges with alpha star alpha = alpha."""
-    p = fast.p
-    found = []
-    for index, digits in _walk(fast, ranges):
-        if fast.filter.rejecting_point(index, digits) is not None:
-            continue
-        acc = {}
-        for d, col in zip(digits, fast.columns(digits)):
-            if d:
-                for mono, c in col.items():
-                    acc[mono] = acc.get(mono, 0) + d * c
-        square = {mono: c % p for mono, c in acc.items() if c % p}
-        if square == {key: d for key, d in zip(fast.mono_keys, digits) if d}:
-            found.append((index, tuple(digits), None))
-    return found
+    """(index, digits, None) for each alpha in the ascending index ranges that the filter passes, as every idempotent does."""
+    screen = fast.filter
+    return [(index, tuple(digits), None) for index, digits in _walk(fast, ranges) if screen.rejecting_point(index, digits) is None]
 
 
 def _walk(fast, ranges):
     """(index, digits) for each index of the ascending enumeration-index ranges that ``fast`` admits.
 
     ``digits`` is one list per range, advanced in place from one index to
-    the next; copy it to keep it.  Its block sums move with it; zero divisors skip the test.
+    the next; copy it to keep it.  Its block sums move with it.
     """
-    p, m, degrees, screened = fast.p, len(fast.monomials), fast.degrees, fast.kind != "zero_divisor"
+    p, m, degrees = fast.p, len(fast.monomials), fast.degrees
     for r in ranges:
         digits = _index_to_digits(r.start, p, m)
         sums = fast.block_sums(digits)
         for index in r:
-            if not screened or fast.admits(sums):
+            if fast.admits(sums):
                 yield index, digits
             _advance(digits, p, sums, degrees)
 
@@ -1071,18 +1061,18 @@ def _run_chunks(pools, fn, fast, ranges, nworkers):
 def _certify(kind, fast, record):
     """Rebuild a raw record as public findings, one per solution alpha, recomputing each product.
 
+    An idempotent record is a filter survivor: the generic alpha star alpha
+    decides it, and one that is not idempotent gives no finding.
     alpha star beta is linear in alpha (left distributivity), so it is
     summed from columns X^u star beta that the generic star's own
     substitution loop forms once per monomial u and beta.  beta star alpha
-    and alpha star alpha are not linear in alpha and take a full star each.
+    is not linear in alpha and takes a full star.
     """
     _, digits, solved = record
     if kind == "idempotent":
         alpha = fast.element(digits)
         product = alpha.star(alpha)
-        if product != alpha:
-            raise NearRingError("fast path disagreed with the generic star product")
-        return [Finding("idempotent", alpha, None, product, "idempotent")]
+        return [Finding("idempotent", alpha, None, product, "idempotent")] if product == alpha else []
     group, field = fast.group, fast.field
     beta = fast.element(digits)
     columns = {}  # monomial u -> X^u star beta

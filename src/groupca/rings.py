@@ -29,6 +29,13 @@ EXPONENT_DIGITS = 4300  # most digits of a number in a text: the interpreter's i
 CERTIFY_PRIME = 2**31 - 1  # full Q ranks are certified modulo this prime (rank_kernel_sparse)
 
 
+def _number(text, kind=int):
+    """kind(text), with a number of more than EXPONENT_DIGITS digits refused in groupca's terms, not the interpreter's."""
+    if len(text) > EXPONENT_DIGITS and sum(map(str.isdigit, text)) > EXPONENT_DIGITS:
+        raise RingError("a number of more than %d digits, the most a text may hold" % EXPONENT_DIGITS)
+    return kind(text)
+
+
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -124,7 +131,7 @@ class Rationals:
 
     def parse(self, text: str):
         try:
-            return Fraction(text.strip())
+            return _number(text.strip(), Fraction)
         except ZeroDivisionError:
             raise RingError("zero denominator in %r" % text) from None
 
@@ -211,6 +218,8 @@ class FpElement:
 
 class PrimeField:
     def __init__(self, p: int):
+        if p >= 1 << 32:  # so that the trial division in _is_prime stops by 2^16
+            raise RingError("a prime field's characteristic must be below 2^32")
         if not _is_prime(p):
             raise RingError("%d is not prime" % p)
         self.p = p
@@ -241,7 +250,7 @@ class PrimeField:
         text = text.strip()
         if text.endswith("mod %d" % self.p):
             text = text[: text.rindex("mod")].strip()
-        return FpElement(self.p, int(text))
+        return FpElement(self.p, _number(text))
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
@@ -459,9 +468,9 @@ class ExtensionField:
         acc = self.zero()
         for sign, coeff, exp, const in _GF_TERM.findall(body):
             if const:
-                term = self.from_int(int(const))
+                term = self.from_int(_number(const))
             else:  # w^(q-1) = 1
-                term = self.from_int(int(coeff or 1)) * self.gen() ** (int(exp or 1) % (self.q - 1))
+                term = self.from_int(_number(coeff or "1")) * self.gen() ** (_number(exp or "1") % (self.q - 1))
             acc = acc - term if sign == "-" else acc + term
         return acc
 
@@ -481,7 +490,7 @@ def field_from_spec(spec: str):
     if spec == "q":
         return QQ
     if spec.startswith("gf"):
-        q = int(spec[2:])
+        q = _number(spec[2:])
         if q < 2:
             raise RingError("field size must be at least 2 (got %d)" % q)
         for p in (2, 3, 5):
@@ -490,7 +499,7 @@ def field_from_spec(spec: str):
                 return PrimeField(p) if k == 1 else ExtensionField(p, k)
         raise RingError("unsupported field size %d" % q)
     if spec.startswith("f"):
-        return PrimeField(int(spec[1:]))
+        return PrimeField(_number(spec[1:]))
     raise RingError("unknown field spec %r" % spec)
 
 

@@ -29,7 +29,7 @@ from .groups import (
 )
 from .ca import check_composable
 from .linear_ca import _require_linear, placed_rows
-from .rings import rank_kernel_sparse
+from .rings import _number, rank_kernel_sparse
 
 
 class SoficError(ValueError):
@@ -156,13 +156,13 @@ def cayley_quotient(group, params: str, seed: int = 0) -> LabeledGraph:
     """Dispatch on a textual spec: 'cycle:10', 'torus:16', 'schreier:50:7', 'full'."""
     head, _, rest = params.partition(":")
     if head == "cycle":
-        return cycle_graph(group, int(rest))
+        return cycle_graph(group, _number(rest))
     if head == "torus":
-        return torus_graph(group, int(rest))
+        return torus_graph(group, _number(rest))
     if head == "schreier":
         parts = rest.split(":")
-        n = int(parts[0])
-        s = int(parts[1]) if len(parts) > 1 else seed
+        n = _number(parts[0])
+        s = _number(parts[1]) if len(parts) > 1 else seed
         return schreier_graph(group, n, s)
     if head == "full":
         return finite_cayley_graph(group)
@@ -393,15 +393,15 @@ def graph_from_text(group, text: str) -> LabeledGraph:
     labels = [group.parse_element(t) for t in lines[0].split(":", 1)[1].split()]
     if len(lines) < 2 or not lines[1].startswith("vertices:"):
         raise SoficError("graph file must declare the vertex count")
-    n = int(lines[1].split(":", 1)[1])
+    n = _number(lines[1].split(":", 1)[1])
     steps = {s: {} for s in labels}
     for ln in lines[2:]:
         v_text, s_text, w_text = ln.split()
         s = group.parse_element(s_text)
         if s not in steps:
             raise SoficError("edge label %s is not in the labels header" % s)
-        v = int(v_text)
+        v = _number(v_text)
         if v in steps[s]:
             raise SoficError("vertex %d has two edges labeled %s" % (v, s))
-        steps[s][v] = int(w_text)
+        steps[s][v] = _number(w_text)
     return LabeledGraph(group, labels, n, steps, meta={"kind": "file"})

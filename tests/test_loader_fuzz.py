@@ -14,7 +14,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from groupca.cli import run_job
+from groupca.groups import GroupError, ZdGroup
 from groupca.near_ring import EXPONENT_DIGITS
+from groupca.rings import PrimeField, RingError
+from support import cpu_budget
 
 _FUZZ = settings(derandomize=True, database=None, max_examples=150, deadline=None)
 
@@ -167,6 +170,11 @@ def test_graph_files_exit_0_or_2(text, radius):
 
 _LONG = "9" * (EXPONENT_DIGITS + 700)
 _SEARCH = ["--field", "f2", "--degree", "1"]
+_AUDIT = ["--radius", "1", "--epsilon", "1/2"]
+
+
+def _scalar_rule(field, scalar):
+    return {"group": "zd:1", "variant": "linear", "payload": {"n": 1, "field": field, "symbol": [["(0)", [[scalar]]]]}}
 
 
 @pytest.mark.parametrize(
@@ -181,11 +189,22 @@ _SEARCH = ["--field", "f2", "--degree", "1"]
         (["units", "--group", "free:" + _LONG, *_SEARCH], {}),
         (["units", "--group", "cyclic:" + _LONG, *_SEARCH], {}),
         (["units", "--group", "finite:{table}", *_SEARCH], {"table": "0 1\n1 %s\n" % _LONG}),
+        (["star", "--group", "zd:1", "--field", "f" + _LONG, "--alpha", "X[(0)]", "--beta", "1"], {}),
+        (["star", "--group", "zd:1", "--field", "gf" + _LONG, "--alpha", "X[(0)]", "--beta", "1"], {}),
+        (["sofic-check", "--group", "zd:1", "--graph", "cycle:" + _LONG, *_AUDIT], {}),
+        (["sofic-check", "--group", "zd:1", "--graph", "file:{graph}", *_AUDIT], {"graph": "labels: (1)\nvertices: %s\n" % _LONG}),
+        (["ca-invert", "--rule", "{rule}", "--radius", "1"], {"rule": _scalar_rule("f5", _LONG + " mod 5")}),
+        (["ca-invert", "--rule", "{rule}", "--radius", "1"], {"rule": _scalar_rule("q", _LONG + "/7")}),
+        (["ca-invert", "--rule", "{rule}", "--radius", "1"], {"rule": _scalar_rule("gf4", "w^" + _LONG)}),
     ],
-    ids=["free-power", "zd-variable", "finite-variable", "free-variable", "zd-support", "zd-spec", "free-spec", "cyclic-spec", "finite-table"],
+    ids=[
+        "free-power", "zd-variable", "finite-variable", "free-variable", "zd-support", "zd-spec", "free-spec", "cyclic-spec",
+        "finite-table", "prime-field-spec", "gf-field-spec", "graph-spec", "graph-file", "fp-scalar", "q-scalar", "gf-scalar",
+    ],
 )
 def test_long_numbers_in_group_texts_exit_2_naming_the_limit(argv, files, capsys):
-    """A number of more than EXPONENT_DIGITS digits in a group element or spec is refused in groupca's terms, on one short line.
+    """A number of more than EXPONENT_DIGITS digits in a group element or spec, a field or graph spec, a graph file or a
+    rule scalar is refused in groupca's terms, on one short line.
 
     An element text that fails to parse is echoed by a short prefix and its length, not whole.
     """
@@ -194,3 +213,29 @@ def test_long_numbers_in_group_texts_exit_2_naming_the_limit(argv, files, capsys
     assert err.startswith("error: ") and err.count("\n") == 1 and len(err) < 200
     assert "a number of more than %d digits, the most a text may hold" % EXPONENT_DIGITS in err
     assert "int_max_str_digits" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["star", "--group", "zd:1", "--field", "f1000000000000000003", "--alpha", "X[(0)]", "--beta", "X[(1)]"],
+        ["units", "--group", "zd:3000000", "--field", "f2", "--degree", "1", "--radius", "1"],
+    ],
+    ids=["prime-field", "zd-rank"],
+)
+def test_oversized_fields_and_ranks_exit_2_within_one_second(argv, capsys):
+    """A prime field of characteristic 2^32 or more, and Z^d with 2 d^2 above BALL_CAP, are refused before any work."""
+    with cpu_budget(1.0):
+        assert _run_with_files(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_field_and_rank_limits_admit_their_largest_values():
+    """2^32 - 5, the largest prime below 2^32, makes a field and the prime 2^32 + 15 does not; Z^181 is the largest Z^d."""
+    assert PrimeField(2**32 - 5).p == 4294967291
+    with pytest.raises(RingError, match="below 2\\^32"):
+        PrimeField(2**32 + 15)
+    assert ZdGroup(181).d == 181
+    with pytest.raises(GroupError, match="rank above 181"):
+        ZdGroup(182)

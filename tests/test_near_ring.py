@@ -1072,11 +1072,12 @@ def test_failing_chunk_leaves_no_worker(monkeypatch):
 
 
 def test_certify_refuses_a_flipped_solution_digit():
-    """A record with the constant digit of its solution flipped fails the generic check.
+    """A unit or zero-divisor record with the constant digit of its solution flipped fails the generic check.
 
     1 star beta = 1 whatever beta is, so the flip adds 1 to alpha star beta
-    for every alpha that the record lists.  An idempotent with its constant
-    digit flipped fails too unless the flip is an idempotent of its own.
+    for every alpha that the record lists.  An idempotent record is only a
+    filter survivor, so an idempotent with its constant digit flipped
+    certifies to no finding unless the flip is an idempotent of its own.
     """
     for kind, field, support, degree in cyclic_spaces():
         fast = nr_mod._FastPoly(kind, field, support, degree)
@@ -1091,8 +1092,11 @@ def test_certify_refuses_a_flipped_solution_digit():
             bad = [(i, d, ({**sol, 0: (sol.get(0, 0) + 1) % p}, kernel, size)) for i, d, (sol, kernel, size) in records]
         assert records and bad
         for record in records:
-            nr_mod._certify(kind, fast, record)
+            assert nr_mod._certify(kind, fast, record)
         for record in bad:
+            if kind == "idempotent":
+                assert nr_mod._certify(kind, fast, record) == []
+                continue
             with pytest.raises(NearRingError, match="fast path disagreed"):
                 nr_mod._certify(kind, fast, record)
 
@@ -1417,19 +1421,44 @@ FILTER_SPACES = [
 FILTER_IDS = ["F2-zd:1", "F2-zd:2", "F2-cyclic:3", "F3-zd:1", "F5-zd:1", "F5-free:2", "F7-zd:1", "F13-zd:1"]
 
 
+def _idempotent_findings(fast, ranges):
+    return [finding for record in nr_mod._idempotents(fast, ranges) for finding in nr_mod._certify("idempotent", fast, record)]
+
+
 @pytest.mark.parametrize("field, support, degree", FILTER_SPACES, ids=FILTER_IDS)
 def test_filtered_idempotent_records_equal_unfiltered(monkeypatch, field, support, degree):
-    """The filter only skips alphas that are not idempotent: the records match a walk without points."""
+    """The filter only skips alphas that are not idempotent: the findings match those of the generic star on every alpha eps admits.
+
+    The filter also rejects at least 90 % of the admitted alphas that are
+    not idempotent, so few survivors take a generic star in vain.
+    """
     fast = nr_mod._FastPoly("idempotent", field, support, degree)
     ranges = [range(field.p ** len(fast.monomials))]
-    rejected = [index for index, digits in nr_mod._walk(fast, ranges) if fast.filter.rejecting_point(index, digits) is not None]
-    records = nr_mod._idempotents(fast, ranges)
+    survivors = nr_mod._idempotents(fast, ranges)
+    findings = _idempotent_findings(fast, ranges)
     monkeypatch.setattr(nr_mod, "FILTER_POINTS", 0)
     unfiltered = nr_mod._FastPoly("idempotent", field, support, degree)
     assert unfiltered.filter.points == []
-    assert nr_mod._idempotents(unfiltered, ranges) == records
-    admitted = sum(1 for _ in nr_mod._walk(fast, ranges))
-    assert records and len(rejected) >= 0.9 * (admitted - len(records))
+    admitted = nr_mod._idempotents(unfiltered, ranges)
+    assert [index for index, _ in nr_mod._walk(fast, ranges)] == [index for index, _, _ in admitted]
+    assert _idempotent_findings(unfiltered, ranges) == findings
+    assert findings and len(survivors) - len(findings) <= 0.1 * (len(admitted) - len(findings))
+
+
+@pytest.mark.parametrize("field, support, degree", FILTER_SPACES, ids=FILTER_IDS)
+def test_idempotent_findings_use_no_fast_product(monkeypatch, field, support, degree):
+    """Idempotent verdicts read neither _FastPoly.columns nor _FastPoly.mul: with both raising, the findings are unchanged."""
+    fast = nr_mod._FastPoly("idempotent", field, support, degree)
+    ranges = [range(field.p ** len(fast.monomials))]
+    findings = _idempotent_findings(fast, ranges)
+
+    def refuse(*args):
+        raise AssertionError("an idempotent verdict read the integer fast path")
+
+    monkeypatch.setattr(nr_mod._FastPoly, "columns", refuse)
+    monkeypatch.setattr(nr_mod._FastPoly, "mul", refuse)
+    assert findings and _idempotent_findings(fast, ranges) == findings
+    assert exhaustive_search("idempotent", field, support, degree).findings == findings
 
 
 @pytest.mark.parametrize("field, support, degree", FILTER_SPACES, ids=FILTER_IDS)
