@@ -34,7 +34,7 @@ import os
 import random
 import sys
 from dataclasses import dataclass, field as dc_field
-from operator import itemgetter
+from operator import itemgetter, or_, xor
 
 from .group_ring import GroupRingElement, TwistedGroupRingElement
 from .groups import FiniteSubset, GroupElement
@@ -612,8 +612,10 @@ def search_monomials(support: FiniteSubset, max_total_degree: int):
 # at most d^2 vanishes at a fraction of at most d^2/|L| of the points (Schwartz-Zippel), and later points see
 # only the alphas that earlier ones pass.  A unit partner beta over F2 has an alpha of F2 digits with
 # sum_u a_u ev_x(X^u star beta) = ev_x(X_e) at every x: over L = GF(16) each point gives 4 equations over F2,
-# and a beta whose projected system has no solution is skipped.  The generic star product decides each surviving
-# alpha, and each surviving beta takes the full solve.
+# and a beta whose projected system has no solution is skipped.  Over F2 both filters test a block of indices at
+# once on bit-sliced lanes (_Lanes); for odd p the idempotent filter tests one index at a time (_IdempotentFilter)
+# and unit betas are not projected, and zero-divisor searches walk every index unfiltered.  The generic star product
+# decides each surviving alpha, and each surviving beta takes the full solve.
 FILTER_POINTS = 4
 
 
@@ -632,6 +634,17 @@ def filter_points(p, universe_size, support_size, max_total_degree, count=FILTER
     k = max([e for r, e in IRREDUCIBLE if r == p], default=1)
     rng = random.Random("idempotent filter %d %d %d" % (p, support_size, max_total_degree))
     return k, [[rng.randrange(1, p**k) for _ in range(universe_size)] for _ in range(count)]
+
+
+def _monomial_log(key, logs, width):
+    """The log of ev_x(X^key) for a packed monomial, at the point whose coordinates have these logs, not reduced."""
+    total = pos = 0
+    mask = (1 << width) - 1
+    while key:
+        total += (key & mask) * logs[pos]
+        key >>= width
+        pos += 1
+    return total
 
 
 class _PointFilter:
@@ -660,14 +673,10 @@ class _PointFilter:
     def parts(self, keys, logs):
         """(high, low) for the packed monomials ``keys``, at the point whose coordinates have these logs."""
         p, m, log, zech = self.p, self.m, self.log, self.zech
-        n, mask = len(zech), (1 << self.width) - 1
+        n = len(zech)
         terms = []
         for key in keys:
-            total = pos = 0
-            while key:
-                total += (key & mask) * logs[pos]
-                key >>= self.width
-                pos += 1
+            total = _monomial_log(key, logs, self.width)
             terms.append([LOG_ZERO] + [(log[d] + total) % n for d in range(1, p)])
         out = []
         for lo, hi in ((0, m // 2), (m // 2, m)):
@@ -714,59 +723,164 @@ class _IdempotentFilter(_PointFilter):
         return None
 
 
-class _UnitFilter(_PointFilter):
-    """The F2 unit projection: ``rejects`` tests a beta at unit_point_count(m) points of GF(16).
+# The F2 lanes.  An aligned block [s, s + 2^k) of enumeration indices is tested at once: lane l holds index s + l, so
+# the last k digits are the bits of l, the same patterns in every block, and the other digits are those of s, constant
+# over it.  Each y_g and ev_x(alpha) is a sum over the digits of fixed GF(16) codes, so each of its 4 bit planes is
+# an xor of digit patterns and a constant, and a product of two values is one bit-sliced product of their planes.
+# A block holds at most 2^LANE_BITS lanes.  An op costs a Python step plus work in proportion to its lanes: a unit
+# block at m = 21 took 1.9 ms on 2^6 lanes, 2.8 ms on 2^10 and 8.8 ms on 2^14, whose elimination rows take about 1 MB.
+LANE_BITS = 14
 
-    Over F2 a code of GF(2^k) is its digit vector and codes add by xor, so
-    its ``points`` hold the parts of each shift table as codes, y_g is one
-    xor, and the values at all points pack into one int per monomial:
-    ev_x(X^u star beta) in bits [k*(P-1-i), k*(P-i)) for the i-th of the P
-    points x.  ``target`` packs ev_x(X_e) = x_e the same way.
+
+def _gf16_times(a, b):
+    """The product of two GF(16) values given as bit planes (coefficients of w^0..w^3), w^4 = 1 + w as in IRREDUCIBLE[(2, 4)]."""
+    a0, a1, a2, a3 = a
+    b0, b1, b2, b3 = b
+    r4 = a1 & b3 ^ a2 & b2 ^ a3 & b1
+    r5 = a2 & b3 ^ a3 & b2
+    r6 = a3 & b3
+    return (
+        a0 & b0 ^ r4,
+        a0 & b1 ^ a1 & b0 ^ r4 ^ r5,
+        a0 & b2 ^ a1 & b1 ^ a2 & b0 ^ r5 ^ r6,
+        a0 & b3 ^ a1 & b2 ^ a2 & b1 ^ a3 & b0 ^ r6,
+    )
+
+
+def _outside_span(rows, m, full):
+    """The lanes where the last entry of the rows lies outside the F2 span of their first m entries, taken as columns.
+
+    An oblivious elimination, in place: at column c each lane picks as
+    pivot its first row that is not yet a pivot and has a 1 there, and that
+    row is added to its other unused rows with a 1 there.  Afterwards the
+    unused rows are 0 on the m columns, so a lane is outside the span
+    exactly when one of them holds a 1 in the last entry.
+    """
+    unused = [full] * len(rows)
+    for c in range(m):
+        rest, pivot = full, [0] * (m + 1 - c)
+        for r, row in enumerate(rows):
+            pick = row[c] & unused[r] & rest
+            if pick:
+                rest ^= pick
+                unused[r] ^= pick
+                for i, x in enumerate(row[c:]):
+                    pivot[i] |= pick & x
+        if rest == full:
+            continue
+        for r, row in enumerate(rows):
+            hit = row[c] & unused[r]
+            if hit:
+                for i in range(1, m + 1 - c):
+                    row[c + i] ^= hit & pivot[i]
+    outside = 0
+    for r, row in enumerate(rows):
+        outside |= unused[r] & row[m]
+    return outside
+
+
+class _Lanes:
+    """The F2 unit and idempotent filters on lanes: ``survivors`` gives the indices of a range that they pass.
+
+    They evaluate at the points of ``filter_points`` in GF(16), FILTER_POINTS
+    of them for idempotents and unit_point_count(m) for units, so they pass
+    exactly the indices that eps and the per-point tests of the other fields'
+    filters would.  A linear form sum_j d_j c_j of the digits with GF(16)
+    codes c_j is held as 4 digit masks, bit m-1-j of mask b set when bit b of
+    c_j is, each with its low planes, the xor of the patterns of its bits
+    below ``bits``: its plane b on a block is those low planes and the parity
+    of the block start's bits in mask b.  ``degree_blocks`` holds one mask
+    per degree, whose planes are the digit sums that eps reads.  ``points``
+    holds, for each point, the forms of y_g for each support element g, then,
+    for idempotents, that of ev_x(alpha), and for units, the code of x_e.
     """
 
     def __init__(self, fast, universe, width, max_total_degree):
-        super().__init__(fast, universe, width, max_total_degree, unit_point_count(len(fast.monomials)))
-        exp, log, q = self.exp, self.log, 1 << self.k
-        self.times = [[exp[log[a] + log[b]] if a and b else 0 for b in range(q)] for a in range(q)]
+        self.kind, self.factors = fast.kind, fast.factors
+        m = self.m = len(fast.monomials)
+        count = FILTER_POINTS if fast.kind == "idempotent" else unit_point_count(m)
+        k, points = filter_points(2, len(universe), len(fast.shift_tables), max_total_degree, count)
+        exp, log, _ = field_tables(2, k)
+        self.bits = min(LANE_BITS, m)
+        full = (1 << (1 << self.bits)) - 1
+        # the pattern of digit m-1-t: bit l set when bit t of l is
+        self.patterns = [full // ((1 << (2 << t)) - 1) * (((1 << (1 << t)) - 1) << (1 << t)) for t in range(self.bits)]
+        self.degree_blocks = self.form_of([sum(1 << (m - 1 - j) for j in range(a, b)) for a, b in zip(fast.bounds, fast.bounds[1:])])
         identity = universe.position(fast.group.identity())
-        self.target = 0
-        for codes, _ in self.points:
-            self.target = self.target << self.k | codes[identity]
-        self.points = [
-            [[[0 if v == LOG_ZERO else exp[v] for v in part] for part in parts] for parts in shifts] for _, shifts in self.points
-        ]
+        self.points = []
+        for codes in points:
+            logs = [log[c] for c in codes]
 
-    def rejects(self, index):
-        """Whether no alpha of F2 digits has ev_x(alpha star beta) = ev_x(X_e) at every point, for beta of that index.
+            def form(keys):
+                values = [exp[_monomial_log(key, logs, width) % (len(exp) // 2)] for key in keys]
+                return self.form_of([sum(1 << (m - 1 - j) for j, c in enumerate(values) if c >> b & 1) for b in range(k)])
 
-        Each monomial's value is one product from an earlier one's by
-        ``factors``.  beta is rejected when the target's int lies outside
-        the xor span of the m columns.
+            last = form(fast.mono_keys) if fast.kind == "idempotent" else codes[identity]
+            self.points.append(([form(table) for table in fast.shift_tables], last))
+
+    def form_of(self, masks):
+        """The masks, each with its low planes."""
+        return [(mask, functools.reduce(xor, (q for t, q in enumerate(self.patterns) if mask >> t & 1), 0)) for mask in masks]
+
+    def survivors(self, ranges):
+        """The indices of the ascending index ranges that eps and the points pass, ascending.
+
+        Adjacent ranges are joined, and each piece of the result inside one
+        aligned run of 2^bits indices is tested on the least aligned block
+        that holds it, the block's other lanes masked off: the unit
+        representatives [2^j, 2^(j+1)), j < bits, take one block.
         """
-        times, factors, k = self.times, self.factors, self.k
-        high, low = divmod(index, self.split)
-        columns = [0] * self.m
-        for shifts in self.points:
-            ys = [h[high] ^ l[low] for h, l in shifts]
-            values = [1]
-            for v, j in factors:
-                values.append(times[values[v]][ys[j]])
-            columns = [c << k | x for c, x in zip(columns, values)]
-        pivots = {}
-        for c in columns:
-            while c:
-                top = c.bit_length()
-                if top not in pivots:
-                    pivots[top] = c
-                    break
-                c ^= pivots[top]
-        t = self.target
-        while t:
-            top = t.bit_length()
-            if top not in pivots:
-                return True
-            t ^= pivots[top]
-        return False
+        pieces = []
+        for r in ranges:
+            if pieces and pieces[-1][1] == r.start:
+                pieces[-1][1] = r.stop
+            elif r:
+                pieces.append([r.start, r.stop])
+        for first, stop in pieces:
+            while first < stop:
+                end = min(stop, (first >> self.bits) + 1 << self.bits)
+                k = (first ^ (end - 1)).bit_length()
+                start = first >> k << k
+                lanes = bin(self.block(start, k, (1 << end - start) - (1 << first - start)))[:1:-1]  # lane l at position l
+                lane = lanes.find("1")
+                while lane >= 0:
+                    yield start + lane
+                    lane = lanes.find("1", lane + 1)
+                first = end
+
+    def block(self, start, k, wanted):
+        """The lanes of ``wanted`` whose indices start + lane eps and the points pass, for start a multiple of 2^k."""
+        full = (1 << (1 << k)) - 1
+
+        def planes(form):
+            return [low & full ^ (full if (start & mask).bit_count() & 1 else 0) for mask, low in form]
+
+        s0, s1, *higher = planes(self.degree_blocks)
+        high = functools.reduce(or_, higher, 0)
+        live = wanted & (s1 & ~high if self.kind == "unit" else ~(s0 & s1 | high))
+        if not live:
+            return 0
+        m = self.m
+        digits = [self.patterns[t] & full if t < k else full * (start >> t & 1) for t in range(m - 1, -1, -1)]
+        one = (full, 0, 0, 0)
+        rows = []
+        for shifts, last in self.points:
+            ys = [planes(form) for form in shifts]
+            values = [one]
+            for v, j in self.factors:
+                values.append(ys[j] if v == 0 else _gf16_times(values[v], ys[j]))
+            if self.kind == "unit":
+                rows.extend([*(value[b] for value in values), full * (last >> b & 1)] for b in range(4))
+                continue
+            acc = planes(last)  # ev_x(alpha star alpha) - ev_x(alpha), zero where they agree
+            for d, value in zip(digits, values):
+                if d:
+                    for b in range(4):
+                        acc[b] ^= d & value[b]
+            live &= ~(acc[0] | acc[1] | acc[2] | acc[3])
+            if not live:
+                return 0
+        return live & ~_outside_span(rows, m, full) if rows else live
 
 
 class _FastPoly:
@@ -811,10 +925,10 @@ class _FastPoly:
             rest = dict(u.items)
             rest[g] = e - 1
             self.factors.append((position[ExponentVector(group, rest)], elems.index(g)))
-        if kind == "idempotent":
+        if self.p == 2 and kind != "zero_divisor":
+            self.filter = _Lanes(self, universe, width, max_total_degree)
+        elif kind == "idempotent":
             self.filter = _IdempotentFilter(self, universe, width, max_total_degree)
-        elif kind == "unit" and self.p == 2:
-            self.filter = _UnitFilter(self, universe, width, max_total_degree)
         else:
             self.filter = None
 
@@ -898,31 +1012,50 @@ def _orbit(digits, p):
     return out
 
 
-def _live_betas(fast, ranges):
-    """(index, digits, (solution, kernel, m)) for each live beta in the ascending index ranges.
+def _candidates(fast, ranges):
+    """(index, digits) for each index of the ascending index ranges that eps and the search's filter pass.
+
+    ``digits`` may be advanced in place for the next index; copy it to keep it.
+    """
+    screen = fast.filter
+    if isinstance(screen, _Lanes):
+        m = len(fast.monomials)
+        return ((index, _index_to_digits(index, 2, m)) for index in screen.survivors(ranges))
+    if screen is None:
+        return _walk(fast, ranges)
+    return ((index, digits) for index, digits in _walk(fast, ranges) if screen.rejecting_point(index, digits) is None)
+
+
+def _solve(fast, index, digits):
+    """(index, digits, (solution, kernel, m)) when beta of these digits is live, else None.
 
     A beta is live when alpha star beta = target has a nonzero solution
     alpha: any solution when the target is X_e, a nonzero kernel when it
     is 0 (alpha = 0 always solves the homogeneous system).
     """
-    p, screen = fast.p, fast.filter  # the unit projection over F2, None otherwise
-    live = []
-    for index, digits in _walk(fast, ranges):
-        if screen is not None and screen.rejects(index):
-            continue
-        echelon = Echelon(p, coordinates=True)
-        for column in fast.columns(digits):
-            echelon.add(column)
-        solution = echelon.solve(fast.target)
-        if solution is not None and (fast.target or echelon.kernel):
-            live.append((index, tuple(digits), (solution, echelon.kernel, echelon.size)))
-    return live
+    echelon = Echelon(fast.p, coordinates=True)
+    for column in fast.columns(digits):
+        echelon.add(column)
+    solution = echelon.solve(fast.target)
+    if solution is not None and (fast.target or echelon.kernel):
+        return index, tuple(digits), (solution, echelon.kernel, echelon.size)
+    return None
+
+
+def _live_betas(fast, ranges):
+    """(index, digits, (solution, kernel, m)) for each live beta in the ascending index ranges that eps and the filter pass."""
+    return [record for index, digits in _candidates(fast, ranges) if (record := _solve(fast, index, digits))]
+
+
+def _orbit_betas(fast, ranges):
+    """_live_betas on indices all live: each solved, with neither eps nor a filter, which pass every beta of a live orbit."""
+    p, m = fast.p, len(fast.monomials)
+    return [record for r in ranges for index in r if (record := _solve(fast, index, _index_to_digits(index, p, m)))]
 
 
 def _idempotents(fast, ranges):
     """(index, digits, None) for each alpha in the ascending index ranges that the filter passes, as every idempotent does."""
-    screen = fast.filter
-    return [(index, tuple(digits), None) for index, digits in _walk(fast, ranges) if screen.rejecting_point(index, digits) is None]
+    return [(index, tuple(digits), None) for index, digits in _candidates(fast, ranges)]
 
 
 def _walk(fast, ranges):
@@ -1007,7 +1140,7 @@ def exhaustive_search(
         else:
             live = _run_chunks(pools, _live_betas, fast, _representatives(p, m), nworkers)
             betas = sorted(set().union(*(_orbit(digits, p) for _, digits, _ in live)))
-            records = _run_chunks(pools, _live_betas, fast, [range(b, b + 1) for b in betas], nworkers)
+            records = _run_chunks(pools, _orbit_betas, fast, [range(b, b + 1) for b in betas], nworkers)
     finally:
         for pool in pools:
             pool.terminate()
@@ -1016,16 +1149,27 @@ def exhaustive_search(
 
 
 # Least estimated work in a chunk, in units of about 1 us of one core (Python 3.11.7): an admitted index costs
-# m^2 for a solve of m columns, m for a point test.  Forking, feeding and stopping a two-process pool took
-# 15-28 ms there, so a round forks only with twice this work, and each chunk outweighs the fork.
+# m^2 for a solve of m columns, m for a point test.  On lanes a block of L lanes costs about m^2 (3 + L/2048) for the
+# unit projection and m (4 + L/1024) for the idempotent points, on average over whole rounds at m = 15 to 28 (a block
+# stops once eps or a point rejects all its lanes), and about 2^(m - 4P) of the admitted unit betas pass P points to
+# a solve.  Forking, feeding and stopping a two-process pool took 15-28 ms there, so a round forks only with twice
+# this work, and each chunk outweighs the fork.
 WORK_MIN = 50000
 
 
-def _round_work(fast, count):
-    """The estimated work of ``count`` indices: the share of them that eps admits times each one's cost."""
+def _round_work(fn, fast, count):
+    """The estimated work of fn on ``count`` indices: each one's cost on the share that eps admits, on lanes by blocks."""
     p, m, kind = fast.p, len(fast.monomials), fast.kind
+    if fn is _orbit_betas:  # every beta is solved
+        return count * m * m
     share = 1 if kind == "zero_divisor" else ((p - 1) / p if kind == "unit" else (p + 1) / p**2) / p ** (len(fast.bounds) - 3)
-    return count * share * (m if kind == "idempotent" else m * m)
+    if not isinstance(fast.filter, _Lanes):
+        return count * share * (m if kind == "idempotent" else m * m)
+    lanes = 1 << fast.filter.bits
+    blocks = -(-count // lanes)
+    if kind == "idempotent":
+        return blocks * m * (4 + lanes / 1024)
+    return blocks * m * m * (3 + lanes / 2048) + count * share * 2.0 ** (m - 4 * len(fast.filter.points)) * m * m
 
 
 def _run_chunks(pools, fn, fast, ranges, nworkers):
@@ -1037,7 +1181,7 @@ def _run_chunks(pools, fn, fast, ranges, nworkers):
     changes no record.
     """
     total = sum(map(len, ranges))
-    step = max(1, -(-total // max(1, min(nworkers, int(_round_work(fast, total) // WORK_MIN)))))
+    step = max(1, -(-total // max(1, min(nworkers, int(_round_work(fn, fast, total) // WORK_MIN)))))
     chunks, chunk, room = [], [], step
     for r in ranges:
         while r:

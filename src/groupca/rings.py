@@ -29,9 +29,19 @@ EXPONENT_DIGITS = 4300  # most digits of a number in a text: the interpreter's i
 CERTIFY_PRIME = 2**31 - 1  # full Q ranks are certified modulo this prime (rank_kernel_sparse)
 
 
+_FRACTION_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")  # the exponent of Fraction's form m e k
+
+
 def _number(text, kind=int):
-    """kind(text), with a number of more than EXPONENT_DIGITS digits refused in groupca's terms, not the interpreter's."""
-    if len(text) > EXPONENT_DIGITS and sum(map(str.isdigit, text)) > EXPONENT_DIGITS:
+    """kind(text), with a number of more than EXPONENT_DIGITS digits refused in groupca's terms, not the interpreter's.
+
+    A Fraction text m e k counts |k| digits beside those of m, since m 10^k,
+    or its denominator, has about that many; Fraction would form 10^|k|
+    before anything checks its size.
+    """
+    too_long = len(text) > EXPONENT_DIGITS and sum(map(str.isdigit, text)) > EXPONENT_DIGITS
+    exponent = not too_long and kind is Fraction and _FRACTION_EXPONENT.search(text)
+    if too_long or exponent and abs(int(exponent[1])) + sum(map(str.isdigit, text[: exponent.start()])) > EXPONENT_DIGITS:
         raise RingError("a number of more than %d digits, the most a text may hold" % EXPONENT_DIGITS)
     return kind(text)
 

@@ -196,19 +196,23 @@ def _scalar_rule(field, scalar):
         (["ca-invert", "--rule", "{rule}", "--radius", "1"], {"rule": _scalar_rule("f5", _LONG + " mod 5")}),
         (["ca-invert", "--rule", "{rule}", "--radius", "1"], {"rule": _scalar_rule("q", _LONG + "/7")}),
         (["ca-invert", "--rule", "{rule}", "--radius", "1"], {"rule": _scalar_rule("gf4", "w^" + _LONG)}),
+        *((["ca-invert", "--rule", "{rule}", "--radius", "1"], {"rule": _scalar_rule("q", x)}) for x in ("1e100000", "1e10000000", "1e-10000000")),
     ],
     ids=[
         "free-power", "zd-variable", "finite-variable", "free-variable", "zd-support", "zd-spec", "free-spec", "cyclic-spec",
         "finite-table", "prime-field-spec", "gf-field-spec", "graph-spec", "graph-file", "fp-scalar", "q-scalar", "gf-scalar",
+        "q-exponent", "q-exponent-long", "q-exponent-negative",
     ],
 )
 def test_long_numbers_in_group_texts_exit_2_naming_the_limit(argv, files, capsys):
     """A number of more than EXPONENT_DIGITS digits in a group element or spec, a field or graph spec, a graph file or a
-    rule scalar is refused in groupca's terms, on one short line.
+    rule scalar, a Q scalar m e k of more than that many digits in m and k together too, is refused in groupca's terms,
+    on one short line, within one second of CPU.
 
     An element text that fails to parse is echoed by a short prefix and its length, not whole.
     """
-    assert _run_with_files(argv, **files) == 2
+    with cpu_budget(1.0):
+        assert _run_with_files(argv, **files) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and len(err) < 200
     assert "a number of more than %d digits, the most a text may hold" % EXPONENT_DIGITS in err

@@ -38,7 +38,7 @@ from groupca.near_ring import (
     leading_term,
     search_monomials,
 )
-from groupca.rings import QQ, ExtensionField, PrimeField, TwistedPoly, rank_kernel_sparse
+from groupca.rings import QQ, ExtensionField, PrimeField, TwistedPoly, field_tables, rank_kernel_sparse
 
 Z = ZdGroup(1)
 Z2 = ZdGroup(2)
@@ -968,14 +968,21 @@ KAPLANSKY_SPACES = [
 
 
 def test_small_searches_fork_no_pool(monkeypatch):
-    """Rounds below twice WORK_MIN of estimated work run in-process at any worker count, the kaplansky workload's at 2."""
+    """Rounds below twice WORK_MIN of estimated work run in-process at any worker count, the kaplansky workload's at 2.
+
+    So do the F2 searches over 15 monomials of tools/report_diff.py (FILTER_SEARCH, UNIT_FILTER_SEARCH), which
+    the lanes price by their blocks and the unit survivors' solves.
+    """
     import multiprocessing
 
     def refuse(*args, **kwargs):
         raise AssertionError("a small search forked a pool")
 
     monkeypatch.setattr(multiprocessing, "Pool", refuse)
-    for kind, field, support, degree in [*cyclic_spaces(), ("unit", F2, support_pm1(), 2), ("idempotent", F3, support_pm1(), 1)]:
+    fifteen = FiniteSubset(Z, [zel(n) for n in range(-2, 2)])
+    for kind, field, support, degree in [
+        *cyclic_spaces(), ("unit", F2, support_pm1(), 2), ("idempotent", F3, support_pm1(), 1), ("unit", F2, fifteen, 2), ("idempotent", F2, fifteen, 2)
+    ]:
         assert exhaustive_search(kind, field, support, degree, workers=2).findings
     for kind, field, support, degree in KAPLANSKY_SPACES:
         assert exhaustive_search(kind, field, support, degree, workers=2).findings or kind == "zero_divisor"
@@ -1037,7 +1044,7 @@ def test_pool_placement_at_the_work_minimum(monkeypatch):
 
     kind, field, support, degree = cyclic_spaces()[1]  # idempotents: a single round of p^m alphas
     fast = nr_mod._FastPoly(kind, field, support, degree)
-    work = nr_mod._round_work(fast, field.p ** len(fast.monomials))
+    work = nr_mod._round_work(nr_mod._idempotents, fast, field.p ** len(fast.monomials))
     expected = search_key(exhaustive_search(kind, field, support, degree, workers=1))
     assert expected
     forks, pool = [], multiprocessing.Pool
@@ -1433,6 +1440,7 @@ def test_filtered_idempotent_records_equal_unfiltered(monkeypatch, field, suppor
     not idempotent, so few survivors take a generic star in vain.
     """
     fast = nr_mod._FastPoly("idempotent", field, support, degree)
+    assert isinstance(fast.filter, nr_mod._Lanes) == (field.p == 2)
     ranges = [range(field.p ** len(fast.monomials))]
     survivors = nr_mod._idempotents(fast, ranges)
     findings = _idempotent_findings(fast, ranges)
@@ -1461,32 +1469,61 @@ def test_idempotent_findings_use_no_fast_product(monkeypatch, field, support, de
     assert exhaustive_search("idempotent", field, support, degree).findings == findings
 
 
+def lane_rejections(fast, indices):
+    """The indices that eps admits and the F2 lanes of ``fast`` reject, read off the lane masks of the whole space."""
+    m = len(fast.monomials)
+    passed = set(fast.filter.survivors([range(2**m)]))
+    return [index for index in indices if admits(fast, nr_mod._index_to_digits(index, 2, m)) and index not in passed]
+
+
 @pytest.mark.parametrize("field, support, degree", FILTER_SPACES, ids=FILTER_IDS)
-def test_rejected_alphas_fail_at_their_rejecting_point(field, support, degree):
-    """Each rejection is a certificate: at the rejecting point, alpha star alpha and alpha evaluate apart.
+def test_rejected_alphas_fail_at_their_rejecting_point(monkeypatch, field, support, degree):
+    """Each rejection is a certificate: at a point of the filter, alpha star alpha and alpha evaluate apart.
 
     A seeded sample of alphas from the whole space is re-checked with the
     public elements, the generic star and the field's own arithmetic, at the
-    point's coordinates on U = {e} u S u S.S in canonical order, without
-    _FastPoly's tables or the filter's.
+    points' coordinates on U = {e} u S u S.S in canonical order, without
+    _FastPoly's tables or the filter's: at the rejecting point for odd p,
+    and at one of the points for a rejection that the F2 lane masks give.
+    Every alpha that the F2 lanes pass evaluates alike at every point, and
+    with the first point alone the lanes pass exactly the alphas that eps
+    admits and that evaluate alike there.
     """
     p, group = field.p, support.group
     monos = search_monomials(support, degree)
     universe = FiniteSubset(group, [group.identity(), *support, *support.product(support)])
     _, points = nr_mod.filter_points(p, len(universe), len(support), degree)
-    values = FILTER_FIELDS[p].elements()
+    values, L = FILTER_FIELDS[p].elements(), FILTER_FIELDS[p]
+    xs = [{g: values[code] for g, code in zip(universe, point)} for point in points]
     fast = nr_mod._FastPoly("idempotent", field, support, degree)
     rng = random.Random(17)
+    if p == 2:
+        rejected = lane_rejections(fast, rng.sample(range(2 ** len(monos)), 200))
+        assert len(rejected) >= 30
+        for index in fast.filter.survivors([range(2 ** len(monos))]):
+            digits = nr_mod._index_to_digits(index, 2, len(monos))
+            alpha = NearRingElement(group, field, {u: field.one() for u, d in zip(monos, digits) if d})
+            assert all(evaluate(alpha.star(alpha), x, L) == evaluate(alpha, x, L) for x in xs), digits
+        monkeypatch.setattr(nr_mod, "FILTER_POINTS", 1)
+        passed = set(nr_mod._FastPoly("idempotent", field, support, degree).filter.survivors([range(2 ** len(monos))]))
+        for index in range(2 ** len(monos)):
+            digits = nr_mod._index_to_digits(index, 2, len(monos))
+            if admits(fast, digits):
+                alpha = NearRingElement(group, field, {u: field.one() for u, d in zip(monos, digits) if d})
+                assert (index in passed) == (evaluate(alpha.star(alpha), xs[0], L) == evaluate(alpha, xs[0], L)), digits
     checked = 0
     while checked < 30:
-        index = rng.randrange(p ** len(monos))
+        if p == 2:
+            index, at = rejected[checked], xs
+        else:
+            index = rng.randrange(p ** len(monos))
+            point = fast.filter.rejecting_point(index, nr_mod._index_to_digits(index, p, len(monos)))
+            if point is None:
+                continue
+            at = [xs[point]]
         digits = nr_mod._index_to_digits(index, p, len(monos))
-        point = fast.filter.rejecting_point(index, digits)
-        if point is None:
-            continue
         alpha = NearRingElement(group, field, {u: field.from_int(d) for u, d in zip(monos, digits) if d})
-        x = {g: values[code] for g, code in zip(universe, points[point])}
-        assert evaluate(alpha.star(alpha), x, FILTER_FIELDS[p]) != evaluate(alpha, x, FILTER_FIELDS[p]), digits
+        assert any(evaluate(alpha.star(alpha), x, L) != evaluate(alpha, x, L) for x in at), digits
         checked += 1
 
 
@@ -1520,14 +1557,18 @@ UNIT_IDS = ["zd:1-d1", "zd:1-d2", "zd:2-d1", "zd:2-d2", "free:2-d1", "free:2-d2"
 
 @pytest.mark.parametrize("support, degree", UNIT_SPACES, ids=UNIT_IDS)
 def test_projected_unit_records_equal_unprojected(monkeypatch, support, degree):
-    """The projection only skips betas that are no unit partner: the live records match a walk without points."""
+    """The projection only skips betas that are no unit partner: the live records match lanes without points.
+
+    Without points the lanes pass exactly the betas that the walk's eps test admits.
+    """
     fast = nr_mod._FastPoly("unit", F2, support, degree)
     ranges = [range(2 ** len(fast.monomials))]
-    rejected = [index for index, _ in nr_mod._walk(fast, ranges) if fast.filter.rejects(index)]
+    rejected = lane_rejections(fast, ranges[0])
     records = nr_mod._live_betas(fast, ranges)
     monkeypatch.setattr(nr_mod, "unit_point_count", lambda m: 0)
     unprojected = nr_mod._FastPoly("unit", F2, support, degree)
     assert unprojected.filter.points == []
+    assert list(unprojected.filter.survivors(ranges)) == [index for index, _ in nr_mod._walk(fast, ranges)]
     assert nr_mod._live_betas(unprojected, ranges) == records
     dead = sum(1 for _ in nr_mod._walk(fast, ranges)) - len(records)
     # a dead beta's orbit a*beta + c shares its columns' span, so on a few dead betas one orbit is a large share
@@ -1538,12 +1579,13 @@ def test_projected_unit_records_equal_unprojected(monkeypatch, support, degree):
 def test_rejected_betas_have_no_projected_solution(support, degree):
     """Each rejection is a certificate: at the points, no F2 combination of the X^u star beta evaluates to X_e.
 
-    30 distinct rejections from a seeded sample of the whole space are
-    re-checked with the public elements, the generic star and the
-    arithmetic of GF(16), at the points' coordinates on U = {e} u S u S.S
-    in canonical order, without _FastPoly's tables or the filter's: each
-    column is the digit vectors of ev_x(X^u star beta) over the points,
-    and X_e's lies outside their span.
+    30 distinct rejections of the lane masks, from a seeded sample of the
+    whole space, are re-checked with the public elements, the generic star
+    and the arithmetic of GF(16), at the points' coordinates on
+    U = {e} u S u S.S in canonical order, without _FastPoly's tables or the
+    filter's: each column is the digit vectors of ev_x(X^u star beta) over
+    the points, and X_e's lies outside their span.  The representatives
+    that the lanes pass, the first 10 of them, have X_e's inside it.
     """
     group, L = support.group, ExtensionField(2, 4)
     monos = search_monomials(support, degree)
@@ -1552,10 +1594,11 @@ def test_rejected_betas_have_no_projected_solution(support, degree):
     values = L.elements()
     xs = [{g: values[code] for g, code in zip(universe, point)} for point in points]
     fast = nr_mod._FastPoly("unit", F2, support, degree)
-    sample = random.Random(23).sample(range(2 ** len(monos)), 200)
-    rejected = [index for index in sample if fast.filter.rejects(index)][:30]
-    assert len(rejected) == 30
-    for index in rejected:
+    sample = random.Random(23).sample(range(2 ** len(monos)), 400)
+    rejected = lane_rejections(fast, sample)[:30]
+    passed = list(fast.filter.survivors(nr_mod._representatives(2, len(monos))))[:10]
+    assert len(rejected) == 30 and passed
+    for index in rejected + passed:
         digits = nr_mod._index_to_digits(index, 2, len(monos))
         beta = NearRingElement(group, F2, {u: F2.one() for u, d in zip(monos, digits) if d})
         products = [NearRingElement(group, F2, {u: F2.one()}).star(beta) for u in monos]
@@ -1564,7 +1607,7 @@ def test_rejected_betas_have_no_projected_solution(support, degree):
         for column in columns:
             span |= {tuple((a + b) % 2 for a, b in zip(v, column)) for v in span}
         target = tuple(c for x in xs for c in L.coefficients(x[group.identity()]))
-        assert target not in span, digits
+        assert (target in span) == (index in passed), digits
 
 
 def test_unit_point_count_follows_the_fixed_rule():
@@ -1580,6 +1623,91 @@ def test_unit_point_count_follows_the_fixed_rule():
     assert points[: nr_mod.FILTER_POINTS] == nr_mod.filter_points(2, 5, 3, 2)[1]
     assert nr_mod._FastPoly("unit", F3, support, 2).filter is None
     assert nr_mod._FastPoly("zero_divisor", F2, support, 2).filter is None
+
+
+# -- the F2 lanes: one int per bit plane, one bit per enumeration index --------
+
+
+def lane_planes(values, bits):
+    """The bit planes of per-lane values: plane b holds bit b of the value of lane l at bit l."""
+    return tuple(sum((v >> b & 1) << lane for lane, v in enumerate(values)) for b in range(bits))
+
+
+def test_bit_sliced_gf16_product_matches_the_field_tables():
+    """All 256 products of GF(16) codes in one call, one pair per lane, equal exp[log a + log b]."""
+    exp, log, _ = field_tables(2, 4)
+    pairs = [(a, b) for a in range(16) for b in range(16)]
+    product = nr_mod._gf16_times(lane_planes([a for a, _ in pairs], 4), lane_planes([b for _, b in pairs], 4))
+    assert product == lane_planes([exp[log[a] + log[b]] if a and b else 0 for a, b in pairs], 4)
+
+
+def test_oblivious_elimination_matches_a_span_per_lane():
+    """_outside_span flags exactly the lanes whose last entry lies outside the span of the columns, by brute force."""
+    rng = random.Random(31)
+    for rows, m in ((6, 4), (8, 5), (9, 9), (5, 1)):
+        lanes = 128
+        # low-rank columns are common: each lane draws its columns from a few random vectors
+        matrices = []
+        for _ in range(lanes):
+            basis = [rng.getrandbits(rows) for _ in range(rng.randrange(1, m + 2))]
+            matrices.append([rng.choice(basis) for _ in range(m + 1)])
+        table = [[sum((matrix[c] >> r & 1) << lane for lane, matrix in enumerate(matrices)) for c in range(m + 1)] for r in range(rows)]
+        outside = nr_mod._outside_span(table, m, (1 << lanes) - 1)
+        for lane, matrix in enumerate(matrices):
+            span = {0}
+            for column in matrix[:m]:
+                span |= {v ^ column for v in span}
+            assert (outside >> lane & 1) == (matrix[m] not in span)
+
+
+LANE_SPACES = [
+    ("unit", support_pm1(), 2),
+    ("idempotent", support_pm1(), 2),
+    ("unit", FiniteSubset(Z2, [Z2.identity(), Z2.element((1, 0)), Z2.element((0, 1))]), 2),
+    ("idempotent", ball(cyclic_group(3), 1), 2),
+    ("unit", ball(cyclic_group(2), 1), 2),
+]
+
+
+@pytest.mark.parametrize("bits", [1, 2, 5, nr_mod.LANE_BITS])
+def test_lane_records_equal_at_every_block_size_and_chunk_cut(monkeypatch, bits):
+    """Records and findings do not depend on LANE_BITS, nor on range cuts that fall inside a block.
+
+    Seeded cuts split each round's ranges mid-block, and with WORK_MIN = 1
+    the searches run in 2 and 3 pooled chunks, whose cuts fall anywhere.
+    """
+    rng = random.Random(bits)
+    expected = []
+    for kind, support, degree in LANE_SPACES:
+        fast = nr_mod._FastPoly(kind, F2, support, degree)
+        fn, ranges = (nr_mod._idempotents, [range(2 ** len(fast.monomials))]) if kind == "idempotent" else (nr_mod._live_betas, nr_mod._representatives(2, len(fast.monomials)))
+        expected.append((fn, ranges, fn(fast, ranges), search_key(exhaustive_search(kind, F2, support, degree))))
+    monkeypatch.setattr(nr_mod, "LANE_BITS", bits)
+    monkeypatch.setattr(nr_mod, "WORK_MIN", 1)
+    for (kind, support, degree), (fn, ranges, records, findings) in zip(LANE_SPACES, expected):
+        fast = nr_mod._FastPoly(kind, F2, support, degree)
+        assert fast.filter.bits == min(bits, len(fast.monomials)) and records
+        indices = [index for r in ranges for index in r]
+        cuts = sorted(rng.sample(range(1, len(indices)), 9))
+        pieces = [range(indices[a], indices[b - 1] + 1) for a, b in zip([0, *cuts], [*cuts, len(indices)])]
+        assert [record for piece in pieces for record in fn(fast, [piece])] == records
+        for workers in (2, 3):
+            assert search_key(exhaustive_search(kind, F2, support, degree, workers=workers)) == findings
+
+
+def test_f2_unit_and_idempotent_searches_run_on_lanes(monkeypatch):
+    """Over F2, unit and idempotent searches read neither the per-index walk nor a Zech logarithm."""
+    spaces = [(kind, F2, support_pm1(), 2) for kind in ("unit", "idempotent")]
+    expected = [search_key(exhaustive_search(*space)) for space in spaces]
+
+    def refuse(*args):
+        raise AssertionError("an F2 search left the lanes")
+
+    monkeypatch.setattr(nr_mod, "_walk", refuse)
+    monkeypatch.setattr(nr_mod, "log_add", refuse)
+    assert [search_key(exhaustive_search(*space)) for space in spaces] == expected
+    with pytest.raises(AssertionError, match="left the lanes"):
+        exhaustive_search("zero_divisor", F2, support_pm1(), 2)
 
 
 def test_idempotent_search_over_fifteen_monomials_within_one_second():

@@ -77,6 +77,7 @@ DELETED = {
     "sofic.LabeledGraph.edges",
     "sofic.graph_to_text",
     "linear_ca.SurjectivityReport",
+    "near_ring._UnitFilter",
 }
 
 

@@ -37,8 +37,10 @@ compared with findings too.  A tenth, ``FILTER_SEARCH``, looks for the
 idempotents over 15 monomials, where the point filter skips all but a few
 of its 12 288 alphas, and an eleventh, ``UNIT_FILTER_SEARCH``, for the F2
 units over the same 15 monomials (6 findings), where the unit projection
-skips most betas past eps.  Each writes its ``--findings`` file into the
-temporary directory.  Two ``star`` and two ``embed`` jobs follow for each
+skips most betas past eps.  A twelfth, ``LANE_UNIT_SEARCH``, looks for the
+F2 units over m = 21 monomials (10 findings), whose 2^20 representatives
+cross 64 blocks of the lanes that test them.  Each writes its
+``--findings`` file into the temporary directory.  Two ``star`` and two ``embed`` jobs follow for each
 of the seven shipped extensions that no workload job reaches
 (``EXTENSION_FIELDS``), with powers in their texts, so that near-ring,
 group-ring and twisted powers are compared on int-coded fields.  The six
@@ -56,7 +58,7 @@ whose memory lacks the identity, so that their M-interiors leave the
 pattern's domain: each rule steps its pattern in minus mode and in plus
 mode at ``--window`` 0 and 1 (27 jobs), ``CA_COMPOSE`` composes rules of
 one kind and of two kinds (10 jobs) and ``CA_INVERT`` inverts three of
-them.  That makes 1187 jobs for every seed.  It runs every job through
+them.  That makes 1188 jobs for every seed.  It runs every job through
 ``groupca.cli.run_job`` twice, each time in one fresh interpreter: once on
 REF's ``src/`` (extracted with ``git archive``) and once on this
 checkout's ``src/``.  For each job it records the argv, the exit code,
@@ -136,6 +138,9 @@ POOLED_SEARCH = ("units", "cyclic:3", "f3", 2)
 FILTER_SEARCH = ["idem", "--group", "zd:1", "--field", "f2", "--degree", "2", "--support=(-2);(-1);(0);(1)"]
 # the F2 unit search over those 15 monomials, whose 6 trivial units the unit projection must keep
 UNIT_FILTER_SEARCH = ["units"] + FILTER_SEARCH[1:]
+# the F2 unit search over m = 21 monomials: 2^20 representatives, 64 full blocks of 2^LANE_BITS lanes
+LANE_UNIT_SEARCH = ["units", "--group", "zd:1", "--field", "f2", "--degree", "2", "--support=(-2);(-1);(0);(1);(2)",
+                    "--space-cap", "4194304"]
 # the shipped extensions that no workload job reaches (those use gf9, and CA_RULES gf4), and texts with
 # powers for them: the near-ring and group-ring powers go by base-p digits through the Frobenius map,
 # and the twisted power through Frobenius-twisted products, all on int codes
@@ -257,6 +262,7 @@ def build_jobs(seed, tmp):
                       "--findings", "findings_%d.jsonl" % i])
     argvs.append(FILTER_SEARCH + ["--findings", "findings_filter.jsonl"])
     argvs.append(UNIT_FILTER_SEARCH + ["--findings", "findings_unit_filter.jsonl"])
+    argvs.append(LANE_UNIT_SEARCH + ["--findings", "findings_lane_unit.jsonl"])
     argvs.extend(job + ["--field", field] for field in EXTENSION_FIELDS for job in EXTENSION_JOBS)
     argvs.extend(PATH_JOBS)
     for fname in CA_RULES:
